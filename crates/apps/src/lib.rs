@@ -39,6 +39,6 @@ pub mod sanitize;
 pub mod scheme;
 pub mod spec;
 
-pub use run::{run_app, run_app_full, run_app_with, AppName, RunOutcome};
+pub use run::{run_app, run_app_full, AppName, RunOutcome};
 pub use scheme::{Scheme, SchemeConfig};
 pub use spec::{MachineSpec, RunSpec};

@@ -115,18 +115,7 @@ pub struct RunOutcome {
 /// instrumentation bug), the outcome carries the watchdog's
 /// [`DeadlockReport`] instead of panicking.
 pub fn run_app(app: AppName, g: &Arc<Csr>, cfg: &SchemeConfig, mcfg: MachineConfig) -> RunOutcome {
-    run_app_with(app, g, cfg, mcfg, None)
-}
-
-/// [`run_app`] with an optional fetcher scratchpad override (Fig. 21).
-pub fn run_app_with(
-    app: AppName,
-    g: &Arc<Csr>,
-    cfg: &SchemeConfig,
-    mcfg: MachineConfig,
-    fetcher_scratchpad: Option<u32>,
-) -> RunOutcome {
-    run_app_full(app, g, cfg, mcfg, fetcher_scratchpad, false)
+    run_app_full(app, g, cfg, mcfg, None, false)
 }
 
 /// [`run_app`] with every knob: fetcher scratchpad override (Fig. 21) and
@@ -140,51 +129,15 @@ pub fn run_app_full(
     cmh: bool,
 ) -> RunOutcome {
     let mut machine = Machine::new(mcfg);
-    if let Some(bytes) = fetcher_scratchpad {
-        machine.set_fetcher_scratchpad(bytes);
-    }
-    let mut alg = app.build();
-    let all_active = alg.all_active();
-    let mut w = Workload::build(
-        g.clone(),
+    let (stats, validated, adjacency_ratio) = simulate(
+        &mut machine,
+        app,
+        g,
         cfg,
-        mcfg.mem.cores,
-        mcfg.mem.llc.size_bytes,
-        all_active,
+        fetcher_scratchpad,
+        cmh,
+        |_, _| {},
     );
-    if cmh {
-        // Snapshot the compressibility profile from *computed* data: a
-        // throwaway functional run fills the vertex arrays with their
-        // steady-state values (freshly-initialized arrays are uniformly
-        // repetitive and would flatter BDI absurdly). The profile stays
-        // static during the timed run — a documented approximation.
-        let mut probe_alg = app.build();
-        let mut probe_w = Workload::build(
-            g.clone(),
-            cfg,
-            mcfg.mem.cores,
-            mcfg.mem.llc.size_bytes,
-            all_active,
-        );
-        let _ = reference_run(probe_alg.as_mut(), &mut probe_w);
-        machine.enable_cmh(probe_w.img.bdi_profile());
-    }
-    let stats = runtime::run_algorithm(&mut machine, &mut w, alg.as_mut(), cfg);
-    let result = alg.result(&w);
-
-    // Reference: the same functional trajectory without the machine.
-    let mut ref_alg = app.build();
-    let mut ref_w = Workload::build(
-        g.clone(),
-        &SchemeConfig::software(Strategy::Push),
-        mcfg.mem.cores,
-        mcfg.mem.llc.size_bytes,
-        all_active,
-    );
-    let reference = reference_run(ref_alg.as_mut(), &mut ref_w);
-    let validated = results_match(alg.as_ref(), &result, &reference);
-
-    let adjacency_ratio = w.cadj.as_ref().map(|c| c.ratio);
     let deadlock = machine.take_deadlock();
     RunOutcome {
         report: machine.finish(),
@@ -213,52 +166,21 @@ pub fn run_app_sanitized(
 ) -> (RunOutcome, spzip_sim::sanitize::SanitizeReport) {
     let mut machine = Machine::new(mcfg);
     machine.enable_sanitizer();
-    if let Some(bytes) = fetcher_scratchpad {
-        machine.set_fetcher_scratchpad(bytes);
-    }
-    let mut alg = app.build();
-    let all_active = alg.all_active();
-    let mut w = Workload::build(
-        g.clone(),
-        cfg,
-        mcfg.mem.cores,
-        mcfg.mem.llc.size_bytes,
-        all_active,
-    );
-    if cmh {
-        // Same static-profile approximation as `run_app_full`.
-        let mut probe_alg = app.build();
-        let mut probe_w = Workload::build(
-            g.clone(),
-            cfg,
-            mcfg.mem.cores,
-            mcfg.mem.llc.size_bytes,
-            all_active,
-        );
-        let _ = reference_run(probe_alg.as_mut(), &mut probe_w);
-        machine.enable_cmh(probe_w.img.bdi_profile());
-    }
-    let stats = runtime::run_algorithm(&mut machine, &mut w, alg.as_mut(), cfg);
-    let result = alg.result(&w);
-
-    // Vertex-slice conservation was checked inside run_algorithm at each
+    // Vertex-slice conservation is checked inside run_algorithm at each
     // iteration's sync point; the static adjacency is checked here.
-    for v in crate::sanitize::check_adjacency_conservation(&w, cfg) {
-        machine.note_violation(v);
-    }
-
-    let mut ref_alg = app.build();
-    let mut ref_w = Workload::build(
-        g.clone(),
-        &SchemeConfig::software(Strategy::Push),
-        mcfg.mem.cores,
-        mcfg.mem.llc.size_bytes,
-        all_active,
+    let (stats, validated, adjacency_ratio) = simulate(
+        &mut machine,
+        app,
+        g,
+        cfg,
+        fetcher_scratchpad,
+        cmh,
+        |m, w| {
+            for v in crate::sanitize::check_adjacency_conservation(w, cfg) {
+                m.note_violation(v);
+            }
+        },
     );
-    let reference = reference_run(ref_alg.as_mut(), &mut ref_w);
-    let validated = results_match(alg.as_ref(), &result, &reference);
-
-    let adjacency_ratio = w.cadj.as_ref().map(|c| c.ratio);
     let deadlock = machine.take_deadlock();
     let (report, sanitize) = machine.finish_sanitized();
     (
@@ -271,6 +193,68 @@ pub fn run_app_sanitized(
         },
         sanitize,
     )
+}
+
+/// The run every entry point shares, on a freshly built `machine`: lay
+/// out the workload, simulate `app`, and validate its result against a
+/// reference execution. `after_run` sees the workload between the
+/// simulation and the validation. Returns the run's statistics, whether
+/// it validated, and the adjacency compression ratio.
+fn simulate(
+    machine: &mut Machine,
+    app: AppName,
+    g: &Arc<Csr>,
+    cfg: &SchemeConfig,
+    fetcher_scratchpad: Option<u32>,
+    cmh: bool,
+    after_run: impl FnOnce(&mut Machine, &Workload),
+) -> (AlgoRunStats, bool, Option<f64>) {
+    if let Some(bytes) = fetcher_scratchpad {
+        machine.set_fetcher_scratchpad(bytes);
+    }
+    let mcfg = *machine.config();
+    let mut alg = app.build();
+    let all_active = alg.all_active();
+    let mut w = Workload::build(
+        g.clone(),
+        cfg,
+        mcfg.mem.cores,
+        mcfg.mem.llc.size_bytes,
+        all_active,
+    );
+    if cmh {
+        // Snapshot the compressibility profile from *computed* data: a
+        // throwaway functional run fills the vertex arrays with their
+        // steady-state values (freshly-initialized arrays are uniformly
+        // repetitive and would flatter BDI absurdly). The profile stays
+        // static during the timed run — a documented approximation.
+        let mut probe_alg = app.build();
+        let mut probe_w = Workload::build(
+            g.clone(),
+            cfg,
+            mcfg.mem.cores,
+            mcfg.mem.llc.size_bytes,
+            all_active,
+        );
+        let _ = reference_run(probe_alg.as_mut(), &mut probe_w);
+        machine.enable_cmh(probe_w.img.bdi_profile());
+    }
+    let stats = runtime::run_algorithm(machine, &mut w, alg.as_mut(), cfg);
+    let result = alg.result(&w);
+    after_run(machine, &w);
+
+    // Reference: the same functional trajectory without the machine.
+    let mut ref_alg = app.build();
+    let mut ref_w = Workload::build(
+        g.clone(),
+        &SchemeConfig::software(Strategy::Push),
+        mcfg.mem.cores,
+        mcfg.mem.llc.size_bytes,
+        all_active,
+    );
+    let reference = reference_run(ref_alg.as_mut(), &mut ref_w);
+    let validated = results_match(alg.as_ref(), &result, &reference);
+    (stats, validated, w.cadj.as_ref().map(|c| c.ratio))
 }
 
 /// Pure functional execution in the same order the instrumented runtime

@@ -319,8 +319,8 @@ impl RunOutcome {
             stats,
             validated: validated.ok_or("missing key \"validated\"")?,
             adjacency_ratio: adjacency_ratio.ok_or("missing key \"adjacency_ratio\"")?,
-            // Wedged runs are never serialized (the driver fails them
-            // before caching), so a cache hit is always deadlock-free.
+            // `to_kv` drops the deadlock report, so the driver never
+            // memoizes a wedged run: a cache hit is always deadlock-free.
             deadlock: None,
         })
     }

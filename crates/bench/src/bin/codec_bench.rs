@@ -18,9 +18,9 @@
 //! speedup floor (≥10× for BPC, ≥5× for delta). Exits 0 on success, 1 on
 //! a failed gate, 2 when a file cannot be read — the `dcl-lint`/`dcl-perf`
 //! ladder, and `--format json` emits the same envelope those tools share
-//! ([`spzip_bench::cli::trajectory_json`]).
+//! ([`spzip_bench::cli::trajectory_check`]).
 
-use spzip_bench::cli::{tool_exit_code, trajectory_json, ToolCounts};
+use spzip_bench::cli::trajectory_check;
 use spzip_bench::codec_bench::{check_against, BenchReport, REQUIRED_CODECS};
 
 fn main() {
@@ -65,65 +65,17 @@ fn run(args: &[String]) -> i32 {
     }
 
     if let Some(path) = check_path {
-        let mut counts = ToolCounts::default();
-        let emit = |counts: &ToolCounts,
-                    summary: &[String],
-                    gate_errors: &[String],
-                    failures: &[(String, String)]| {
-            if json {
-                print!(
-                    "{}",
-                    trajectory_json("codec-bench", counts, summary, gate_errors, failures)
-                );
-            } else {
-                for line in summary {
-                    println!("{line}");
-                }
-                for e in gate_errors {
-                    eprintln!("codec-bench: FAIL: {e}");
-                }
-                for (name, e) in failures {
-                    eprintln!("codec-bench: {name}: {e}");
-                }
-                if gate_errors.is_empty() && failures.is_empty() {
-                    println!("codec-bench: trajectory check passed");
-                }
-            }
-        };
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                counts.io_errors = 1;
-                emit(&counts, &[], &[], &[(path, format!("cannot read: {e}"))]);
-                return tool_exit_code(&counts, false);
-            }
-        };
-        let checked_in = match BenchReport::from_json(&text) {
-            Ok(r) => r,
-            Err(e) => {
-                counts.errors = 1;
-                emit(
-                    &counts,
-                    &[],
-                    &[],
-                    &[(path, format!("failed schema validation: {e}"))],
-                );
-                return tool_exit_code(&counts, false);
-            }
-        };
-        eprintln!("codec-bench: measuring ({measure_ms} ms/cell)...");
-        let fresh = BenchReport::measure(measure_ms);
-        counts.checked = REQUIRED_CODECS.len();
-        match check_against(&fresh, &checked_in) {
-            Ok(summary) => {
-                emit(&counts, &summary, &[], &[]);
-            }
-            Err(errors) => {
-                counts.errors = errors.len();
-                emit(&counts, &[], &errors, &[]);
-            }
-        }
-        tool_exit_code(&counts, false)
+        trajectory_check(
+            "codec-bench",
+            &path,
+            json,
+            REQUIRED_CODECS.len(),
+            BenchReport::from_json,
+            |checked_in| {
+                eprintln!("codec-bench: measuring ({measure_ms} ms/cell)...");
+                check_against(&BenchReport::measure(measure_ms), checked_in)
+            },
+        )
     } else {
         eprintln!("codec-bench: measuring ({measure_ms} ms/cell)...");
         let report = BenchReport::measure(measure_ms);

@@ -20,9 +20,9 @@
 //! the machinery is absent, not a verdict). Exit codes follow the shared
 //! ladder: 0 pass, 1 failed gate, 2 unreadable input; `--format json`
 //! emits the envelope `dcl-lint`/`dcl-perf`/`codec-bench` share
-//! ([`spzip_bench::cli::trajectory_json`]).
+//! ([`spzip_bench::cli::trajectory_check`]).
 
-use spzip_bench::cli::{tool_exit_code, trajectory_json, ToolCounts};
+use spzip_bench::cli::trajectory_check;
 use spzip_bench::sanitize_bench::{check_against, SanitizeBenchReport, BUILTIN_CELLS};
 
 fn main() {
@@ -90,74 +90,27 @@ fn run(args: &[String]) -> i32 {
     }
 
     if let Some(path) = check_path {
-        let mut counts = ToolCounts::default();
-        let emit = |counts: &ToolCounts,
-                    summary: &[String],
-                    gate_errors: &[String],
-                    failures: &[(String, String)]| {
-            if json {
-                print!(
-                    "{}",
-                    trajectory_json("sanitize-bench", counts, summary, gate_errors, failures)
-                );
-            } else {
-                for line in summary {
-                    println!("{line}");
+        trajectory_check(
+            "sanitize-bench",
+            &path,
+            json,
+            BUILTIN_CELLS.len(),
+            SanitizeBenchReport::from_json,
+            |checked_in| {
+                eprintln!("sanitize-bench: measuring ({measure_ms} ms analysis window/cell)...");
+                let mut fresh = measure(measure_ms);
+                if let Some(p) = perturb_ratio {
+                    // Deliberately mis-scale the fresh footprint wins so CI
+                    // can prove the gate still fires on a regression.
+                    eprintln!("sanitize-bench: perturbing fresh ratios by {p} (gate sanity check)");
+                    for cell in &mut fresh.records {
+                        cell.ratio *= p;
+                        cell.residency_ratio *= p;
+                    }
                 }
-                for e in gate_errors {
-                    eprintln!("sanitize-bench: FAIL: {e}");
-                }
-                for (name, e) in failures {
-                    eprintln!("sanitize-bench: {name}: {e}");
-                }
-                if gate_errors.is_empty() && failures.is_empty() {
-                    println!("sanitize-bench: trajectory check passed");
-                }
-            }
-        };
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                counts.io_errors = 1;
-                emit(&counts, &[], &[], &[(path, format!("cannot read: {e}"))]);
-                return tool_exit_code(&counts, false);
-            }
-        };
-        let checked_in = match SanitizeBenchReport::from_json(&text) {
-            Ok(r) => r,
-            Err(e) => {
-                counts.errors = 1;
-                emit(
-                    &counts,
-                    &[],
-                    &[],
-                    &[(path, format!("failed schema validation: {e}"))],
-                );
-                return tool_exit_code(&counts, false);
-            }
-        };
-        eprintln!("sanitize-bench: measuring ({measure_ms} ms analysis window/cell)...");
-        let mut fresh = measure(measure_ms);
-        if let Some(p) = perturb_ratio {
-            // Deliberately mis-scale the fresh footprint wins so CI can
-            // prove the gate still fires on a regression.
-            eprintln!("sanitize-bench: perturbing fresh ratios by {p} (gate sanity check)");
-            for cell in &mut fresh.records {
-                cell.ratio *= p;
-                cell.residency_ratio *= p;
-            }
-        }
-        counts.checked = BUILTIN_CELLS.len();
-        match check_against(&fresh, &checked_in) {
-            Ok(summary) => {
-                emit(&counts, &summary, &[], &[]);
-            }
-            Err(errors) => {
-                counts.errors = errors.len();
-                emit(&counts, &[], &errors, &[]);
-            }
-        }
-        tool_exit_code(&counts, false)
+                check_against(&fresh, checked_in)
+            },
+        )
     } else {
         eprintln!("sanitize-bench: measuring ({measure_ms} ms analysis window/cell)...");
         let report = measure(measure_ms);

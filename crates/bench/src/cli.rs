@@ -17,22 +17,13 @@
 //!   built-in app pipeline.
 //! * `--dot` — `dcl-lint`: print each linted pipeline as Graphviz dot
 //!   (builtin pipelines annotate edges with the inferred shape domain).
-//! * `--no-shape` — `dcl-lint`: skip the shape-and-bounds verifier
-//!   ([`spzip_core::shape`]) that builtin linting runs by default.
-//! * `--shape-corpus` — `dcl-lint`: run the seeded-miswiring differential
-//!   gate (static B-code vs. dynamic functional-engine confirmation).
-//! * `--no-liveness` — `dcl-lint`: skip the liveness model checker
-//!   ([`spzip_core::liveness`]) that builtin linting runs by default.
-//! * `--liveness-corpus` — `dcl-lint`: run the seeded cross-queue
-//!   deadlock differential gate (static D-code vs. dynamic machine
-//!   watchdog confirmation via counterexample replay).
+//! * `--corpus shape|liveness|equiv|all` — `dcl-lint`: run a seeded-bug
+//!   differential gate ([`crate::corpus`]): each seed must be caught by
+//!   its static pass and confirmed on the dynamic engines.
 //! * `--equiv` — `dcl-lint`: certify every builtin pipeline against its
 //!   auto-codec rewiring with the translation validator
 //!   ([`spzip_core::equiv`]), plus every codec's kernel-vs-reference
 //!   binding (cross-roundtrip bit-identity).
-//! * `--equiv-corpus` — `dcl-lint`: run the seeded semantics-breaking
-//!   rewrite differential gate (static V-code vs. divergent
-//!   functional-engine output confirmation).
 //! * `--explain CODE` — `dcl-lint`: print the registry entry (summary,
 //!   why it matters, how to fix) for any diagnostic code
 //!   (`E`/`W`/`B`/`P`/`A`/`S`/`D`/`V`).
@@ -48,9 +39,8 @@
 //! * `--perturb-ratio X` — `dcl-perf --crosscheck`/`--auto-gate`: scale
 //!   every codec-derived byte prediction by `X` (sanity check that the
 //!   gates catch a mis-modeled codec; `1.0` is the honest model). For
-//!   `dcl-lint --liveness-corpus`, `X < 1` instead shrinks the liveness
-//!   drive protocol's per-group budgets (a too-shallow checker must
-//!   fail the gate).
+//!   `dcl-lint --corpus`, any `X` other than 1 instead selects each
+//!   corpus's weakened checker (which must fail the gate).
 //! * `--suggest` — `dcl-perf`: run the static codec-selection pass
 //!   ([`spzip_core::suggest`]) instead of the perf report; emits `A0xx`
 //!   advisories plus a machine-readable rewiring plan. Advisories never
@@ -112,23 +102,12 @@ pub struct CommonArgs {
     pub all_builtin: bool,
     /// Emit Graphviz dot for linted pipelines (`--dot`, `dcl-lint`).
     pub dot: bool,
-    /// Skip the shape verifier on builtins (`--no-shape`, `dcl-lint`).
-    pub no_shape: bool,
-    /// Run the seeded-miswiring differential gate (`--shape-corpus`,
+    /// Run the named seeded-bug differential gate (`--corpus`,
     /// `dcl-lint`).
-    pub shape_corpus: bool,
-    /// Skip the liveness checker on builtins (`--no-liveness`,
-    /// `dcl-lint`).
-    pub no_liveness: bool,
-    /// Run the seeded-deadlock differential gate (`--liveness-corpus`,
-    /// `dcl-lint`).
-    pub liveness_corpus: bool,
+    pub corpus: Option<String>,
     /// Certify builtin auto-rewirings and codec bindings with the
     /// translation validator (`--equiv`, `dcl-lint`).
     pub equiv: bool,
-    /// Run the seeded semantics-breaking rewrite differential gate
-    /// (`--equiv-corpus`, `dcl-lint`).
-    pub equiv_corpus: bool,
     /// Explain a diagnostic code (`--explain CODE`, `dcl-lint`).
     pub explain: Option<String>,
     /// Treat lint warnings as fatal (`--deny-warnings`, `dcl-lint`).
@@ -137,8 +116,8 @@ pub struct CommonArgs {
     pub format: OutputFormat,
     /// Run the model-vs-simulator gate (`--crosscheck`, `dcl-perf`).
     pub crosscheck: bool,
-    /// Perturb codec-derived predictions (`dcl-perf`) or the liveness
-    /// drive depth (`dcl-lint --liveness-corpus`) (`--perturb-ratio`).
+    /// Perturb codec-derived predictions (`dcl-perf`) or select the
+    /// weakened corpus checkers (`dcl-lint --corpus`) (`--perturb-ratio`).
     pub perturb_ratio: Option<f64>,
     /// Run the codec-selection pass (`--suggest`, `dcl-perf`).
     pub suggest: bool,
@@ -173,12 +152,8 @@ pub fn parse_from(args: &[String]) -> CommonArgs {
         out_dir: PathBuf::from("results"),
         all_builtin: false,
         dot: false,
-        no_shape: false,
-        shape_corpus: false,
-        no_liveness: false,
-        liveness_corpus: false,
+        corpus: None,
         equiv: false,
-        equiv_corpus: false,
         explain: None,
         deny_warnings: false,
         format: OutputFormat::Text,
@@ -258,29 +233,16 @@ pub fn parse_from(args: &[String]) -> CommonArgs {
                 parsed.dot = true;
                 consumed[i] = true;
             }
-            "--no-shape" => {
-                parsed.no_shape = true;
-                consumed[i] = true;
-            }
-            "--shape-corpus" => {
-                parsed.shape_corpus = true;
-                consumed[i] = true;
-            }
-            "--no-liveness" => {
-                parsed.no_liveness = true;
-                consumed[i] = true;
-            }
-            "--liveness-corpus" => {
-                parsed.liveness_corpus = true;
-                consumed[i] = true;
-            }
             "--equiv" => {
                 parsed.equiv = true;
                 consumed[i] = true;
             }
-            "--equiv-corpus" => {
-                parsed.equiv_corpus = true;
+            "--corpus" => {
+                parsed.corpus = value(i).map(|s| s.to_string());
                 consumed[i] = true;
+                if i + 1 < consumed.len() {
+                    consumed[i + 1] = true;
+                }
             }
             "--explain" => {
                 parsed.explain = value(i).map(|s| s.to_string());
@@ -544,6 +506,72 @@ pub fn trajectory_json(
     json_envelope(counts, &[(gate.to_string(), body)], failures)
 }
 
+/// The `--check` driver `codec-bench` and `sanitize-bench` share: reads
+/// the checked-in trajectory at `path` and parses it with `parse`, then
+/// `gate` measures a fresh report and compares it against the checked-in
+/// one, returning the per-cell summary lines or the violated gates.
+/// Prints the summary as text, or with `json` the [`trajectory_json`]
+/// envelope over `cells` checked cells, and returns the
+/// [`tool_exit_code`] ladder: 2 when `path` cannot be read, 1 when it
+/// fails schema validation or a gate fails.
+pub fn trajectory_check<R>(
+    tool: &str,
+    path: &str,
+    json: bool,
+    cells: usize,
+    parse: impl FnOnce(&str) -> Result<R, String>,
+    gate: impl FnOnce(&R) -> Result<Vec<String>, Vec<String>>,
+) -> i32 {
+    let mut counts = ToolCounts::default();
+    let (summary, gate_errors, failures) = match std::fs::read_to_string(path) {
+        Err(e) => {
+            counts.io_errors = 1;
+            (
+                vec![],
+                vec![],
+                vec![(path.to_string(), format!("cannot read: {e}"))],
+            )
+        }
+        Ok(text) => match parse(&text) {
+            Err(e) => {
+                counts.errors = 1;
+                let failure = format!("failed schema validation: {e}");
+                (vec![], vec![], vec![(path.to_string(), failure)])
+            }
+            Ok(checked_in) => {
+                counts.checked = cells;
+                match gate(&checked_in) {
+                    Ok(summary) => (summary, vec![], vec![]),
+                    Err(errors) => {
+                        counts.errors = errors.len();
+                        (vec![], errors, vec![])
+                    }
+                }
+            }
+        },
+    };
+    if json {
+        print!(
+            "{}",
+            trajectory_json(tool, &counts, &summary, &gate_errors, &failures)
+        );
+    } else {
+        for line in &summary {
+            println!("{line}");
+        }
+        for e in &gate_errors {
+            eprintln!("{tool}: FAIL: {e}");
+        }
+        for (name, e) in &failures {
+            eprintln!("{tool}: {name}: {e}");
+        }
+        if gate_errors.is_empty() && failures.is_empty() {
+            println!("{tool}: trajectory check passed");
+        }
+    }
+    tool_exit_code(&counts, false)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -600,12 +628,13 @@ mod tests {
 
     #[test]
     fn parses_equiv_flags() {
-        let a = parse_from(&argv("--equiv --equiv-corpus"));
+        let a = parse_from(&argv("--equiv --corpus equiv"));
         assert!(a.equiv);
-        assert!(a.equiv_corpus);
+        assert_eq!(a.corpus.as_deref(), Some("equiv"));
+        assert!(a.paths.is_empty(), "the corpus name is not a path");
         let b = parse_from(&[]);
         assert!(!b.equiv);
-        assert!(!b.equiv_corpus);
+        assert_eq!(b.corpus, None);
     }
 
     #[test]
@@ -631,24 +660,19 @@ mod tests {
 
     #[test]
     fn parses_shape_flags() {
-        let a = parse_from(&argv("--no-shape --shape-corpus"));
-        assert!(a.no_shape);
-        assert!(a.shape_corpus);
-        let b = parse_from(&[]);
-        assert!(!b.no_shape);
-        assert!(!b.shape_corpus);
+        let a = parse_from(&argv("--corpus shape --perturb-ratio 0.1"));
+        assert_eq!(a.corpus.as_deref(), Some("shape"));
+        assert_eq!(a.perturb_ratio, Some(0.1));
+        assert!(a.paths.is_empty(), "flag values are not paths");
     }
 
     #[test]
     fn parses_liveness_flags() {
-        let a = parse_from(&argv("--no-liveness --liveness-corpus --explain D001"));
-        assert!(a.no_liveness);
-        assert!(a.liveness_corpus);
+        let a = parse_from(&argv("--corpus liveness --explain D001"));
+        assert_eq!(a.corpus.as_deref(), Some("liveness"));
         assert_eq!(a.explain.as_deref(), Some("D001"));
         assert!(a.paths.is_empty(), "the explain value is not a path");
         let b = parse_from(&[]);
-        assert!(!b.no_liveness);
-        assert!(!b.liveness_corpus);
         assert_eq!(b.explain, None);
     }
 
@@ -728,6 +752,28 @@ mod tests {
         );
         assert!(json.contains("\\\"bad\\\""), "escapes gate errors: {json}");
         assert!(json.contains("\"failures\":[]"), "{json}");
+    }
+
+    #[test]
+    fn trajectory_check_follows_the_exit_ladder() {
+        let pass = |_: &()| Ok(vec!["cell: ok".to_string()]);
+        let missing = "/nonexistent/BENCH_missing.json";
+        assert_eq!(trajectory_check("t", missing, true, 1, |_| Ok(()), pass), 2);
+        let readable = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml");
+        let bad_schema = |_: &str| Err::<(), _>("not a trajectory".to_string());
+        assert_eq!(
+            trajectory_check("t", readable, true, 1, bad_schema, pass),
+            1
+        );
+        let regressed = |_: &()| Err(vec!["cell: regressed".to_string()]);
+        assert_eq!(
+            trajectory_check("t", readable, false, 1, |_| Ok(()), regressed),
+            1
+        );
+        assert_eq!(
+            trajectory_check("t", readable, false, 1, |_| Ok(()), pass),
+            0
+        );
     }
 
     #[test]

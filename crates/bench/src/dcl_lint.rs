@@ -9,32 +9,23 @@
 //! [`spzip_apps::pipelines::all_builtin_checked`]: every workload x scheme
 //! pipeline the figures load, each paired with its declared
 //! [`MemorySchema`](spzip_core::shape::MemorySchema). Builtins additionally
-//! run the shape-and-bounds verifier ([`spzip_core::shape::verify`]) by
-//! default, folding its `B0xx` findings into the same report; `--no-shape`
-//! skips it. File mode cannot shape-check: a `.dcl` text linted against
-//! synthetic placeholder addresses carries no memory schema to verify
-//! against. `--dot` additionally prints each pipeline as Graphviz dot;
-//! for shape-verified builtins the edges are annotated with the inferred
-//! shape domain (region / element width / codec framing).
+//! run the shape-and-bounds verifier ([`spzip_core::shape::verify`]),
+//! folding its `B0xx` findings into the same report. File mode cannot
+//! shape-check: a `.dcl` text linted against synthetic placeholder
+//! addresses carries no memory schema to verify against. `--dot`
+//! additionally prints each pipeline as Graphviz dot; for builtins the
+//! edges are annotated with the inferred shape domain (region / element
+//! width / codec framing).
 //!
-//! Builtins also run the liveness model checker
-//! ([`spzip_core::liveness::verify`]) by default, folding its `D0xx`
-//! findings — each with a rendered counterexample schedule — into the
-//! report; `--no-liveness` skips it. (File mode runs it too: liveness
-//! needs only the pipeline graph, no memory schema.)
+//! Every input that passes the structural lint is also run through the
+//! liveness model checker ([`spzip_core::liveness::verify`]), folding its
+//! `D0xx` findings — each with a rendered counterexample schedule — into
+//! the report (liveness needs only the pipeline graph, no memory schema).
 //!
-//! `--shape-corpus` instead runs the seeded-miswiring differential gate in
-//! [`crate::shape_corpus`]: each deliberately miswired pipeline must be
-//! rejected statically with the expected B-code AND misbehave dynamically
-//! under the functional engine. `--liveness-corpus` runs the analogous
-//! seeded cross-queue deadlock gate in [`crate::liveness_corpus`]: each
-//! seed must be caught statically with the expected D-code AND its
-//! counterexample must replay to the timing machine's watchdog
-//! [`DeadlockReport`](spzip_sim::machine::DeadlockReport).
-//! `--equiv-corpus` runs the seeded semantics-breaking rewrite gate in
-//! [`crate::equiv_corpus`]: each seed must be refuted statically with the
-//! expected V-code AND produce divergent output under the functional
-//! engine. `--equiv` certifies every builtin against its auto-codec
+//! `--corpus shape|liveness|equiv|all` instead runs the seeded-bug
+//! differential gates in [`crate::corpus`]: each seed must be caught by
+//! its static pass with the expected code AND confirmed on the dynamic
+//! engines. `--equiv` certifies every builtin against its auto-codec
 //! rewiring with the [`spzip_core::equiv`] translation validator and
 //! cross-checks every codec's kernel-vs-reference binding.
 //! `--explain CODE` prints the [`crate::explain`] registry entry for any
@@ -44,7 +35,8 @@
 //! every pipeline is clean (warnings allowed unless `--deny-warnings`),
 //! 1 when any diagnostic fails the run (error-severity, a parse failure,
 //! or a warning under `--deny-warnings`), 2 when the tool itself could
-//! not do its job (an unreadable file, or nothing to lint at all).
+//! not do its job (an unreadable file, nothing to lint at all, or an
+//! unknown corpus name).
 
 use crate::cli::CommonArgs;
 use spzip_core::lint::{self, Severity};
@@ -160,17 +152,17 @@ fn liveness_diags(p: &spzip_core::dcl::Pipeline) -> (Vec<lint::Diagnostic>, Vec<
     (live.diagnostics(), rendered)
 }
 
-/// Lints one `.dcl` program text under `name`. Unless `no_liveness`,
-/// parsed programs that pass the structural lint are also model-checked
-/// for whole-pipeline liveness (a counterexample for a program the
-/// builder would reject anyway is noise, so lint errors skip it).
-pub fn lint_text(name: &str, text: &str, dot: bool, no_liveness: bool, report: &mut LintReport) {
+/// Lints one `.dcl` program text under `name`. Parsed programs that pass
+/// the structural lint are also model-checked for whole-pipeline liveness
+/// (a counterexample for a program the builder would reject anyway is
+/// noise, so lint errors skip it).
+pub fn lint_text(name: &str, text: &str, dot: bool, report: &mut LintReport) {
     let symbols = synthetic_symbols(text);
     match parser::parse(text, &symbols) {
         Ok(p) => {
             let mut diags = lint::lint(&p);
             let mut rendered = Vec::new();
-            if !no_liveness && !lint::has_errors(&diags) {
+            if !lint::has_errors(&diags) {
                 let (d, r) = liveness_diags(&p);
                 diags.extend(d);
                 rendered = r;
@@ -194,22 +186,19 @@ pub fn lint_text(name: &str, text: &str, dot: bool, no_liveness: bool, report: &
 }
 
 /// Lints every built-in application pipeline (all workloads x schemes).
-/// Unless `no_shape`, each pipeline is also run through the shape
-/// verifier against its constructor-declared schema, and its `B0xx`
-/// findings are folded into the same per-pipeline diagnostic list.
-/// Unless `no_liveness`, each pipeline is also model-checked for
+/// Each pipeline is also run through the shape verifier against its
+/// constructor-declared schema, and its `B0xx` findings are folded into
+/// the same per-pipeline diagnostic list. Each is also model-checked for
 /// whole-pipeline liveness, folding `D0xx` findings (with rendered
 /// counterexample schedules) the same way.
 /// `--dot` output annotates edges with the inferred shape domain.
-pub fn lint_builtins(dot: bool, no_shape: bool, no_liveness: bool, report: &mut LintReport) {
+pub fn lint_builtins(dot: bool, report: &mut LintReport) {
     for (name, p, schema) in spzip_apps::pipelines::all_builtin_checked() {
         let mut diags = lint::lint(&p);
-        let shape_report = (!no_shape).then(|| spzip_core::shape::verify(&p, &schema));
-        if let Some(sr) = &shape_report {
-            diags.extend(sr.diagnostics.iter().cloned());
-        }
+        let shape_report = spzip_core::shape::verify(&p, &schema);
+        diags.extend(shape_report.diagnostics.iter().cloned());
         let mut rendered = Vec::new();
-        if !no_liveness && !lint::has_errors(&diags) {
+        if !lint::has_errors(&diags) {
             let (d, r) = liveness_diags(&p);
             diags.extend(d);
             rendered = r;
@@ -220,12 +209,9 @@ pub fn lint_builtins(dot: bool, no_shape: bool, no_liveness: bool, report: &mut 
             report.counterexamples.push((name.to_string(), cx));
         }
         if dot {
-            match &shape_report {
-                Some(sr) => report
-                    .output
-                    .push_str(&spzip_core::shape::annotated_dot(&p, sr)),
-                None => report.output.push_str(&parser::to_dot(&p)),
-            }
+            report
+                .output
+                .push_str(&spzip_core::shape::annotated_dot(&p, &shape_report));
         }
     }
 }
@@ -318,20 +304,22 @@ pub fn codec_bindings(report: &mut LintReport) {
     }
 }
 
+const USAGE: &str = "usage: dcl-lint [--all-builtin] [--corpus shape|liveness|equiv|all \
+                     [--perturb-ratio X]] [--equiv] [--explain CODE] [--dot] [--deny-warnings] \
+                     [--format text|json|sarif] [file.dcl ...]";
+
 /// Runs the tool over parsed arguments; returns the process exit code
 /// (0 iff no errors).
 pub fn run(args: &CommonArgs) -> i32 {
     if let Some(code) = &args.explain {
         return crate::explain::run(code);
     }
-    if args.shape_corpus {
-        return crate::shape_corpus::run_gate(args.format);
-    }
-    if args.liveness_corpus {
-        return crate::liveness_corpus::run_gate(args.format, args.perturb_ratio);
-    }
-    if args.equiv_corpus {
-        return crate::equiv_corpus::run_gate(args.format, args.perturb_ratio);
+    if let Some(name) = &args.corpus {
+        if let Some(code) = crate::corpus::run_gate(name, args.format, args.perturb_ratio) {
+            return code;
+        }
+        println!("{USAGE}");
+        return 2;
     }
     let mut report = LintReport::default();
     if args.equiv {
@@ -340,13 +328,7 @@ pub fn run(args: &CommonArgs) -> i32 {
     }
     for path in &args.paths {
         match std::fs::read_to_string(path) {
-            Ok(text) => lint_text(
-                &path.display().to_string(),
-                &text,
-                args.dot,
-                args.no_liveness,
-                &mut report,
-            ),
+            Ok(text) => lint_text(&path.display().to_string(), &text, args.dot, &mut report),
             Err(e) => {
                 report.checked += 1;
                 report.io_errors += 1;
@@ -358,14 +340,10 @@ pub fn run(args: &CommonArgs) -> i32 {
         }
     }
     if args.all_builtin {
-        lint_builtins(args.dot, args.no_shape, args.no_liveness, &mut report);
+        lint_builtins(args.dot, &mut report);
     }
     if report.checked == 0 {
-        println!(
-            "usage: dcl-lint [--all-builtin] [--no-shape] [--no-liveness] [--shape-corpus] \
-             [--liveness-corpus] [--equiv] [--equiv-corpus] [--explain CODE] [--dot] \
-             [--deny-warnings] [--format text|json|sarif] [file.dcl ...]"
-        );
+        println!("{USAGE}");
         return 2;
     }
     match args.format {
@@ -427,7 +405,7 @@ mod tests {
             range offs -> rows base=rows idx=8 elem=8 mode=consecutive marker=0 class=adj
         ";
         let mut r = LintReport::default();
-        lint_text("fig2", text, false, false, &mut r);
+        lint_text("fig2", text, false, &mut r);
         assert_eq!((r.checked, r.errors, r.warnings), (1, 0, 0), "{}", r.output);
         assert!(r.output.contains("fig2: clean"));
     }
@@ -436,7 +414,7 @@ mod tests {
     fn undersized_queue_file_reports_error() {
         let text = "queue a 8\nqueue b 4\nrange a -> b base=0x0 elem=8";
         let mut r = LintReport::default();
-        lint_text("bad", text, false, false, &mut r);
+        lint_text("bad", text, false, &mut r);
         assert_eq!(r.errors, 1, "{}", r.output);
         assert!(r.output.contains("E013"), "{}", r.output);
     }
@@ -451,7 +429,7 @@ mod tests {
             range a -> b base=0x0 elem=8
         ";
         let mut r = LintReport::default();
-        lint_text("warny", text, false, false, &mut r);
+        lint_text("warny", text, false, &mut r);
         assert_eq!(r.errors, 0, "{}", r.output);
         assert_eq!(r.warnings, 1, "{}", r.output);
         assert!(r.output.contains("warning[W001]"), "{}", r.output);
@@ -461,7 +439,7 @@ mod tests {
     fn dot_output_is_appended() {
         let text = "queue a 8\nqueue b 16\nrange a -> b base=0x0 elem=8";
         let mut r = LintReport::default();
-        lint_text("p", text, true, false, &mut r);
+        lint_text("p", text, true, &mut r);
         assert!(r.output.contains("digraph dcl {"), "{}", r.output);
     }
 
@@ -515,10 +493,9 @@ mod tests {
             "warny",
             "queue a 8\nqueue b 16\nqueue unused 8\nrange a -> b base=0x0 elem=8",
             false,
-            false,
             &mut r,
         );
-        lint_text("broken", "queue a", false, false, &mut r);
+        lint_text("broken", "queue a", false, &mut r);
         let json = render_json_report(&r);
         assert!(json.contains("\"checked\":2"), "{json}");
         assert!(json.contains("\"name\":\"warny\""), "{json}");
@@ -532,36 +509,25 @@ mod tests {
     #[test]
     fn all_builtins_lint_and_shape_error_free() {
         let mut r = LintReport::default();
-        lint_builtins(false, false, false, &mut r);
+        lint_builtins(false, &mut r);
         assert!(r.checked >= 40, "{}", r.checked);
         assert_eq!(r.errors, 0, "{}", r.output);
     }
 
     #[test]
-    fn no_shape_skips_the_verifier_but_still_lints() {
-        let mut with = LintReport::default();
-        lint_builtins(false, false, false, &mut with);
-        let mut without = LintReport::default();
-        lint_builtins(false, true, false, &mut without);
-        assert_eq!(with.checked, without.checked);
-        // Both are clean today; the distinction is observable in the dot
-        // annotation test below and in the corpus gate, where only the
-        // shape pass produces B-codes.
-        assert_eq!(without.errors, 0, "{}", without.output);
-    }
-
-    #[test]
     fn builtin_dot_is_annotated_with_shape_domains() {
         let mut r = LintReport::default();
-        lint_builtins(true, false, false, &mut r);
+        lint_builtins(true, &mut r);
         assert!(r.output.contains("digraph dcl {"), "{}", r.output);
         // Edge labels carry the inferred domain: raw widths and codec
         // framings both appear somewhere across the builtin set.
         assert!(r.output.contains("raw w"), "domain labels: {}", r.output);
         assert!(r.output.contains("frames("), "framed labels missing");
-        // With --no-shape the plain queue labels come back.
-        let mut plain = LintReport::default();
-        lint_builtins(true, true, false, &mut plain);
-        assert!(!plain.output.contains("frames("), "unexpected annotation");
+    }
+
+    #[test]
+    fn unknown_corpus_exits_2() {
+        let args = crate::cli::parse_from(&["--corpus".to_string(), "nosuch".to_string()]);
+        assert_eq!(run(&args), 2);
     }
 }

@@ -340,8 +340,10 @@ impl Driver {
 
     fn store_cached(&self, key: &str, spec: &RunSpec, out: &RunOutcome) {
         // A sanitized outcome is deliberately never memoized: the verdict,
-        // not the numbers, is the product of a `--sanitize` run.
-        if self.opts.sanitize {
+        // not the numbers, is the product of a `--sanitize` run. Nor is a
+        // wedged or unvalidated one: its numbers are meaningless, and the
+        // cache format has no field for the deadlock.
+        if self.opts.sanitize || out.deadlock.is_some() || !out.validated {
             return;
         }
         let Some(path) = self.cache_path(key) else {

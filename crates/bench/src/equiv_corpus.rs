@@ -19,19 +19,16 @@
 //! re-encoded storage, a `scale_queues` identity, a real builtin checked
 //! against itself — must be clean on both sides, so the gate fails if the
 //! validator ever becomes either too lax (a seeded rewrite certifies) or
-//! too strict (an honest rewrite is rejected). `dcl-lint --equiv-corpus`
-//! runs the gate; CI keeps it green.
+//! too strict (an honest rewrite is rejected). `dcl-lint --corpus equiv`
+//! runs the gate through the shared [`crate::corpus`] harness.
 //!
-//! `--perturb-ratio X` with `X != 1.0` (CI's must-fail leg) swaps the
-//! validator's verdicts for a *shallow comparator* that only checks the
+//! The weakened checker is a *shallow comparator* that only checks the
 //! sink set — every static code except `V006` is discarded, modeling a
 //! validator without symbolic chains. The deep seeds (`V001`–`V005`)
 //! then escape statically and the gate must exit non-zero.
 
-use crate::cli::{json_envelope, OutputFormat, ToolCounts};
-use spzip_apps::layout::Workload;
+use crate::corpus::{keep_only, panics, pattern, values_of, workload, GateRow};
 use spzip_apps::pipelines;
-use spzip_apps::{Scheme, SchemeConfig};
 use spzip_compress::CodecKind;
 use spzip_core::dcl::{OperatorKind, Pipeline, PipelineBuilder, RangeInput};
 use spzip_core::equiv::{self, EquivInput};
@@ -40,55 +37,7 @@ use spzip_core::lint::Code;
 use spzip_core::memory::MemoryImage;
 use spzip_core::shape::{InputDomain, MemorySchema, RegionSchema};
 use spzip_core::QueueId;
-use spzip_core::QueueItem;
-use spzip_graph::gen::{community, CommunityParams};
 use spzip_mem::DataClass;
-use std::fmt::Write as _;
-use std::panic::AssertUnwindSafe;
-use std::sync::Arc;
-
-/// One corpus verdict: what the validator said and what the engines did.
-#[derive(Debug)]
-pub struct GateRow {
-    /// Entry name (stable, used in CI output).
-    pub name: String,
-    /// The V-code a seeded entry must trigger; `None` for controls,
-    /// which must certify clean.
-    pub expected: Option<Code>,
-    /// Codes the translation validator reported.
-    pub static_codes: Vec<Code>,
-    /// Seeded entries: the two engines observably diverged. Controls:
-    /// both drives completed with equal observations.
-    pub dynamic_confirmed: bool,
-    /// Short description of the dynamic observation.
-    pub detail: String,
-}
-
-impl GateRow {
-    /// Whether this row upholds the gate's contract.
-    pub fn passes(&self) -> bool {
-        match self.expected {
-            Some(code) => self.static_codes.contains(&code) && self.dynamic_confirmed,
-            None => self.static_codes.is_empty() && self.dynamic_confirmed,
-        }
-    }
-}
-
-/// The builtin-control workload: small enough to drive in milliseconds.
-fn workload() -> (Workload, SchemeConfig) {
-    let cfg = Scheme::UbSpzip.config();
-    let g = Arc::new(community(&CommunityParams::web_crawl(1 << 12, 8), 7));
-    let w = Workload::build(g, &cfg, 2, 16 * 1024, true);
-    (w, cfg)
-}
-
-/// Runs `f`, reporting whether it panicked (a corrupt-stream decode is
-/// one of the expected dynamic divergences). The caller suppresses the
-/// default panic hook around the whole corpus so expected panics stay
-/// quiet.
-fn panics<F: FnOnce()>(f: F) -> bool {
-    std::panic::catch_unwind(AssertUnwindSafe(f)).is_err()
-}
 
 /// Schema-free validator verdict for one original/rewritten pair.
 fn validate_codes(original: &Pipeline, rewritten: &Pipeline) -> Vec<Code> {
@@ -97,19 +46,6 @@ fn validate_codes(original: &Pipeline, rewritten: &Pipeline) -> Vec<Code> {
         .iter()
         .map(|d| d.code)
         .collect()
-}
-
-fn values_of(items: &[QueueItem]) -> Vec<u64> {
-    items
-        .iter()
-        .filter(|i| !i.is_marker())
-        .map(|i| i.value())
-        .collect()
-}
-
-/// Fills lookup tables with a distinctive per-index pattern.
-fn pattern(i: u64) -> u32 {
-    (i as u32).wrapping_mul(2654435761) ^ 0xA5A5_0000
 }
 
 fn indirect(base: u64) -> OperatorKind {
@@ -172,6 +108,7 @@ fn mismatched_codec_pair() -> GateRow {
         expected: Some(Code::V002),
         static_codes,
         dynamic_confirmed: got_orig == vals && (rew_panicked || got_rew != vals),
+        queue_lint_clean: None,
         detail: if rew_panicked {
             "RLE decode of Delta frames rejects the stream as corrupt".into()
         } else {
@@ -221,6 +158,7 @@ fn width_changing_indirect() -> GateRow {
         expected: Some(Code::V004),
         static_codes,
         dynamic_confirmed: got_orig != got_rew,
+        queue_lint_clean: None,
         detail: format!("(value,width) fetched {got_orig:?} vs {got_rew:?}"),
     }
 }
@@ -289,6 +227,7 @@ fn dropped_compress_stage() -> GateRow {
         expected: Some(Code::V001),
         static_codes,
         dynamic_confirmed: blob_orig != blob_rew,
+        queue_lint_clean: None,
         detail: format!(
             "wrote {} frame byte(s) vs {} raw byte(s)",
             blob_orig.len(),
@@ -334,6 +273,7 @@ fn swapped_source_queue() -> GateRow {
         expected: Some(Code::V003),
         static_codes,
         dynamic_confirmed: a_orig != a_rew && b_orig != b_rew,
+        queue_lint_clean: None,
         detail: format!("sink A fetched {a_orig:?} vs {a_rew:?}"),
     }
 }
@@ -377,6 +317,7 @@ fn dropped_sink_branch() -> GateRow {
         expected: Some(Code::V006),
         static_codes,
         dynamic_confirmed: a_orig == expect && a_rew == expect && b_orig == Some(expect),
+        queue_lint_clean: None,
         detail: "the second output stream vanishes from the rewrite".into(),
     }
 }
@@ -434,6 +375,7 @@ fn sort_flag_flip() -> GateRow {
         expected: Some(Code::V001),
         static_codes,
         dynamic_confirmed: blob_orig != blob_rew,
+        queue_lint_clean: None,
         detail: "sorted chunks encode to different frames".into(),
     }
 }
@@ -473,6 +415,7 @@ fn reordered_indirection_chain() -> GateRow {
         expected: Some(Code::V005),
         static_codes,
         dynamic_confirmed: got_orig.len() == 1 && got_orig != got_rew,
+        queue_lint_clean: None,
         detail: format!("B[A[4]] = {got_orig:?}, A[B[4]] = {got_rew:?}"),
     }
 }
@@ -520,6 +463,7 @@ fn duplicated_stream() -> GateRow {
         expected: Some(Code::V003),
         static_codes,
         dynamic_confirmed: got_orig != got_rew,
+        queue_lint_clean: None,
         detail: format!("sink B fetched {got_orig:?} vs duplicated {got_rew:?}"),
     }
 }
@@ -606,6 +550,7 @@ fn control_honest_codec_swap() -> GateRow {
         expected: None,
         static_codes,
         dynamic_confirmed: got_orig == vals && got_rew == vals,
+        queue_lint_clean: None,
         detail: "both framings decode the same value stream".into(),
     }
 }
@@ -640,6 +585,7 @@ fn control_scale_queues() -> GateRow {
         expected: None,
         static_codes,
         dynamic_confirmed: !got_orig.is_empty() && got_orig == got_rew,
+        queue_lint_clean: None,
         detail: "scaled capacities leave every stream unchanged".into(),
     }
 }
@@ -667,18 +613,15 @@ fn control_builtin_identity() -> GateRow {
         expected: None,
         static_codes,
         dynamic_confirmed: !panicked && report.sinks_checked > 0,
+        queue_lint_clean: None,
         detail: "builtin certifies against itself and drives cleanly".into(),
     }
 }
 
-// ---- gate --------------------------------------------------------------
-
-/// Runs the full corpus: every seeded rewrite and every control.
-pub fn run_corpus() -> Vec<GateRow> {
-    // Expected panics are part of the contract; keep their default-hook
-    // backtraces out of the gate's output.
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
+/// The equiv corpus: every seeded rewrite, then every control. `Some(_)`
+/// swaps in the shallow sink-set comparator, under which only `V006`
+/// survives.
+pub fn rows(weakened: Option<f64>) -> Vec<GateRow> {
     let rows = vec![
         mismatched_codec_pair(),
         width_changing_indirect(),
@@ -692,91 +635,10 @@ pub fn run_corpus() -> Vec<GateRow> {
         control_scale_queues(),
         control_builtin_identity(),
     ];
-    std::panic::set_hook(prev);
-    rows
-}
-
-/// Degrades every verdict to the shallow sink-set comparator: only
-/// `V006` survives, modeling a validator without symbolic chains. The
-/// deep seeds then escape and the gate must fail.
-pub fn apply_shallow(rows: &mut [GateRow]) {
-    for r in rows {
-        r.static_codes.retain(|c| *c == Code::V006);
+    match weakened {
+        Some(_) => keep_only(rows, Code::V006),
+        None => rows,
     }
-}
-
-/// Renders the corpus as text, one verdict per line.
-pub fn render_text(rows: &[GateRow]) -> String {
-    let mut out = String::new();
-    for r in rows {
-        let codes: Vec<String> = r.static_codes.iter().map(|c| c.to_string()).collect();
-        let _ = writeln!(
-            out,
-            "{:5} {:<28} expect {:<6} static [{}] dynamic {} — {}",
-            if r.passes() { "ok" } else { "FAIL" },
-            r.name,
-            r.expected.map_or("clean".to_string(), |c| c.to_string()),
-            codes.join(","),
-            if r.dynamic_confirmed {
-                "confirmed"
-            } else {
-                "MISSED"
-            },
-            r.detail
-        );
-    }
-    let failed = rows.iter().filter(|r| !r.passes()).count();
-    let _ = writeln!(
-        out,
-        "equiv corpus: {} entr{} checked, {} failed",
-        rows.len(),
-        if rows.len() == 1 { "y" } else { "ies" },
-        failed
-    );
-    out
-}
-
-/// Renders the corpus in the shared tool JSON envelope.
-pub fn render_json(rows: &[GateRow]) -> String {
-    let counts = ToolCounts {
-        checked: rows.len(),
-        errors: rows.iter().filter(|r| !r.passes()).count(),
-        warnings: 0,
-        io_errors: 0,
-    };
-    let pipelines: Vec<(String, String)> = rows
-        .iter()
-        .map(|r| {
-            let codes: Vec<String> = r.static_codes.iter().map(|c| format!("\"{c}\"")).collect();
-            let body = format!(
-                "\"expected\":{},\"static_codes\":[{}],\"dynamic_confirmed\":{},\"pass\":{}",
-                r.expected
-                    .map_or("null".to_string(), |c| format!("\"{c}\"")),
-                codes.join(","),
-                r.dynamic_confirmed,
-                r.passes()
-            );
-            (r.name.clone(), body)
-        })
-        .collect();
-    json_envelope(&counts, &pipelines, &[])
-}
-
-/// Runs the gate and prints the report; the exit code is 0 iff every
-/// seeded rewrite is caught twice and every control is clean twice.
-/// `perturb` other than `1.0` (CI's must-fail leg) swaps in the shallow
-/// sink-set comparator via [`apply_shallow`].
-pub fn run_gate(format: OutputFormat, perturb: Option<f64>) -> i32 {
-    let mut rows = run_corpus();
-    if perturb.is_some_and(|x| (x - 1.0).abs() > f64::EPSILON) {
-        apply_shallow(&mut rows);
-    }
-    match format {
-        OutputFormat::Json => print!("{}", render_json(&rows)),
-        // Gate rows carry no per-diagnostic records; SARIF falls back to text.
-        OutputFormat::Text | OutputFormat::Sarif => print!("{}", render_text(&rows)),
-    }
-    i32::from(rows.iter().any(|r| !r.passes()))
 }
 
 #[cfg(test)]
@@ -785,23 +647,17 @@ mod tests {
 
     #[test]
     fn gate_catches_every_seed_and_clears_every_control() {
-        let rows = run_corpus();
-        for r in &rows {
-            assert!(
-                r.passes(),
-                "{}: expected {:?}, static {:?}, dynamic confirmed: {} ({})",
-                r.name,
-                r.expected,
-                r.static_codes,
-                r.dynamic_confirmed,
-                r.detail
-            );
-        }
+        crate::corpus::assert_gate_passes("equiv");
+    }
+
+    #[test]
+    fn reports_render_both_formats() {
+        crate::corpus::assert_reports_render("equiv", "mismatched-codec-pair", "V002");
     }
 
     #[test]
     fn corpus_covers_the_whole_v_family() {
-        let rows = run_corpus();
+        let rows = crate::corpus::run(rows, None);
         let seeded: Vec<&GateRow> = rows.iter().filter(|r| r.expected.is_some()).collect();
         assert!(seeded.len() >= 8, "{} seeded entries", seeded.len());
         let mut codes: Vec<Code> = seeded.iter().filter_map(|r| r.expected).collect();
@@ -821,8 +677,7 @@ mod tests {
 
     #[test]
     fn shallow_comparator_lets_deep_seeds_escape() {
-        let mut rows = run_corpus();
-        apply_shallow(&mut rows);
+        let rows = crate::corpus::run(rows, Some(0.5));
         let v002 = rows
             .iter()
             .find(|r| r.name == "mismatched-codec-pair")
@@ -837,17 +692,5 @@ mod tests {
             rows.iter().any(|r| !r.passes()),
             "the must-fail leg exits non-zero"
         );
-    }
-
-    #[test]
-    fn reports_render_both_formats() {
-        let rows = run_corpus();
-        let text = render_text(&rows);
-        assert!(text.contains("mismatched-codec-pair"), "{text}");
-        assert!(text.contains("equiv corpus:"), "{text}");
-        let json = render_json(&rows);
-        assert!(json.contains("\"expected\":\"V002\""), "{json}");
-        assert!(json.contains("\"pass\":true"), "{json}");
-        assert!(json.contains("\"expected\":null"), "controls: {json}");
     }
 }

@@ -19,16 +19,14 @@
 //! shape-and-bounds verifier ([`spzip_core::shape`]); the
 //! [`dcl_perf`] module backs `dcl-perf`, the static traffic/throughput
 //! analyzer ([`spzip_core::perf`]), [`crosscheck`] is its
-//! model-vs-simulator gate, [`shape_corpus`] is `dcl-lint`'s
-//! seeded-miswiring differential gate, [`liveness_corpus`] is its
-//! seeded cross-queue deadlock differential gate (static D-code vs.
-//! counterexample replay to the machine watchdog), [`equiv_corpus`] is
-//! the translation validator's seeded-rewrite differential gate (static
-//! V-code vs. divergence under the functional engine), and [`explain`]
-//! is the `--explain CODE` registry spanning every diagnostic family.
+//! model-vs-simulator gate, [`corpus`] is `dcl-lint --corpus`'s one
+//! seeded-bug differential gate harness over the [`shape_corpus`],
+//! [`liveness_corpus`] and [`equiv_corpus`] seeds, and [`explain`] is
+//! the `--explain CODE` registry spanning every diagnostic family.
 
 pub mod cli;
 pub mod codec_bench;
+pub mod corpus;
 pub mod crosscheck;
 pub mod dcl_lint;
 pub mod dcl_perf;

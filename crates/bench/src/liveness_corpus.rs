@@ -20,11 +20,11 @@
 //! Control entries (the honest capacity-balanced wirings of the same
 //! shapes) must be clean on both sides: liveness-clean statically, and
 //! the default drive program must run to completion on the machine
-//! without tripping the watchdog. `dcl-lint --liveness-corpus` runs the
-//! gate; CI keeps it green and keeps it *able to fail* (a must-fail leg
-//! checks a seeded entry is still caught).
+//! without tripping the watchdog. The weakened checker scales the drive
+//! protocol's per-group budgets (see [`drive_config`]). `dcl-lint --corpus
+//! liveness` runs the gate through the shared [`crate::corpus`] harness.
 
-use crate::cli::{json_envelope, OutputFormat, ToolCounts};
+use crate::corpus::GateRow;
 use spzip_compress::CodecKind;
 use spzip_core::dcl::{MemQueueMode, OperatorKind, Pipeline, PipelineBuilder, RangeInput};
 use spzip_core::func::FuncEngine;
@@ -35,37 +35,6 @@ use spzip_core::QueueId;
 use spzip_mem::DataClass;
 use spzip_sim::{CoreWork, DeadlockReport, Event, Machine, MachineConfig};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
-
-/// One corpus verdict: what the checker said and what the machine did.
-#[derive(Debug)]
-pub struct GateRow {
-    /// Entry name (stable, used in CI output).
-    pub name: String,
-    /// The D-code a seeded entry must trigger; `None` for controls,
-    /// which must verify clean.
-    pub expected: Option<Code>,
-    /// Codes the liveness checker reported.
-    pub static_codes: Vec<Code>,
-    /// Seeded entries: the counterexample replay tripped the machine
-    /// watchdog. Controls: the default drive completed without it.
-    pub dynamic_confirmed: bool,
-    /// Whether the pipeline is clean of the per-queue capacity lints
-    /// (E013/E014/E019) — i.e. this deadlock is invisible to them.
-    pub queue_lint_clean: bool,
-    /// Short description of the dynamic observation.
-    pub detail: String,
-}
-
-impl GateRow {
-    /// Whether this row upholds the gate's contract.
-    pub fn passes(&self) -> bool {
-        match self.expected {
-            Some(code) => self.static_codes.contains(&code) && self.dynamic_confirmed,
-            None => self.static_codes.is_empty() && self.dynamic_confirmed,
-        }
-    }
-}
 
 // ---- drive replay ------------------------------------------------------
 
@@ -253,7 +222,7 @@ fn row_for(
         expected,
         static_codes,
         dynamic_confirmed,
-        queue_lint_clean,
+        queue_lint_clean: Some(queue_lint_clean),
         detail,
     }
 }
@@ -284,15 +253,44 @@ fn elem_array(img: &mut MemoryImage) -> u64 {
     img.alloc("elems", 4096 * 8, DataClass::AdjacencyMatrix)
 }
 
-fn range_consecutive(base: u64, marker: Option<u32>) -> OperatorKind {
+fn range(base: u64, input: RangeInput, marker: Option<u32>) -> OperatorKind {
     OperatorKind::RangeFetch {
         base,
         idx_bytes: 8,
         elem_bytes: 8,
-        input: RangeInput::Consecutive,
+        input,
         marker,
         class: DataClass::AdjacencyMatrix,
     }
+}
+
+/// A StreamWrite sink over a freshly mapped 64 KiB output region.
+fn stream_sink(img: &mut MemoryImage) -> OperatorKind {
+    OperatorKind::StreamWrite {
+        base: img.alloc("stream-out", 64 * 1024, DataClass::Other),
+        class: DataClass::Other,
+    }
+}
+
+/// A lone buffer MemQueue of `chunk`-element flushes from a 16-word core
+/// input into an `out_cap`-word core output; padding fills the
+/// scratchpad to 128 words.
+fn lone_mqu(
+    name: &str,
+    expected: Option<Code>,
+    chunk: u32,
+    out_cap: u16,
+    cfg: &LivenessConfig,
+) -> GateRow {
+    let mut img = MemoryImage::new();
+    let mqu = buffer_mqu(&mut img, chunk);
+    let mut b = PipelineBuilder::new();
+    let q0 = b.queue(16);
+    let q1 = b.queue(out_cap);
+    let _pad = b.queue(112 - out_cap);
+    b.operator(mqu, q0, vec![q1]);
+    let p = b.build().expect("lint-clean by construction");
+    row_for(name, expected, p, img, None, cfg)
 }
 
 // ---- seeded entries ----------------------------------------------------
@@ -302,43 +300,22 @@ fn range_consecutive(base: u64, marker: Option<u32>) -> OperatorKind {
 /// backlog E013's per-queue burst check cannot see (one flush fits; the
 /// steady stream does not).
 fn seed_mqu_backlog(cfg: &LivenessConfig) -> GateRow {
-    let mut img = MemoryImage::new();
-    let mqu = buffer_mqu(&mut img, 4);
-    let mut b = PipelineBuilder::new();
-    let q0 = b.queue(16);
-    let q1 = b.queue(16);
-    let _pad = b.queue(96);
-    b.operator(mqu, q0, vec![q1]);
-    let p = b.build().expect("lint-clean by construction");
-    row_for("mqu-backlog", Some(Code::D002), p, img, None, cfg)
+    lone_mqu("mqu-backlog", Some(Code::D002), 4, 16, cfg)
 }
 
 /// D002 variant: a smaller chunk (more flushes, each individually tiny)
 /// wedges the same way — the backlog is a rate property, not a size one.
 fn seed_mqu_smallchunk_backlog(cfg: &LivenessConfig) -> GateRow {
-    let mut img = MemoryImage::new();
-    let mqu = buffer_mqu(&mut img, 2);
-    let mut b = PipelineBuilder::new();
-    let q0 = b.queue(16);
-    let q1 = b.queue(16);
-    let _pad = b.queue(96);
-    b.operator(mqu, q0, vec![q1]);
-    let p = b.build().expect("lint-clean by construction");
-    row_for(
-        "mqu-smallchunk-backlog",
-        Some(Code::D002),
-        p,
-        img,
-        None,
-        cfg,
-    )
+    lone_mqu("mqu-smallchunk-backlog", Some(Code::D002), 2, 16, cfg)
 }
 
 /// D001: MemQueue -> range fetch chain. The range amplifies each flushed
 /// chunk past its output capacity, backpressure propagates to the
 /// MemQueue's output queue, and the core wedges on the input — a
-/// cross-queue cyclic wait spanning two operators.
-fn seed_mqu_range_cycle(cfg: &LivenessConfig) -> GateRow {
+/// cross-queue cyclic wait spanning two operators. `input` selects the
+/// range unit's consecutive or pair (explicit `[start, end)` boundaries)
+/// input discipline; both wedge the same way.
+fn seed_mqu_range_cycle(name: &str, input: RangeInput, cfg: &LivenessConfig) -> GateRow {
     let mut img = MemoryImage::new();
     // Chunk of 2: flushes small enough that the range's backpressure
     // stalls the MemQueue before the core's remaining pairs can fit in
@@ -351,38 +328,9 @@ fn seed_mqu_range_cycle(cfg: &LivenessConfig) -> GateRow {
     let q2 = b.queue(16);
     let _pad = b.queue(80);
     b.operator(mqu, q0, vec![q1]);
-    b.operator(range_consecutive(adj, Some(1)), q1, vec![q2]);
+    b.operator(range(adj, input, Some(1)), q1, vec![q2]);
     let p = b.build().expect("lint-clean by construction");
-    row_for("mqu-range-cycle", Some(Code::D001), p, img, None, cfg)
-}
-
-/// D001 variant: the amplifier is a pair-input range (explicit
-/// `[start, end)` boundaries) instead of a consecutive one; same
-/// wait-for cycle through the range unit's other input discipline.
-fn seed_mqu_pair_range_cycle(cfg: &LivenessConfig) -> GateRow {
-    let mut img = MemoryImage::new();
-    let mqu = buffer_mqu(&mut img, 2);
-    let adj = elem_array(&mut img);
-    let mut b = PipelineBuilder::new();
-    let q0 = b.queue(16);
-    let q1 = b.queue(16);
-    let q2 = b.queue(16);
-    let _pad = b.queue(80);
-    b.operator(mqu, q0, vec![q1]);
-    b.operator(
-        OperatorKind::RangeFetch {
-            base: adj,
-            idx_bytes: 8,
-            elem_bytes: 8,
-            input: RangeInput::Pairs,
-            marker: Some(1),
-            class: DataClass::AdjacencyMatrix,
-        },
-        q1,
-        vec![q2],
-    );
-    let p = b.build().expect("lint-clean by construction");
-    row_for("mqu-pair-range-cycle", Some(Code::D001), p, img, None, cfg)
+    row_for(name, Some(Code::D001), p, img, None, cfg)
 }
 
 /// D003: a markerless range feeds a binning MemQueue whose chunk size
@@ -398,7 +346,7 @@ fn seed_markerless_binning(cfg: &LivenessConfig) -> GateRow {
     let q2 = b.queue(16);
     let q3 = b.queue(16);
     let _pad = b.queue(64);
-    b.operator(range_consecutive(adj, None), q0, vec![q1]);
+    b.operator(range(adj, RangeInput::Consecutive, None), q0, vec![q1]);
     b.operator(mqu, q1, vec![q2]);
     b.operator(
         OperatorKind::Compress {
@@ -427,7 +375,7 @@ fn seed_fanout_imbalance(cfg: &LivenessConfig) -> GateRow {
     let mut img = MemoryImage::new();
     let mqu = buffer_mqu(&mut img, 2);
     let adj = elem_array(&mut img);
-    let sink = img.alloc("stream-out", 64 * 1024, DataClass::Other);
+    let sink = stream_sink(&mut img);
     let mut b = PipelineBuilder::new();
     let q0 = b.queue(16);
     let q1 = b.queue(16);
@@ -435,15 +383,12 @@ fn seed_fanout_imbalance(cfg: &LivenessConfig) -> GateRow {
     let q3 = b.queue(16);
     let _pad = b.queue(64);
     b.operator(mqu, q0, vec![q1]);
-    b.operator(range_consecutive(adj, Some(1)), q1, vec![q2, q3]);
     b.operator(
-        OperatorKind::StreamWrite {
-            base: sink,
-            class: DataClass::Other,
-        },
-        q2,
-        vec![],
+        range(adj, RangeInput::Consecutive, Some(1)),
+        q1,
+        vec![q2, q3],
     );
+    b.operator(sink, q2, vec![]);
     let p = b.build().expect("lint-clean by construction");
     row_for("fanout-imbalance", Some(Code::D004), p, img, None, cfg)
 }
@@ -453,15 +398,7 @@ fn seed_fanout_imbalance(cfg: &LivenessConfig) -> GateRow {
 /// can never complete under the drive; the pipeline wedges on the first
 /// full bin.
 fn seed_oversized_flush(cfg: &LivenessConfig) -> GateRow {
-    let mut img = MemoryImage::new();
-    let mqu = buffer_mqu(&mut img, 8);
-    let mut b = PipelineBuilder::new();
-    let q0 = b.queue(16);
-    let q1 = b.queue(16);
-    let _pad = b.queue(96);
-    b.operator(mqu, q0, vec![q1]);
-    let p = b.build().expect("lint-clean by construction");
-    row_for("oversized-flush", Some(Code::D005), p, img, None, cfg)
+    lone_mqu("oversized-flush", Some(Code::D005), 8, 16, cfg)
 }
 
 // ---- control entries ---------------------------------------------------
@@ -469,29 +406,13 @@ fn seed_oversized_flush(cfg: &LivenessConfig) -> GateRow {
 /// Control: the mqu-backlog shape with an output queue sized for the
 /// whole per-group backlog. Clean statically; the drive completes.
 fn control_mqu_drained(cfg: &LivenessConfig) -> GateRow {
-    let mut img = MemoryImage::new();
-    let mqu = buffer_mqu(&mut img, 4);
-    let mut b = PipelineBuilder::new();
-    let q0 = b.queue(16);
-    let q1 = b.queue(40);
-    let _pad = b.queue(72);
-    b.operator(mqu, q0, vec![q1]);
-    let p = b.build().expect("lint-clean by construction");
-    row_for("control-mqu-drained", None, p, img, None, cfg)
+    lone_mqu("control-mqu-drained", None, 4, 40, cfg)
 }
 
 /// Control: the oversized-flush shape with a queue that holds both of a
 /// group's flushes — the flush fits and the backlog drains.
 fn control_roomy_flush(cfg: &LivenessConfig) -> GateRow {
-    let mut img = MemoryImage::new();
-    let mqu = buffer_mqu(&mut img, 8);
-    let mut b = PipelineBuilder::new();
-    let q0 = b.queue(16);
-    let q1 = b.queue(48);
-    let _pad = b.queue(64);
-    b.operator(mqu, q0, vec![q1]);
-    let p = b.build().expect("lint-clean by construction");
-    row_for("control-roomy-flush", None, p, img, None, cfg)
+    lone_mqu("control-roomy-flush", None, 8, 48, cfg)
 }
 
 /// Control: a markerless range into a pure StreamWrite sink — no chunk
@@ -499,20 +420,13 @@ fn control_roomy_flush(cfg: &LivenessConfig) -> GateRow {
 fn control_markerless_sink(cfg: &LivenessConfig) -> GateRow {
     let mut img = MemoryImage::new();
     let adj = elem_array(&mut img);
-    let sink = img.alloc("stream-out", 64 * 1024, DataClass::Other);
+    let sink = stream_sink(&mut img);
     let mut b = PipelineBuilder::new();
     let q0 = b.queue(16);
     let q1 = b.queue(16);
     let _pad = b.queue(96);
-    b.operator(range_consecutive(adj, None), q0, vec![q1]);
-    b.operator(
-        OperatorKind::StreamWrite {
-            base: sink,
-            class: DataClass::Other,
-        },
-        q1,
-        vec![],
-    );
+    b.operator(range(adj, RangeInput::Consecutive, None), q0, vec![q1]);
+    b.operator(sink, q1, vec![]);
     let p = b.build().expect("lint-clean by construction");
     row_for("control-markerless-sink", None, p, img, None, cfg)
 }
@@ -522,49 +436,27 @@ fn control_markerless_sink(cfg: &LivenessConfig) -> GateRow {
 fn control_balanced_fanout(cfg: &LivenessConfig) -> GateRow {
     let mut img = MemoryImage::new();
     let adj = elem_array(&mut img);
-    let sink = img.alloc("stream-out", 64 * 1024, DataClass::Other);
+    let sink = stream_sink(&mut img);
     let mut b = PipelineBuilder::new();
     let q0 = b.queue(16);
     let q2 = b.queue(16);
     let q3 = b.queue(40);
     let _pad = b.queue(56);
-    b.operator(
-        OperatorKind::RangeFetch {
-            base: adj,
-            idx_bytes: 8,
-            elem_bytes: 8,
-            input: RangeInput::Pairs,
-            marker: Some(1),
-            class: DataClass::AdjacencyMatrix,
-        },
-        q0,
-        vec![q2, q3],
-    );
-    b.operator(
-        OperatorKind::StreamWrite {
-            base: sink,
-            class: DataClass::Other,
-        },
-        q2,
-        vec![],
-    );
+    b.operator(range(adj, RangeInput::Pairs, Some(1)), q0, vec![q2, q3]);
+    b.operator(sink, q2, vec![]);
     let p = b.build().expect("lint-clean by construction");
     row_for("control-balanced-fanout", None, p, img, None, cfg)
 }
 
-/// Runs the full corpus under the default drive protocol.
-pub fn run_corpus() -> Vec<GateRow> {
-    run_corpus_with(&LivenessConfig::default())
-}
-
-/// Runs the full corpus — every seeded deadlock and every control —
-/// checking each entry under `cfg`.
-pub fn run_corpus_with(cfg: &LivenessConfig) -> Vec<GateRow> {
+/// The liveness corpus — every seeded deadlock, then every control —
+/// checked under [`drive_config`]`(weakened)`.
+pub fn rows(weakened: Option<f64>) -> Vec<GateRow> {
+    let cfg = &drive_config(weakened);
     vec![
         seed_mqu_backlog(cfg),
         seed_mqu_smallchunk_backlog(cfg),
-        seed_mqu_range_cycle(cfg),
-        seed_mqu_pair_range_cycle(cfg),
+        seed_mqu_range_cycle("mqu-range-cycle", RangeInput::Consecutive, cfg),
+        seed_mqu_range_cycle("mqu-pair-range-cycle", RangeInput::Pairs, cfg),
         seed_markerless_binning(cfg),
         seed_fanout_imbalance(cfg),
         seed_oversized_flush(cfg),
@@ -593,121 +485,23 @@ pub fn drive_config(perturb: Option<f64>) -> LivenessConfig {
     cfg
 }
 
-/// Renders the corpus as text, one verdict per line.
-pub fn render_text(rows: &[GateRow]) -> String {
-    let mut out = String::new();
-    for r in rows {
-        let codes: Vec<String> = r.static_codes.iter().map(|c| c.to_string()).collect();
-        let _ = writeln!(
-            out,
-            "{:5} {:<24} expect {:<6} static [{}] dynamic {} — {}",
-            if r.passes() { "ok" } else { "FAIL" },
-            r.name,
-            r.expected.map_or("clean".to_string(), |c| c.to_string()),
-            codes.join(","),
-            if r.dynamic_confirmed {
-                "confirmed"
-            } else {
-                "MISSED"
-            },
-            r.detail
-        );
-    }
-    let failed = rows.iter().filter(|r| !r.passes()).count();
-    let _ = writeln!(
-        out,
-        "liveness corpus: {} entr{} checked, {} failed",
-        rows.len(),
-        if rows.len() == 1 { "y" } else { "ies" },
-        failed
-    );
-    out
-}
-
-/// Renders the corpus in the shared tool JSON envelope.
-pub fn render_json(rows: &[GateRow]) -> String {
-    let counts = ToolCounts {
-        checked: rows.len(),
-        errors: rows.iter().filter(|r| !r.passes()).count(),
-        warnings: 0,
-        io_errors: 0,
-    };
-    let pipelines: Vec<(String, String)> = rows
-        .iter()
-        .map(|r| {
-            let codes: Vec<String> = r.static_codes.iter().map(|c| format!("\"{c}\"")).collect();
-            let body = format!(
-                "\"expected\":{},\"static_codes\":[{}],\"dynamic_confirmed\":{},\"queue_lint_clean\":{},\"pass\":{}",
-                r.expected
-                    .map_or("null".to_string(), |c| format!("\"{c}\"")),
-                codes.join(","),
-                r.dynamic_confirmed,
-                r.queue_lint_clean,
-                r.passes()
-            );
-            (r.name.clone(), body)
-        })
-        .collect();
-    json_envelope(&counts, &pipelines, &[])
-}
-
-/// Runs the gate and prints the report; the exit code is 0 iff every
-/// seeded deadlock is caught twice and every control is clean twice.
-/// `perturb` (CI's must-fail leg) shrinks the drive protocol via
-/// [`drive_config`].
-pub fn run_gate(format: OutputFormat, perturb: Option<f64>) -> i32 {
-    let rows = run_corpus_with(&drive_config(perturb));
-    match format {
-        OutputFormat::Json => print!("{}", render_json(&rows)),
-        // Gate rows carry no per-diagnostic records; SARIF falls back to text.
-        OutputFormat::Text | OutputFormat::Sarif => print!("{}", render_text(&rows)),
-    }
-    i32::from(rows.iter().any(|r| !r.passes()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn gate_catches_every_seed_and_clears_every_control() {
-        let rows = run_corpus();
-        for r in &rows {
-            assert!(
-                r.passes(),
-                "{}: expected {:?}, static {:?}, dynamic confirmed: {} ({})",
-                r.name,
-                r.expected,
-                r.static_codes,
-                r.dynamic_confirmed,
-                r.detail
-            );
-        }
+        crate::corpus::assert_gate_passes("liveness");
     }
 
     #[test]
-    fn shallow_drive_perturbation_fails_the_gate() {
-        // The must-fail direction: a drive too shallow to fill any queue
-        // misses every backlog seed, and the gate must notice.
-        let rows = run_corpus_with(&drive_config(Some(0.1)));
-        assert!(
-            rows.iter().any(|r| !r.passes()),
-            "a 0.1x drive perturbation must fail at least one seeded row"
-        );
-        // Controls stay clean even under the shallow drive: the gate
-        // failure is missed seeds, not broken controls.
-        for r in rows.iter().filter(|r| r.expected.is_none()) {
-            assert!(
-                r.passes(),
-                "control {} broke under the perturbation",
-                r.name
-            );
-        }
+    fn reports_render_both_formats() {
+        crate::corpus::assert_reports_render("liveness", "mqu-range-cycle", "D001");
     }
 
     #[test]
     fn corpus_covers_at_least_six_seeds_and_five_codes() {
-        let rows = run_corpus();
+        let rows = rows(None);
         let seeded: Vec<&GateRow> = rows.iter().filter(|r| r.expected.is_some()).collect();
         assert!(seeded.len() >= 6, "{} seeded entries", seeded.len());
         let mut codes: Vec<Code> = seeded.iter().filter_map(|r| r.expected).collect();
@@ -721,23 +515,11 @@ mod tests {
     fn seeds_are_invisible_to_the_per_queue_capacity_lints() {
         // The checker's reason to exist: these deadlocks pass E013/E014/
         // E019 (they all build through the linting builder).
-        let rows = run_corpus();
+        let rows = rows(None);
         let clean = rows
             .iter()
-            .filter(|r| r.expected.is_some() && r.queue_lint_clean)
+            .filter(|r| r.expected.is_some() && r.queue_lint_clean == Some(true))
             .count();
         assert!(clean >= 2, "only {clean} seeds pass the capacity lints");
-    }
-
-    #[test]
-    fn reports_render_both_formats() {
-        let rows = run_corpus();
-        let text = render_text(&rows);
-        assert!(text.contains("mqu-range-cycle"), "{text}");
-        assert!(text.contains("liveness corpus:"), "{text}");
-        let json = render_json(&rows);
-        assert!(json.contains("\"expected\":\"D001\""), "{json}");
-        assert!(json.contains("\"pass\":true"), "{json}");
-        assert!(json.contains("\"expected\":null"), "controls: {json}");
     }
 }

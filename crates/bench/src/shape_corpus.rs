@@ -15,69 +15,21 @@
 //!    fetched value, or a mismatched per-item queue width.
 //!
 //! Control entries (the honest wirings of the same shapes) must be clean
-//! on both sides, so the gate fails if the verifier ever becomes either
-//! too lax (a seeded bug escapes) or too strict (an honest pipeline is
-//! rejected). `dcl-lint --shape-corpus` runs the gate; CI keeps it green.
+//! on both sides. The weakened checker keeps only `B001`, modeling a
+//! verifier that checks bases are mapped but not extents, widths or
+//! framing. `dcl-lint --corpus shape` runs the gate through the shared
+//! [`crate::corpus`] harness.
 
-use crate::cli::{json_envelope, OutputFormat, ToolCounts};
+use crate::corpus::{keep_only, panics, pattern, values_of, workload, GateRow};
 use spzip_apps::layout::Workload;
 use spzip_apps::pipelines;
-use spzip_apps::{Scheme, SchemeConfig};
+use spzip_apps::SchemeConfig;
 use spzip_compress::CodecKind;
 use spzip_core::dcl::{MemQueueMode, OperatorKind, Pipeline, PipelineBuilder, RangeInput};
 use spzip_core::func::FuncEngine;
 use spzip_core::lint::Code;
 use spzip_core::shape::{self, InputDomain, MemorySchema};
-use spzip_core::QueueItem;
-use spzip_graph::gen::{community, CommunityParams};
 use spzip_mem::DataClass;
-use std::fmt::Write as _;
-use std::panic::AssertUnwindSafe;
-use std::sync::Arc;
-
-/// One corpus verdict: what the verifier said and what the engine did.
-#[derive(Debug)]
-pub struct GateRow {
-    /// Entry name (stable, used in CI output).
-    pub name: String,
-    /// The B-code a seeded entry must trigger; `None` for controls,
-    /// which must verify clean.
-    pub expected: Option<Code>,
-    /// Codes the shape verifier reported.
-    pub static_codes: Vec<Code>,
-    /// Seeded entries: the functional engine observably misbehaved.
-    /// Controls: the honest drive completed with the expected results.
-    pub dynamic_confirmed: bool,
-    /// Short description of the dynamic observation.
-    pub detail: String,
-}
-
-impl GateRow {
-    /// Whether this row upholds the gate's contract.
-    pub fn passes(&self) -> bool {
-        match self.expected {
-            Some(code) => self.static_codes.contains(&code) && self.dynamic_confirmed,
-            None => self.static_codes.is_empty() && self.dynamic_confirmed,
-        }
-    }
-}
-
-/// The corpus workload: UB+SpZip (bins, compressed adjacency, compressed
-/// vertex slices all present), all-active, small enough to drive in
-/// milliseconds but large enough that every bounds margin is non-trivial.
-fn workload() -> (Workload, SchemeConfig) {
-    let cfg = Scheme::UbSpzip.config();
-    let g = Arc::new(community(&CommunityParams::web_crawl(1 << 12, 8), 7));
-    let w = Workload::build(g, &cfg, 2, 16 * 1024, true);
-    (w, cfg)
-}
-
-/// Runs `f`, reporting whether it panicked (memory guard, MemQueue
-/// assert, corrupt-stream decode). The caller suppresses the default
-/// panic hook around the whole corpus so expected panics stay quiet.
-fn panics<F: FnOnce()>(f: F) -> bool {
-    std::panic::catch_unwind(AssertUnwindSafe(f)).is_err()
-}
 
 fn verify_codes(p: &Pipeline, schema: &MemorySchema) -> Vec<Code> {
     shape::verify(p, schema)
@@ -85,19 +37,6 @@ fn verify_codes(p: &Pipeline, schema: &MemorySchema) -> Vec<Code> {
         .iter()
         .map(|d| d.code)
         .collect()
-}
-
-fn values_of(items: &[QueueItem]) -> Vec<u64> {
-    items
-        .iter()
-        .filter(|i| !i.is_marker())
-        .map(|i| i.value())
-        .collect()
-}
-
-/// Fills `src`-style u32 arrays with a distinctive per-index pattern.
-fn pattern(i: u64) -> u32 {
-    (i as u32).wrapping_mul(2654435761) ^ 0xA5A5_0000
 }
 
 // ---- seeded entries ----------------------------------------------------
@@ -143,14 +82,16 @@ fn wrong_width_indirect() -> GateRow {
         expected: Some(Code::B003),
         static_codes,
         dynamic_confirmed: confirmed,
+        queue_lint_clean: None,
         detail: format!("fetched {got:?}, honest read is [{}]", pattern(3)),
     }
 }
 
-/// B004: decompressing the Delta-framed adjacency stream with the RLE
-/// codec. The engine either rejects the stream as corrupt or decodes
-/// values that differ from the real neighbor lists.
-fn wrong_codec_decompress() -> GateRow {
+/// B004 (`codec` = RLE): decompressing the Delta-framed adjacency stream
+/// with the wrong codec. The engine either rejects the stream as corrupt
+/// or decodes values that differ from the real neighbor lists. The control
+/// (`codec` = `None`, the real codec) decodes group 0 to its raw rows.
+fn decompress_adjacency(name: &str, codec: Option<CodecKind>) -> GateRow {
     let (mut w, cfg) = workload();
     let cadj = w.cadj.as_ref().expect("UbSpzip compresses adjacency");
     let (bytes_addr, group_len) = (cadj.bytes_addr, cadj.offsets[1]);
@@ -173,7 +114,7 @@ fn wrong_codec_decompress() -> GateRow {
     );
     b.operator(
         OperatorKind::Decompress {
-            codec: CodecKind::Rle, // seeded: the stream is Delta-framed
+            codec: codec.unwrap_or(cfg.adjacency_codec),
             elem_bytes: 4,
         },
         bytes_q,
@@ -200,21 +141,33 @@ fn wrong_codec_decompress() -> GateRow {
         eng.run(&mut w.img);
         got = values_of(&eng.drain_output(out_q));
     });
-    let confirmed = panicked || got != expect;
+    let (expected, dynamic_confirmed, detail) = match codec {
+        Some(_) => (
+            Some(Code::B004),
+            panicked || got != expect,
+            if panicked {
+                "corrupt-stream panic".into()
+            } else {
+                format!(
+                    "decoded {} values, honest stream has {}",
+                    got.len(),
+                    expect.len()
+                )
+            },
+        ),
+        None => (
+            None,
+            !panicked && got == expect,
+            "group 0 decodes to its raw neighbor rows".into(),
+        ),
+    };
     GateRow {
-        name: "wrong-codec-decompress".into(),
-        expected: Some(Code::B004),
+        name: name.into(),
+        expected,
         static_codes,
-        dynamic_confirmed: confirmed,
-        detail: if panicked {
-            "corrupt-stream panic".into()
-        } else {
-            format!(
-                "decoded {} values, honest stream has {}",
-                got.len(),
-                expect.len()
-            )
-        },
+        dynamic_confirmed,
+        queue_lint_clean: None,
+        detail,
     }
 }
 
@@ -257,6 +210,7 @@ fn off_by_one_extent() -> GateRow {
         expected: Some(Code::B002),
         static_codes,
         dynamic_confirmed: panicked,
+        queue_lint_clean: None,
         detail: if panicked {
             "last id read past the sentinel into the guard page".into()
         } else {
@@ -304,6 +258,7 @@ fn unmapped_base() -> GateRow {
         expected: Some(Code::B001),
         static_codes,
         dynamic_confirmed: panicked,
+        queue_lint_clean: None,
         detail: if panicked {
             "fetch hit an unmapped address".into()
         } else {
@@ -401,6 +356,7 @@ fn bin_id_overflow() -> GateRow {
         expected: Some(Code::B002),
         static_codes,
         dynamic_confirmed: panicked,
+        queue_lint_clean: None,
         detail: if panicked {
             "MemQueue bin-id assert tripped".into()
         } else {
@@ -441,6 +397,7 @@ fn mqu_footprint_overflow() -> GateRow {
         expected: Some(Code::B008),
         static_codes,
         dynamic_confirmed: panicked,
+        queue_lint_clean: None,
         detail: if panicked {
             "last bin's append crossed the region end".into()
         } else {
@@ -515,6 +472,7 @@ fn wrong_decoded_width() -> GateRow {
         expected: Some(Code::B006),
         static_codes,
         dynamic_confirmed: confirmed,
+        queue_lint_clean: None,
         detail: format!(
             "decoded items carry {:?}-byte widths, schema promises 8",
             costs.first().copied().unwrap_or(0)
@@ -583,6 +541,7 @@ fn raw_into_framed_write() -> GateRow {
         expected: Some(Code::B005),
         static_codes,
         dynamic_confirmed: confirmed,
+        queue_lint_clean: None,
         detail: match decode {
             Err(e) => format!("frame decode failed: {e:?}"),
             Ok(()) => "frame decode produced the wrong values".into(),
@@ -640,67 +599,8 @@ fn control_indirect() -> GateRow {
         expected: None,
         static_codes,
         dynamic_confirmed: !panicked && got == expect,
+        queue_lint_clean: None,
         detail: "honest 4-byte fetches round-trip".into(),
-    }
-}
-
-/// Control: decompressing the adjacency stream with its real codec.
-fn control_decompress() -> GateRow {
-    let (mut w, cfg) = workload();
-    let cadj = w.cadj.as_ref().expect("cadj");
-    let (bytes_addr, group_len) = (cadj.bytes_addr, cadj.offsets[1]);
-    let group_rows = cadj.group_rows as usize;
-    let mut b = PipelineBuilder::new();
-    let in_q = b.queue(8);
-    let bytes_q = b.queue(48);
-    let out_q = b.queue(64);
-    b.operator(
-        OperatorKind::RangeFetch {
-            base: bytes_addr,
-            idx_bytes: 8,
-            elem_bytes: 1,
-            input: RangeInput::Pairs,
-            marker: Some(0),
-            class: DataClass::AdjacencyMatrix,
-        },
-        in_q,
-        vec![bytes_q],
-    );
-    b.operator(
-        OperatorKind::Decompress {
-            codec: cfg.adjacency_codec,
-            elem_bytes: 4,
-        },
-        bytes_q,
-        vec![out_q],
-    );
-    let p = b.build().expect("valid");
-    let mut schema = w.schema(&cfg);
-    schema.declare_input(
-        in_q,
-        InputDomain::Ranges {
-            region: "cadj_bytes".into(),
-        },
-    );
-    let static_codes = verify_codes(&p, &schema);
-    let expect: Vec<u64> = (0..group_rows)
-        .flat_map(|v| w.g.neighbors(v as u32).to_vec())
-        .map(|d| d as u64)
-        .collect();
-    let mut got = Vec::new();
-    let panicked = panics(|| {
-        let mut eng = FuncEngine::new(p.clone());
-        eng.enqueue_value(in_q, 0, 8);
-        eng.enqueue_value(in_q, group_len, 8);
-        eng.run(&mut w.img);
-        got = values_of(&eng.drain_output(out_q));
-    });
-    GateRow {
-        name: "control-decompress".into(),
-        expected: None,
-        static_codes,
-        dynamic_confirmed: !panicked && got == expect,
-        detail: "group 0 decodes to its raw neighbor rows".into(),
     }
 }
 
@@ -772,6 +672,7 @@ fn control_roundtrip_write() -> GateRow {
         expected: None,
         static_codes,
         dynamic_confirmed: ok && decoded == expect,
+        queue_lint_clean: None,
         detail: "compressed write decodes back to its source".into(),
     }
 }
@@ -793,19 +694,18 @@ fn control_binning() -> GateRow {
         expected: None,
         static_codes,
         dynamic_confirmed: !panicked,
+        queue_lint_clean: None,
         detail: "builtin binning compressor bins one update cleanly".into(),
     }
 }
 
-/// Runs the full corpus: every seeded miswiring and every control.
-pub fn run_corpus() -> Vec<GateRow> {
-    // Expected panics are part of the contract; keep their default-hook
-    // backtraces out of the gate's output.
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
+/// The shape corpus: every seeded miswiring, then every control.
+/// `Some(_)` weakens the verifier to one that checks only that each base
+/// is mapped (`B001`), not extents, widths or framing.
+pub fn rows(weakened: Option<f64>) -> Vec<GateRow> {
     let rows = vec![
         wrong_width_indirect(),
-        wrong_codec_decompress(),
+        decompress_adjacency("wrong-codec-decompress", Some(CodecKind::Rle)),
         off_by_one_extent(),
         unmapped_base(),
         bin_id_overflow(),
@@ -813,81 +713,14 @@ pub fn run_corpus() -> Vec<GateRow> {
         wrong_decoded_width(),
         raw_into_framed_write(),
         control_indirect(),
-        control_decompress(),
+        decompress_adjacency("control-decompress", None),
         control_roundtrip_write(),
         control_binning(),
     ];
-    std::panic::set_hook(prev);
-    rows
-}
-
-/// Renders the corpus as text, one verdict per line.
-pub fn render_text(rows: &[GateRow]) -> String {
-    let mut out = String::new();
-    for r in rows {
-        let codes: Vec<String> = r.static_codes.iter().map(|c| c.to_string()).collect();
-        let _ = writeln!(
-            out,
-            "{:5} {:<24} expect {:<6} static [{}] dynamic {} — {}",
-            if r.passes() { "ok" } else { "FAIL" },
-            r.name,
-            r.expected.map_or("clean".to_string(), |c| c.to_string()),
-            codes.join(","),
-            if r.dynamic_confirmed {
-                "confirmed"
-            } else {
-                "MISSED"
-            },
-            r.detail
-        );
+    match weakened {
+        Some(_) => keep_only(rows, Code::B001),
+        None => rows,
     }
-    let failed = rows.iter().filter(|r| !r.passes()).count();
-    let _ = writeln!(
-        out,
-        "shape corpus: {} entr{} checked, {} failed",
-        rows.len(),
-        if rows.len() == 1 { "y" } else { "ies" },
-        failed
-    );
-    out
-}
-
-/// Renders the corpus in the shared tool JSON envelope.
-pub fn render_json(rows: &[GateRow]) -> String {
-    let counts = ToolCounts {
-        checked: rows.len(),
-        errors: rows.iter().filter(|r| !r.passes()).count(),
-        warnings: 0,
-        io_errors: 0,
-    };
-    let pipelines: Vec<(String, String)> = rows
-        .iter()
-        .map(|r| {
-            let codes: Vec<String> = r.static_codes.iter().map(|c| format!("\"{c}\"")).collect();
-            let body = format!(
-                "\"expected\":{},\"static_codes\":[{}],\"dynamic_confirmed\":{},\"pass\":{}",
-                r.expected
-                    .map_or("null".to_string(), |c| format!("\"{c}\"")),
-                codes.join(","),
-                r.dynamic_confirmed,
-                r.passes()
-            );
-            (r.name.clone(), body)
-        })
-        .collect();
-    json_envelope(&counts, &pipelines, &[])
-}
-
-/// Runs the gate and prints the report; the exit code is 0 iff every
-/// seeded bug is caught twice and every control is clean twice.
-pub fn run_gate(format: OutputFormat) -> i32 {
-    let rows = run_corpus();
-    match format {
-        OutputFormat::Json => print!("{}", render_json(&rows)),
-        // Gate rows carry no per-diagnostic records; SARIF falls back to text.
-        OutputFormat::Text | OutputFormat::Sarif => print!("{}", render_text(&rows)),
-    }
-    i32::from(rows.iter().any(|r| !r.passes()))
 }
 
 #[cfg(test)]
@@ -896,23 +729,17 @@ mod tests {
 
     #[test]
     fn gate_catches_every_seeded_bug_and_clears_every_control() {
-        let rows = run_corpus();
-        for r in &rows {
-            assert!(
-                r.passes(),
-                "{}: expected {:?}, static {:?}, dynamic confirmed: {} ({})",
-                r.name,
-                r.expected,
-                r.static_codes,
-                r.dynamic_confirmed,
-                r.detail
-            );
-        }
+        crate::corpus::assert_gate_passes("shape");
+    }
+
+    #[test]
+    fn reports_render_both_formats() {
+        crate::corpus::assert_reports_render("shape", "wrong-codec-decompress", "B004");
     }
 
     #[test]
     fn corpus_covers_at_least_six_distinct_miswirings() {
-        let rows = run_corpus();
+        let rows = crate::corpus::run(rows, None);
         let seeded: Vec<&GateRow> = rows.iter().filter(|r| r.expected.is_some()).collect();
         assert!(seeded.len() >= 6, "{} seeded entries", seeded.len());
         let mut codes: Vec<Code> = seeded.iter().filter_map(|r| r.expected).collect();
@@ -920,17 +747,5 @@ mod tests {
         codes.dedup();
         assert!(codes.len() >= 5, "distinct codes: {codes:?}");
         assert!(rows.iter().any(|r| r.expected.is_none()), "has controls");
-    }
-
-    #[test]
-    fn reports_render_both_formats() {
-        let rows = run_corpus();
-        let text = render_text(&rows);
-        assert!(text.contains("wrong-codec-decompress"), "{text}");
-        assert!(text.contains("shape corpus:"), "{text}");
-        let json = render_json(&rows);
-        assert!(json.contains("\"expected\":\"B004\""), "{json}");
-        assert!(json.contains("\"pass\":true"), "{json}");
-        assert!(json.contains("\"expected\":null"), "controls: {json}");
     }
 }

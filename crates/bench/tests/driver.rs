@@ -1,5 +1,6 @@
 //! Driver contract tests: determinism across thread counts, cache
-//! round-trips, and fingerprint-keyed invalidation.
+//! round-trips, fingerprint-keyed invalidation, and never memoizing a
+//! wedged cell.
 
 use spzip_apps::{AppName, RunSpec, Scheme};
 use spzip_bench::driver::{Driver, DriverOptions, Memo};
@@ -160,6 +161,39 @@ fn corrupt_cache_entries_are_resimulated() {
     assert_eq!(
         memo1.get(&base).to_kv(&base.fingerprint()),
         memo2.get(&base).to_kv(&base.fingerprint())
+    );
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn wedged_cells_are_never_memoized() {
+    let dir = temp_dir("wedged");
+    let healthy = RunSpec::new(
+        AppName::Dc,
+        "arb",
+        Scheme::Push.config(),
+        Preprocessing::None,
+        Scale::Tiny,
+    );
+    // A watchdog shorter than any memory access trips on the first stall.
+    let mut wedged = healthy.clone();
+    wedged.machine.config.deadlock_cycles = 1;
+    let driver = Driver::new(opts(2, Some(dir.clone())));
+    let memo = driver.execute(&[healthy.clone(), wedged.clone()]);
+    assert!(
+        memo.get(&wedged).deadlock.is_some(),
+        "the 1-cycle watchdog must trip"
+    );
+    assert!(memo.get(&healthy).deadlock.is_none());
+    let run_file = |s: &RunSpec| dir.join(format!("{}.run", s.cache_key()));
+    assert!(
+        !run_file(&wedged).exists(),
+        "a wedged cell must never reach the cache"
+    );
+    assert!(
+        run_file(&healthy).exists(),
+        "a healthy cell is still memoized"
     );
 
     let _ = fs::remove_dir_all(&dir);

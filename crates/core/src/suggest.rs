@@ -49,11 +49,6 @@ use spzip_compress::model::{codec_trajectory_name, StreamProfile};
 use spzip_compress::CodecKind;
 use std::collections::BTreeMap;
 
-/// Version of the suggestion pass, bumped whenever candidate enumeration,
-/// pricing, or validation semantics change. Included in cache
-/// fingerprints alongside `PERF_VERSION`.
-pub const SUGGEST_VERSION: u32 = 1;
-
 /// Default minimum predicted improvement (fractional) before a suggestion
 /// is worth an advisory: re-encoding a region is not free, so near-ties
 /// stay quiet.
