@@ -1,5 +1,5 @@
 //! `sanitize-bench`: measures the compressed-trace sanitizer (footprint,
-//! memoization, analysis wall-clock) over the builtin app x scheme cells
+//! chunk count, analysis wall-clock) over the builtin app x scheme cells
 //! and maintains the `BENCH_sanitize.json` trajectory.
 //!
 //! ```text

@@ -10,10 +10,10 @@
 //!   payload bytes, and the *peak residency* of the compressed
 //!   representation (payloads plus the bounded staging/scratch buffers),
 //!   which is what actually replaces the raw footprint in memory;
-//! * **memoization** — chunk counts, distinct chunk contents, memo hits,
-//!   and how many chunks the queue checker absorbed from summaries alone;
-//! * **analysis wall-clock** — mean `analyze_compressed` time per cell
-//!   (reported for trend-watching, never gated: CI runners are noisy).
+//! * **chunks** — how many sealed chunks the trace holds;
+//! * **analysis wall-clock** — mean `spzip_sim::sanitize::analyze` time
+//!   per cell (reported for trend-watching, never gated: CI runners are
+//!   noisy).
 //!
 //! The simulator is deterministic, so events/bytes/ratios are exactly
 //! reproducible and `--check` can gate tightly:
@@ -32,7 +32,7 @@ use spzip_compress::CODEC_VERSION;
 use spzip_sim::ctrace::SANITIZE_TRACE_VERSION;
 
 /// Schema tag written into (and required of) `BENCH_sanitize.json`.
-pub const SCHEMA: &str = "spzip-sanitize-bench/v1";
+pub const SCHEMA: &str = "spzip-sanitize-bench/v2";
 
 /// A fresh cell's compression ratio may drop to this fraction of the
 /// checked-in trajectory before `--check` fails.
@@ -68,7 +68,7 @@ pub struct SanitizeCell {
     pub scheme: String,
     /// Trace events recorded.
     pub events: u64,
-    /// Footprint of the legacy raw `Vec<TraceEvent>` for this trace.
+    /// Footprint of a raw `Vec<TraceEvent>` for this trace.
     pub raw_bytes: u64,
     /// Compressed chunk payload bytes.
     pub compressed_bytes: u64,
@@ -81,13 +81,7 @@ pub struct SanitizeCell {
     pub residency_ratio: f64,
     /// Sealed chunks in the trace.
     pub chunks: u64,
-    /// Distinct chunk contents decoded.
-    pub distinct_chunks: u64,
-    /// Chunks recalled from the memo cache.
-    pub memo_hits: u64,
-    /// Chunks the queue checker fast-forwarded from summaries.
-    pub queue_fast_chunks: u64,
-    /// Mean `analyze_compressed` wall-clock, milliseconds (not gated).
+    /// Mean `analyze` wall-clock, milliseconds (not gated).
     pub analyze_ms: f64,
 }
 
@@ -96,8 +90,7 @@ impl SanitizeCell {
         format!(
             "{{\"app\":\"{}\",\"scheme\":\"{}\",\"events\":{},\"raw_bytes\":{},\
              \"compressed_bytes\":{},\"peak_residency_bytes\":{},\"ratio\":{:.4},\
-             \"residency_ratio\":{:.4},\"chunks\":{},\"distinct_chunks\":{},\
-             \"memo_hits\":{},\"queue_fast_chunks\":{},\"analyze_ms\":{:.3}}}",
+             \"residency_ratio\":{:.4},\"chunks\":{},\"analyze_ms\":{:.3}}}",
             self.app,
             self.scheme,
             self.events,
@@ -107,9 +100,6 @@ impl SanitizeCell {
             self.ratio,
             self.residency_ratio,
             self.chunks,
-            self.distinct_chunks,
-            self.memo_hits,
-            self.queue_fast_chunks,
             self.analyze_ms,
         )
     }
@@ -125,9 +115,6 @@ impl SanitizeCell {
             ratio: json_num(obj, "ratio")?,
             residency_ratio: json_num(obj, "residency_ratio")?,
             chunks: json_num(obj, "chunks")? as u64,
-            distinct_chunks: json_num(obj, "distinct_chunks")? as u64,
-            memo_hits: json_num(obj, "memo_hits")? as u64,
-            queue_fast_chunks: json_num(obj, "queue_fast_chunks")? as u64,
             analyze_ms: json_num(obj, "analyze_ms")?,
         })
     }
@@ -251,7 +238,7 @@ pub fn measure(measure_ms: u64) -> SanitizeBenchReport {
     use spzip_apps::{AppName, Scheme};
     use spzip_graph::gen::{community, grid3d, CommunityParams};
     use spzip_mem::cache::{CacheConfig, Replacement};
-    use spzip_sim::sanitize::analyze_compressed_stats;
+    use spzip_sim::sanitize::analyze;
     use spzip_sim::MachineConfig;
     use std::sync::Arc;
     use std::time::{Duration, Instant};
@@ -275,12 +262,11 @@ pub fn measure(measure_ms: u64) -> SanitizeBenchReport {
         let input = if app.is_matrix() { &m } else { &g };
         let (_, san) = run_app_sanitized(app, input, &scheme.config(), cfg, None, false);
 
-        let (_, stats) = analyze_compressed_stats(&san.trace, &san.context);
         let window = Duration::from_millis(measure_ms.max(1));
         let start = Instant::now();
         let mut iters = 0u32;
         while start.elapsed() < window {
-            let _ = std::hint::black_box(analyze_compressed_stats(&san.trace, &san.context));
+            let _ = std::hint::black_box(analyze(&san.trace, &san.context));
             iters += 1;
         }
         let analyze_ms = start.elapsed().as_secs_f64() * 1e3 / f64::from(iters.max(1));
@@ -298,9 +284,6 @@ pub fn measure(measure_ms: u64) -> SanitizeBenchReport {
             ratio: raw as f64 / compressed.max(1) as f64,
             residency_ratio: raw as f64 / residency.max(1) as f64,
             chunks: san.trace.chunks().len() as u64,
-            distinct_chunks: stats.distinct_chunks as u64,
-            memo_hits: stats.memo_hits as u64,
-            queue_fast_chunks: stats.queue_fast_chunks as u64,
             analyze_ms,
         });
     }
@@ -340,14 +323,8 @@ pub fn check_against(
         };
         summary.push(format!(
             "{app}/{scheme}: ratio {:.2}x (trajectory {:.2}x), residency {:.2}x, \
-             {} chunks ({} distinct, {} memo hits), analyze {:.2} ms",
-            now.ratio,
-            then.ratio,
-            now.residency_ratio,
-            now.chunks,
-            now.distinct_chunks,
-            now.memo_hits,
-            now.analyze_ms,
+             {} chunks, analyze {:.2} ms",
+            now.ratio, then.ratio, now.residency_ratio, now.chunks, now.analyze_ms,
         ));
         if now.ratio < then.ratio * RATIO_REGRESSION_FLOOR {
             errors.push(format!(
@@ -398,9 +375,6 @@ mod tests {
                     ratio,
                     residency_ratio,
                     chunks: 10,
-                    distinct_chunks: 4,
-                    memo_hits: 6,
-                    queue_fast_chunks: 9,
                     analyze_ms: 1.5,
                 }
             })

@@ -35,11 +35,6 @@ use spzip_compress::CodecKind;
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Version of the translation validator, bumped whenever the symbolic
-/// domain, normalization rules, or verdict semantics change. Included in
-/// the bench driver's cache fingerprint.
-pub const EQUIV_VERSION: u32 = 1;
-
 /// The two pipelines under comparison, plus (optionally) each side's
 /// declared memory layout. Schemas sharpen the analysis: region names
 /// replace raw base addresses in the symbolic chains, and declared

@@ -55,11 +55,6 @@ use spzip_mem::DataClass;
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Version of the linter's rule set, bumped whenever a check is added,
-/// removed, or its semantics change. Included in the bench driver's cache
-/// fingerprint so cached results invalidate when analysis changes.
-pub const LINT_VERSION: u32 = 1;
-
 /// Largest payload one firing can move, in quarter-words (32 bytes —
 /// `func::FIRE_BYTES`).
 pub(crate) const FIRING_QUARTERS: u32 = 32;

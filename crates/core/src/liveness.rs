@@ -68,11 +68,6 @@ use crate::QueueId;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 
-/// Version of the liveness model; folded into result-cache fingerprints
-/// (like `LINT_VERSION`) so retuned protocol constants or classification
-/// changes invalidate stale cached outcomes.
-pub const LIVENESS_VERSION: u32 = 1;
-
 /// Drive-protocol knobs for the bounded check.
 ///
 /// The defaults mirror the instrumented applications: index feeds get

@@ -28,10 +28,6 @@ use spzip_compress::model::{predicted_bytes_per_elem, RateTable, StreamProfile};
 use spzip_mem::DataClass;
 use std::collections::BTreeMap;
 
-/// Version of the analytical performance model. Folded into the bench
-/// cache fingerprint so cached cells invalidate when the model changes.
-pub const PERF_VERSION: u32 = 1;
-
 /// Quarter-words a chunk marker occupies in a queue (engine encoding).
 const MARKER_QUARTERS: f64 = 4.0;
 

@@ -51,11 +51,6 @@ use spzip_compress::CodecKind;
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Version of the shape verifier's rule set, bumped whenever a check is
-/// added, removed, or its semantics change. Included in the bench driver's
-/// cache fingerprint so cached results invalidate when analysis changes.
-pub const SHAPE_VERSION: u32 = 1;
-
 /// How the bytes stored in a region are encoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Framing {

@@ -1,10 +1,10 @@
 //! Codec-compressed sanitizer traces.
 //!
-//! The SimSanitizer used to buffer its synchronization/memory trace as a
-//! raw `Vec<TraceEvent>` — tens of bytes per event, fully materialized
-//! for the whole run. This module replaces that buffer with a chunked,
-//! columnar, codec-compressed layout ([`CTrace`]) that dogfoods the
-//! repo's own `spzip_compress` codecs as the trace wire format:
+//! The SimSanitizer records its synchronization/memory trace into a
+//! chunked, columnar, codec-compressed layout ([`CTrace`]) that dogfoods
+//! the repo's own `spzip_compress` codecs as the trace wire format,
+//! instead of a raw `Vec<TraceEvent>` of tens of bytes per event held for
+//! the whole run:
 //!
 //! * events stream into a bounded raw staging buffer of
 //!   [`CHUNK_EVENTS`] entries;
@@ -18,24 +18,16 @@
 //!   bit-plane compression ([`BpcCodec`]);
 //! * each column is one self-delimiting codec frame; a chunk's payload is
 //!   the frames concatenated in a fixed order, stamped with a sequence
-//!   number and an FNV-1a content hash.
+//!   number.
 //!
-//! The content hash is the memoization key of the chunk-level analysis in
-//! [`crate::sanitize::analyze_compressed`]: identical chunks (tight inner
-//! loops replay the same push/pop/access patterns) are decoded and
-//! summarized once, in the spirit of analyzing compressed traces by
-//! processing repeated blocks once (Ang & Mathur's compressed-trace race
-//! detection). The sequence numbers make reordered or duplicated chunks —
-//! however they arise — detectable as `S010` trace-integrity violations
-//! instead of silently corrupted verdicts.
-//!
+//! The sequence numbers make reordered or duplicated chunks — however
+//! they arise — detectable as `S010` trace-integrity violations in
+//! [`crate::sanitize::analyze`] instead of silently corrupted verdicts.
 //! Decoding is strict: column lengths must match the tag column, tags and
 //! packed metadata must be in range, and every byte of the payload must
-//! be consumed. A [`CTrace`] can always be lowered back to the legacy
-//! in-memory [`Trace`] ([`CTrace::to_trace`]), which the differential
-//! tests keep as the analysis oracle.
+//! be consumed.
 
-use crate::sanitize::{Trace, TraceEvent};
+use crate::sanitize::TraceEvent;
 use spzip_compress::bpc::BpcCodec;
 use spzip_compress::delta::DeltaCodec;
 use spzip_compress::rle::RleCodec;
@@ -43,11 +35,9 @@ use spzip_compress::{Codec, DecodeError, ElemWidth};
 use spzip_mem::sanitize::{Actor, MemRecord};
 use spzip_mem::{DataClass, MemOp};
 
-/// Version of the compressed-trace wire format and its chunk-level
-/// analysis, bumped whenever the column layout, the column codecs, the
-/// hash, or the summarization semantics change. Folded into the bench
-/// driver's cache fingerprint (sanitized verdicts depend on it) next to
-/// `CODEC_VERSION`.
+/// Version of the compressed-trace wire format, bumped whenever the
+/// column layout or the column codecs change. `sanitize-bench` stamps it
+/// into `BENCH_sanitize.json` so a trajectory never spans two formats.
 pub const SANITIZE_TRACE_VERSION: u32 = 1;
 
 /// Events per chunk: the bound on raw staging. 1024 events keep the
@@ -55,9 +45,9 @@ pub const SANITIZE_TRACE_VERSION: u32 = 1;
 /// codecs runs long enough to compress well.
 pub const CHUNK_EVENTS: usize = 1024;
 
-/// In-memory size of one raw trace event — the per-event footprint of
-/// the legacy `Vec<TraceEvent>` buffer that compressed residency is
-/// measured against.
+/// In-memory size of one raw trace event — the per-event footprint of a
+/// raw `Vec<TraceEvent>` buffer, which compressed residency is measured
+/// against.
 pub const RAW_EVENT_BYTES: usize = std::mem::size_of::<TraceEvent>();
 
 /// One sealed chunk: a columnar compressed block of up to
@@ -65,17 +55,13 @@ pub const RAW_EVENT_BYTES: usize = std::mem::size_of::<TraceEvent>();
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Chunk {
     /// Position of this chunk in the trace stream, assigned at seal time.
-    /// [`crate::sanitize::analyze_compressed`] checks the sequence is
-    /// dense and in order (S010 otherwise).
+    /// [`crate::sanitize::analyze`] checks the sequence is dense and in
+    /// order (S010 otherwise).
     pub seq: u64,
     /// Number of events encoded in the payload.
     pub events: u32,
     /// Concatenated self-delimiting column frames (see module docs).
     pub bytes: Vec<u8>,
-    /// FNV-1a hash of `bytes`: the content-only memoization key for
-    /// chunk-level analysis. Equal event sequences encode to equal bytes
-    /// (every column codec is deterministic), so equal hashes.
-    pub hash: u64,
 }
 
 /// Event tags, the first column of every chunk.
@@ -144,17 +130,6 @@ fn unpack_meta(meta: u64) -> Result<(u32, MemOp, DataClass), DecodeError> {
     Ok((bytes as u32, op, class))
 }
 
-/// FNV-1a over a byte slice (the same hash family the bench cache keys
-/// use; trace chunks only need a stable, well-mixed content key).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// Column staging reused across chunk seals, so steady-state recording
 /// allocates nothing: each `Vec` grows to its high-water mark (bounded by
 /// [`CHUNK_EVENTS`] elements) and is cleared per seal.
@@ -194,17 +169,14 @@ impl ColumnScratch {
     }
 }
 
-/// The chunked, codec-compressed trace of one sanitized run — the
-/// replacement for the legacy raw `Vec<TraceEvent>` buffer (which
-/// survives as [`Trace`], the differential oracle).
+/// The chunked, codec-compressed trace of one sanitized run.
 ///
 /// Recording streams events into a bounded staging buffer and seals full
 /// buffers into compressed [`Chunk`]s, so raw-trace residency never
 /// exceeds [`CHUNK_EVENTS`] events regardless of run length.
 #[derive(Debug)]
 pub struct CTrace {
-    /// Core count of the machine that produced the trace (mirrors
-    /// [`Trace::cores`]).
+    /// Core count of the machine that produced the trace.
     pub cores: usize,
     chunks: Vec<Chunk>,
     pending: Vec<TraceEvent>,
@@ -300,15 +272,15 @@ impl CTrace {
         self.compressed_bytes
     }
 
-    /// In-memory footprint the legacy raw `Vec<TraceEvent>` would need
-    /// for the same trace.
+    /// In-memory footprint a raw `Vec<TraceEvent>` would need for the
+    /// same trace.
     pub fn raw_bytes(&self) -> usize {
         self.total_events * RAW_EVENT_BYTES
     }
 
     /// Peak trace-side residency of this representation: compressed
     /// payloads plus the bounded staging buffers (raw event staging and
-    /// column scratch). This is what replaces the legacy raw footprint.
+    /// column scratch). This is what replaces the raw footprint.
     pub fn peak_residency_bytes(&self) -> usize {
         self.compressed_bytes
             + self.pending.capacity().max(CHUNK_EVENTS) * RAW_EVENT_BYTES
@@ -330,20 +302,6 @@ impl CTrace {
         Ok(out)
     }
 
-    /// Lowers to the legacy in-memory [`Trace`] — the analysis oracle the
-    /// differential tests compare [`crate::sanitize::analyze_compressed`]
-    /// against.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`DecodeError`] in any chunk.
-    pub fn to_trace(&self) -> Result<Trace, DecodeError> {
-        Ok(Trace {
-            cores: self.cores,
-            events: self.decode_all()?,
-        })
-    }
-
     /// Compresses an explicit event sequence (tampered-trace tests
     /// re-encode a modified event list through the same wire format).
     /// Every staged buffer is sealed, so `len()` events land in chunks.
@@ -353,15 +311,10 @@ impl CTrace {
         t.seal();
         t
     }
-
-    /// Compresses a legacy [`Trace`].
-    pub fn from_trace(trace: &Trace) -> CTrace {
-        CTrace::from_events(trace.cores, &trace.events)
-    }
 }
 
 /// Encodes one chunk: columnar split, per-column codec, fixed frame
-/// order, content hash.
+/// order.
 fn encode_chunk(seq: u64, events: &[TraceEvent], scratch: &mut ColumnScratch) -> Chunk {
     debug_assert!(!events.is_empty() && events.len() <= CHUNK_EVENTS);
     scratch.clear();
@@ -431,12 +384,10 @@ fn encode_chunk(seq: u64, events: &[TraceEvent], scratch: &mut ColumnScratch) ->
     if !scratch.metas.is_empty() {
         rle.compress(&scratch.metas, &mut bytes);
     }
-    let hash = fnv1a(&bytes);
     Chunk {
         seq,
         events: events.len() as u32,
         bytes,
-        hash,
     }
 }
 
@@ -703,36 +654,6 @@ mod tests {
     }
 
     #[test]
-    fn identical_chunks_hash_identically_and_distinct_ones_differ() {
-        let events = sample_events(CHUNK_EVENTS);
-        let a = CTrace::from_events(4, &events);
-        let b = CTrace::from_events(4, &events);
-        assert_eq!(a.chunks()[0].hash, b.chunks()[0].hash);
-        assert_eq!(a.chunks()[0].bytes, b.chunks()[0].bytes);
-
-        let mut other = events.clone();
-        other[17] = TraceEvent::Barrier { cycle: 999_999 };
-        let c = CTrace::from_events(4, &other);
-        assert_ne!(a.chunks()[0].hash, c.chunks()[0].hash);
-    }
-
-    #[test]
-    fn repeated_identical_blocks_produce_equal_hashes() {
-        // A tight loop: the same 1024-event block recorded three times
-        // yields three chunks with one distinct hash — the memoization
-        // surface of the chunk-level analysis.
-        let block = sample_events(CHUNK_EVENTS);
-        let mut t = CTrace::new(4);
-        for _ in 0..3 {
-            t.record_all(block.iter().copied());
-        }
-        t.seal();
-        assert_eq!(t.chunks().len(), 3);
-        assert_eq!(t.chunks()[0].hash, t.chunks()[1].hash);
-        assert_eq!(t.chunks()[1].hash, t.chunks()[2].hash);
-    }
-
-    #[test]
     fn compression_beats_raw_on_realistic_shapes() {
         let events = sample_events(8 * CHUNK_EVENTS);
         let t = CTrace::from_events(4, &events);
@@ -742,15 +663,6 @@ mod tests {
             compressed * 4 <= raw,
             "compressed {compressed} bytes vs raw {raw} bytes is under 4x"
         );
-    }
-
-    #[test]
-    fn to_trace_matches_legacy_representation() {
-        let events = sample_events(CHUNK_EVENTS + 100);
-        let t = CTrace::from_events(3, &events);
-        let legacy = t.to_trace().unwrap();
-        assert_eq!(legacy.cores, 3);
-        assert_eq!(legacy.events, events);
     }
 
     #[test]
@@ -766,9 +678,9 @@ mod tests {
             let mut out = Vec::new();
             // Either a decode error or (rarely) a valid reinterpretation
             // — never a panic. A changed payload that still decodes must
-            // not decode to the original events *and* keep its hash.
+            // not decode to the original events.
             match decode_chunk(&broken.chunks()[0], &mut out) {
-                Ok(()) => assert_ne!(fnv1a(&broken.chunks()[0].bytes), t.chunks()[0].hash),
+                Ok(()) => assert_ne!(out, events),
                 Err(e) => assert!(!e.to_string().is_empty()),
             }
         }

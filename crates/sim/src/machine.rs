@@ -455,8 +455,8 @@ impl Machine {
     }
 
     /// Ends a sanitized run: produces the timing report plus the
-    /// sanitizer's verdict (built-in checkers over the recorded trace,
-    /// then any externally noted violations).
+    /// sanitizer's verdict ([`crate::sanitize::analyze`] over the recorded
+    /// trace, then any externally noted violations).
     ///
     /// # Panics
     ///
@@ -484,7 +484,7 @@ impl Machine {
             dram_writeback_lines: probe.dram_writeback_lines,
             flushed_lines: probe.flushed_lines,
         };
-        let mut violations = crate::sanitize::analyze_compressed(&trace, &context);
+        let mut violations = crate::sanitize::analyze(&trace, &context);
         violations.append(&mut self.external_violations);
         (
             report,

@@ -4,37 +4,27 @@
 //! The simulator replays per-core event streams against a timing model, so
 //! every ordering obligation of the instrumented application is visible in
 //! one place: DCL queue pushes and pops, engine drains, phase boundaries,
-//! and the memory accesses whose correctness depends on them. This module
-//! analyzes that record after a run:
+//! and the memory accesses whose correctness depends on them. [`analyze`]
+//! checks that record after a run, in one pass over the codec-compressed
+//! trace ([`CTrace`]):
 //!
-//! * a vector-clock **race detector** ([`RaceDetector`]) over watched
-//!   memory words (frontier and binned-update regions; see
+//! * **trace integrity** (S010): every chunk must decode and carry its
+//!   position as its sequence number;
+//! * a vector-clock **race detector** over watched memory words (frontier
+//!   and binned-update regions; see
 //!   [`spzip_mem::sanitize::Probe::watched`]), with queue push/pop edges,
 //!   engine drains, phase barriers, and coherence-serialized atomics as
 //!   the synchronization edges;
-//! * a **queue-protocol checker** ([`QueueProtocol`]): occupancy never
-//!   goes negative (no pop-before-push) and every quarter-word pushed is
-//!   popped by the end of the run (no leaked slots);
-//! * a **window checker** ([`WindowCheck`]): no core finishes with more
-//!   outstanding-miss slots allocated than the MLP window has;
-//! * a **line-accounting checker** ([`Accounting`]): every line the DRAM
-//!   model moved is attributed to exactly one traffic class, in both
-//!   directions.
+//! * a **queue-protocol check**: occupancy never goes negative (no
+//!   pop-before-push) and every quarter-word pushed is popped by the end
+//!   of the run (no leaked slots);
+//! * a **window check**: no core finishes with more outstanding-miss slots
+//!   allocated than the MLP window has;
+//! * a **line-accounting check**: every line the DRAM model moved is
+//!   attributed to exactly one traffic class, in both directions.
 //!
-//! Checkers implement the [`Sanitizer`] trait and are pluggable; the
-//! codec byte-conservation checks (S008/S009) live in
+//! The codec byte-conservation checks (S008/S009) live in
 //! `spzip_compress::sanitize` and feed in through the application layer.
-//!
-//! Two analysis paths share one checker implementation:
-//!
-//! * [`analyze`] walks a flat, uncompressed [`Trace`] — the legacy path,
-//!   kept as the differential oracle;
-//! * [`analyze_compressed`] drives the same folds ([`RaceFold`],
-//!   [`QueueFold`]) chunk-by-chunk over a codec-compressed
-//!   [`crate::ctrace::CTrace`], memoizing decode and
-//!   summarization by chunk content hash and adding `S010`
-//!   trace-integrity checks. Both paths emit identical violations on any
-//!   intact trace.
 //!
 //! Everything here is ordinary always-compiled code. The `sanitize`
 //! feature only gates the *collection* hooks in the machine and memory
@@ -42,15 +32,15 @@
 //!
 //! # Trace order
 //!
-//! [`Trace::events`] is in **execution order** — the order the machine
-//! processed the underlying operations — not sorted by cycle. Cores run
-//! their local clocks ahead of global time within a quantum, so cycle
-//! numbers interleave non-monotonically across actors; execution order is
-//! the causally consistent one (a pop is always recorded after the push
-//! it consumed, a drain after the engine work it waited for). Cycle
-//! numbers are kept for diagnostics only.
+//! The trace is in **execution order** — the order the machine processed
+//! the underlying operations — not sorted by cycle. Cores run their local
+//! clocks ahead of global time within a quantum, so cycle numbers
+//! interleave non-monotonically across actors; execution order is the
+//! causally consistent one (a pop is always recorded after the push it
+//! consumed, a drain after the engine work it waited for). Cycle numbers
+//! are kept for diagnostics only.
 
-use crate::ctrace::CTrace;
+use crate::ctrace::{decode_chunk, CTrace};
 use spzip_core::QueueId;
 use spzip_mem::sanitize::{Actor, MemRecord};
 use spzip_mem::stats::TrafficStats;
@@ -299,31 +289,6 @@ impl TraceEvent {
     }
 }
 
-/// The recorded trace of one run: every synchronization operation and
-/// every watched memory access, in execution order (see module docs).
-#[derive(Debug, Clone, Default)]
-pub struct Trace {
-    /// Core count of the machine that produced the trace.
-    pub cores: usize,
-    /// Events in execution order.
-    pub events: Vec<TraceEvent>,
-}
-
-impl Trace {
-    /// An empty trace for a `cores`-core machine.
-    pub fn new(cores: usize) -> Self {
-        Trace {
-            cores,
-            events: Vec::new(),
-        }
-    }
-
-    /// Appends one event.
-    pub fn record(&mut self, e: TraceEvent) {
-        self.events.push(e);
-    }
-}
-
 /// Post-run state the non-trace checkers need.
 #[derive(Debug, Clone)]
 pub struct RunContext {
@@ -359,30 +324,49 @@ impl RunContext {
     }
 }
 
-/// A pluggable post-run checker.
-pub trait Sanitizer {
-    /// Short name, for reporting which checker fired.
-    fn name(&self) -> &'static str;
-    /// Analyzes one run.
-    fn check(&mut self, trace: &Trace, ctx: &RunContext) -> Vec<Violation>;
-}
-
-/// The built-in checker set.
-pub fn default_checkers() -> Vec<Box<dyn Sanitizer>> {
-    vec![
-        Box::new(RaceDetector::default()),
-        Box::new(QueueProtocol),
-        Box::new(WindowCheck),
-        Box::new(Accounting),
-    ]
-}
-
-/// Runs every built-in checker over one run.
-pub fn analyze(trace: &Trace, ctx: &RunContext) -> Vec<Violation> {
+/// Checks one run: S010 for every chunk of `trace` that is out of
+/// sequence or does not decode, then the race detector's and the queue
+/// checker's findings over every decoded event in order, then the window
+/// (S006) and line-accounting (S007) checks over `ctx`.
+pub fn analyze(trace: &CTrace, ctx: &RunContext) -> Vec<Violation> {
     let mut out = Vec::new();
-    for mut c in default_checkers() {
-        out.extend(c.check(trace, ctx));
+    let mut races = RaceFold::new(trace.cores);
+    let mut queues = QueueFold::default();
+    let mut events = Vec::new();
+    for (i, chunk) in trace.chunks().iter().enumerate() {
+        if chunk.seq != i as u64 {
+            out.push(Violation::new(
+                Code::TraceIntegrity,
+                format!(
+                    "trace chunk at position {i} carries sequence number {} \
+                     (chunks reordered, duplicated, or lost)",
+                    chunk.seq
+                ),
+                format!("compressed trace chunk {i}"),
+            ));
+        }
+        events.clear();
+        if let Err(e) = decode_chunk(chunk, &mut events) {
+            out.push(Violation::new(
+                Code::TraceIntegrity,
+                format!("trace chunk {i} failed to decode: {e}"),
+                format!("compressed trace chunk {i} ({} event(s))", chunk.events),
+            ));
+            continue;
+        }
+        for ev in &events {
+            races.step(ev);
+            queues.step(ev);
+        }
     }
+    for ev in trace.pending() {
+        races.step(ev);
+        queues.step(ev);
+    }
+    out.extend(races.out);
+    out.extend(queues.finish());
+    window_leaks(ctx, &mut out);
+    line_accounting(ctx, &mut out);
     out
 }
 
@@ -401,6 +385,9 @@ fn op_name(op: MemOp) -> &'static str {
     }
 }
 
+/// Races reported (one per word) before the detector goes quiet.
+const MAX_RACE_REPORTS: usize = 16;
+
 /// Last-access state of one watched word: the most recent write and the
 /// reads since it, each stamped with the issuer's epoch at access time.
 /// Reads are kept ordered by actor index so that when a write races more
@@ -413,11 +400,11 @@ struct WordState {
     reads: BTreeMap<usize, (Actor, u64, u64)>,
 }
 
-/// Vector-clock happens-before race detector over watched words.
+/// Vector-clock happens-before race detector over watched words, advanced
+/// one [`RaceFold::step`] per trace event in execution order.
 ///
-/// Each actor (core, fetcher, compressor — see
-/// [`Actor`]) carries a vector clock.
-/// Synchronization edges:
+/// Each actor (core, fetcher, compressor — see [`Actor`]) carries a vector
+/// clock. Synchronization edges:
 ///
 /// * **queue push** — release: the channel clock of `(engine, queue)`
 ///   absorbs the pusher's clock, then the pusher's own epoch increments;
@@ -431,41 +418,8 @@ struct WordState {
 /// the other's clock at access time. Two atomics never race with each
 /// other (the coherence protocol serializes them); an atomic against a
 /// plain access does.
-pub struct RaceDetector {
-    /// Report at most this many races (one per word) before going quiet.
-    pub max_reports: usize,
-}
-
-impl Default for RaceDetector {
-    fn default() -> Self {
-        RaceDetector { max_reports: 16 }
-    }
-}
-
-impl Sanitizer for RaceDetector {
-    fn name(&self) -> &'static str {
-        "race"
-    }
-
-    fn check(&mut self, trace: &Trace, _ctx: &RunContext) -> Vec<Violation> {
-        let mut fold = RaceFold::new(trace.cores, self.max_reports);
-        for ev in &trace.events {
-            fold.step(ev);
-        }
-        fold.finish()
-    }
-}
-
-/// The incremental state of the race detector: one [`RaceFold::step`] per
-/// trace event, in execution order.
-///
-/// This is the single implementation behind both analysis paths — the
-/// legacy [`RaceDetector::check`] folds a flat event vector through it,
-/// and [`analyze_compressed`] folds decoded chunks through it — so the
-/// two paths emit identical violations by construction.
-pub struct RaceFold {
+struct RaceFold {
     n: usize,
-    max_reports: usize,
     clocks: Vec<Vec<u64>>,
     channels: HashMap<(usize, QueueId), Vec<u64>>,
     locks: HashMap<u64, Vec<u64>>,
@@ -475,9 +429,8 @@ pub struct RaceFold {
 }
 
 impl RaceFold {
-    /// Fresh detector state for a `cores`-core machine, reporting at most
-    /// `max_reports` races.
-    pub fn new(cores: usize, max_reports: usize) -> Self {
+    /// Fresh detector state for a `cores`-core machine.
+    fn new(cores: usize) -> Self {
         let n = Actor::count(cores.max(1));
         let mut clocks: Vec<Vec<u64>> = vec![vec![0; n]; n];
         for (i, c) in clocks.iter_mut().enumerate() {
@@ -485,7 +438,6 @@ impl RaceFold {
         }
         RaceFold {
             n,
-            max_reports,
             clocks,
             channels: HashMap::new(),
             locks: HashMap::new(),
@@ -496,7 +448,7 @@ impl RaceFold {
     }
 
     /// Advances the vector-clock state by one event.
-    pub fn step(&mut self, ev: &TraceEvent) {
+    fn step(&mut self, ev: &TraceEvent) {
         let n = self.n;
         match *ev {
             TraceEvent::Push {
@@ -575,7 +527,7 @@ impl RaceFold {
                         st.reads.insert(a, (r.actor, self.clocks[a][a], r.cycle));
                     }
                     if let Some((bact, cyc, bop, code)) = race {
-                        if self.reported.insert(w) && self.out.len() < self.max_reports {
+                        if self.reported.insert(w) && self.out.len() < MAX_RACE_REPORTS {
                             let kind = match code {
                                 Code::WriteWriteRace => "write/write",
                                 _ => "read/write",
@@ -607,49 +559,21 @@ impl RaceFold {
             }
         }
     }
-
-    /// Takes the violations found so far.
-    pub fn finish(&mut self) -> Vec<Violation> {
-        std::mem::take(&mut self.out)
-    }
 }
 
-/// Queue-protocol checker: occupancy never goes negative (S003) and every
-/// queue is empty by the end of the run (S005).
-pub struct QueueProtocol;
-
-impl Sanitizer for QueueProtocol {
-    fn name(&self) -> &'static str {
-        "queue-protocol"
-    }
-
-    fn check(&mut self, trace: &Trace, _ctx: &RunContext) -> Vec<Violation> {
-        let mut fold = QueueFold::new();
-        for ev in &trace.events {
-            fold.step(ev);
-        }
-        fold.finish()
-    }
-}
-
-/// The incremental state of the queue-protocol checker — the single
-/// implementation behind [`QueueProtocol::check`] and the chunked path,
-/// like [`RaceFold`] is for races.
+/// Queue-protocol checker, advanced one [`QueueFold::step`] per trace
+/// event: occupancy never goes negative (S003) and every queue is empty by
+/// the end of the run (S005).
 #[derive(Default)]
-pub struct QueueFold {
+struct QueueFold {
     occ: HashMap<(Actor, QueueId), u64>,
     flagged: HashSet<(Actor, QueueId)>,
     out: Vec<Violation>,
 }
 
 impl QueueFold {
-    /// Fresh state: all queues empty.
-    pub fn new() -> Self {
-        QueueFold::default()
-    }
-
     /// Advances the occupancy state by one event.
-    pub fn step(&mut self, ev: &TraceEvent) {
+    fn step(&mut self, ev: &TraceEvent) {
         match *ev {
             TraceEvent::Push {
                 engine,
@@ -687,28 +611,9 @@ impl QueueFold {
         }
     }
 
-    /// Current occupancy of one queue.
-    fn occupancy(&self, key: (Actor, QueueId)) -> u64 {
-        self.occ.get(&key).copied().unwrap_or(0)
-    }
-
-    /// Applies a whole chunk's net occupancy change to one queue without
-    /// replaying its events. Only sound when the chunk's running balance
-    /// never dips below the queue's current occupancy (see
-    /// [`QueueDelta::need`]), which the caller has checked.
-    fn apply_net(&mut self, key: (Actor, QueueId), net: i64) {
-        let o = self.occ.entry(key).or_default();
-        *o = o
-            .checked_add_signed(net)
-            .expect("summary fast path requires occupancy >= need");
-    }
-
     /// Appends the end-of-run leak violations and takes everything found.
-    pub fn finish(&mut self) -> Vec<Violation> {
-        let mut leaks: Vec<_> = std::mem::take(&mut self.occ)
-            .into_iter()
-            .filter(|&(_, v)| v > 0)
-            .collect();
+    fn finish(mut self) -> Vec<Violation> {
+        let mut leaks: Vec<_> = self.occ.into_iter().filter(|&(_, v)| v > 0).collect();
         leaks.sort_by_key(|&((e, q), _)| (e, q));
         for ((engine, q), v) in leaks {
             self.out.push(Violation::new(
@@ -717,452 +622,70 @@ impl QueueFold {
                 format!("queue q{q} of {engine} at end of run"),
             ));
         }
-        std::mem::take(&mut self.out)
+        self.out
     }
 }
 
-/// Miss-window checker: at finish, no core may hold more outstanding-miss
-/// slots than its MLP window has (S006).
-pub struct WindowCheck;
-
-impl Sanitizer for WindowCheck {
-    fn name(&self) -> &'static str {
-        "window"
-    }
-
-    fn check(&mut self, _trace: &Trace, ctx: &RunContext) -> Vec<Violation> {
-        let mut out = Vec::new();
-        for (core, &n) in ctx.outstanding.iter().enumerate() {
-            if n > ctx.core_mlp {
-                out.push(Violation::new(
-                    Code::WindowLeak,
-                    format!(
-                        "core {core} finished with {n} outstanding-miss slots allocated \
-                         (window holds {})",
-                        ctx.core_mlp
-                    ),
-                    format!("core {core} at end of run"),
-                ));
-            }
-        }
-        out
-    }
-}
-
-/// Cache-line accounting checker: the DRAM model's line movements must
-/// equal the per-class byte totals in both directions (S007), so every
-/// fetched or written-back line is attributed to exactly one traffic
-/// class.
-pub struct Accounting;
-
-impl Sanitizer for Accounting {
-    fn name(&self) -> &'static str {
-        "accounting"
-    }
-
-    fn check(&mut self, _trace: &Trace, ctx: &RunContext) -> Vec<Violation> {
-        let mut out = Vec::new();
-        let read_bytes: u64 = DataClass::all()
-            .iter()
-            .map(|&c| ctx.traffic.read_bytes(c))
-            .sum();
-        let write_bytes: u64 = DataClass::all()
-            .iter()
-            .map(|&c| ctx.traffic.write_bytes(c))
-            .sum();
-        let fetched = ctx.dram_fetch_lines * LINE_BYTES;
-        if fetched != read_bytes {
+/// S006: at finish, no core may hold more outstanding-miss slots than its
+/// MLP window has.
+fn window_leaks(ctx: &RunContext, out: &mut Vec<Violation>) {
+    for (core, &n) in ctx.outstanding.iter().enumerate() {
+        if n > ctx.core_mlp {
             out.push(Violation::new(
-                Code::LineAccounting,
+                Code::WindowLeak,
                 format!(
-                    "DRAM fetched {} line(s) = {fetched} bytes but classed read traffic \
-                     totals {read_bytes} bytes",
-                    ctx.dram_fetch_lines
+                    "core {core} finished with {n} outstanding-miss slots allocated \
+                     (window holds {})",
+                    ctx.core_mlp
                 ),
-                "DRAM read boundary at end of run".to_string(),
+                format!("core {core} at end of run"),
             ));
         }
-        let written = (ctx.dram_writeback_lines + ctx.flushed_lines) * LINE_BYTES;
-        if written != write_bytes {
-            out.push(Violation::new(
-                Code::LineAccounting,
-                format!(
-                    "DRAM absorbed {} writeback + {} flushed line(s) = {written} bytes but \
-                     classed write traffic totals {write_bytes} bytes",
-                    ctx.dram_writeback_lines, ctx.flushed_lines
-                ),
-                "DRAM write boundary at end of run".to_string(),
-            ));
-        }
-        out
     }
 }
 
-/// Content-derived summary of one trace chunk: what the chunk-level
-/// checkers need to decide whether they can apply a chunk's *effect*
-/// without replaying its events. Depends only on the chunk payload, so it
-/// is memoized by content hash alongside the decoded events.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChunkSummary {
-    /// Content hash of the chunk this summarizes.
-    pub hash: u64,
-    /// Events in the chunk.
-    pub events: u32,
-    /// Per-queue occupancy effect, sorted by `(engine, queue)`.
-    pub queues: Vec<(Actor, QueueId, QueueDelta)>,
-}
-
-/// A chunk's occupancy effect on one queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueueDelta {
-    /// Deepest dip of the chunk's running balance below zero: the minimum
-    /// occupancy the queue must hold *entering* the chunk for no pop in
-    /// it to underflow.
-    pub need: u64,
-    /// Net occupancy change across the whole chunk.
-    pub net: i64,
-}
-
-/// Summarizes a decoded event block (content only — no entry state).
-pub fn summarize_events(hash: u64, events: &[TraceEvent]) -> ChunkSummary {
-    let mut queues: HashMap<(Actor, QueueId), (u64, i64)> = HashMap::new();
-    for ev in events {
-        match *ev {
-            TraceEvent::Push {
-                engine,
-                q,
-                quarters,
-                ..
-            } => {
-                queues.entry((engine, q)).or_default().1 += quarters as i64;
-            }
-            TraceEvent::Pop {
-                engine,
-                q,
-                quarters,
-                ..
-            } => {
-                let (need, running) = queues.entry((engine, q)).or_default();
-                *running -= quarters as i64;
-                if *running < 0 {
-                    *need = (*need).max(running.unsigned_abs());
-                }
-            }
-            _ => {}
-        }
+/// S007: the DRAM model's line movements must equal the per-class byte
+/// totals in both directions, so every fetched or written-back line is
+/// attributed to exactly one traffic class.
+fn line_accounting(ctx: &RunContext, out: &mut Vec<Violation>) {
+    let read_bytes: u64 = DataClass::all()
+        .iter()
+        .map(|&c| ctx.traffic.read_bytes(c))
+        .sum();
+    let write_bytes: u64 = DataClass::all()
+        .iter()
+        .map(|&c| ctx.traffic.write_bytes(c))
+        .sum();
+    let fetched = ctx.dram_fetch_lines * LINE_BYTES;
+    if fetched != read_bytes {
+        out.push(Violation::new(
+            Code::LineAccounting,
+            format!(
+                "DRAM fetched {} line(s) = {fetched} bytes but classed read traffic \
+                 totals {read_bytes} bytes",
+                ctx.dram_fetch_lines
+            ),
+            "DRAM read boundary at end of run".to_string(),
+        ));
     }
-    let mut queues: Vec<_> = queues
-        .into_iter()
-        .map(|((e, q), (need, net))| (e, q, QueueDelta { need, net }))
-        .collect();
-    queues.sort_by_key(|&(e, q, _)| (e, q));
-    ChunkSummary {
-        hash,
-        events: events.len() as u32,
-        queues,
+    let written = (ctx.dram_writeback_lines + ctx.flushed_lines) * LINE_BYTES;
+    if written != write_bytes {
+        out.push(Violation::new(
+            Code::LineAccounting,
+            format!(
+                "DRAM absorbed {} writeback + {} flushed line(s) = {written} bytes but \
+                 classed write traffic totals {write_bytes} bytes",
+                ctx.dram_writeback_lines, ctx.flushed_lines
+            ),
+            "DRAM write boundary at end of run".to_string(),
+        ));
     }
-}
-
-/// One decoded (or memo-recalled) chunk handed to the chunk-level
-/// checkers, in stream order.
-pub struct DecodedChunk<'a> {
-    /// Position in the trace stream.
-    pub seq: u64,
-    /// Content summary (shared across identical chunks).
-    pub summary: &'a ChunkSummary,
-    /// The decoded events.
-    pub events: &'a [TraceEvent],
-}
-
-/// A checker driven chunk-by-chunk over the compressed trace.
-///
-/// The compressed analog of [`Sanitizer`]: `feed_chunk` sees every chunk
-/// once, in order; `finish` sees the post-run context and emits whatever
-/// the checker found. Checkers that can apply a summarized chunk without
-/// walking its events report how often via [`ChunkSanitizer::fast_chunks`].
-pub trait ChunkSanitizer {
-    /// Short name, for reporting which checker fired.
-    fn name(&self) -> &'static str;
-    /// Observes one chunk of the trace, in stream order.
-    fn feed_chunk(&mut self, chunk: &DecodedChunk<'_>);
-    /// Finalizes against the post-run context.
-    fn finish(&mut self, ctx: &RunContext) -> Vec<Violation>;
-    /// Chunks this checker absorbed from their summary alone, without
-    /// replaying events.
-    fn fast_chunks(&self) -> usize {
-        0
-    }
-}
-
-/// Chunk-driven race detection: every chunk's events replay through the
-/// shared [`RaceFold`]. Vector-clock state is entry-dependent, so chunks
-/// cannot be skipped — the memoization win is upstream, where identical
-/// chunks decode and summarize once.
-pub struct RaceChunks {
-    fold: RaceFold,
-}
-
-impl RaceChunks {
-    /// Fresh detector for a `cores`-core machine.
-    pub fn new(cores: usize) -> Self {
-        RaceChunks {
-            fold: RaceFold::new(cores, RaceDetector::default().max_reports),
-        }
-    }
-}
-
-impl ChunkSanitizer for RaceChunks {
-    fn name(&self) -> &'static str {
-        "race"
-    }
-
-    fn feed_chunk(&mut self, chunk: &DecodedChunk<'_>) {
-        for ev in chunk.events {
-            self.fold.step(ev);
-        }
-    }
-
-    fn finish(&mut self, _ctx: &RunContext) -> Vec<Violation> {
-        self.fold.finish()
-    }
-}
-
-/// Chunk-driven queue-protocol checking with a summary fast path: when
-/// every queue the chunk touches holds at least [`QueueDelta::need`]
-/// quarter-words on entry, no pop in the chunk can underflow, so the
-/// chunk provably adds no violation and its whole effect is the per-queue
-/// [`QueueDelta::net`] — applied without replaying events. Otherwise the
-/// chunk replays through the shared [`QueueFold`], preserving exact
-/// messages, ordering, and underflow-clamp semantics.
-#[derive(Default)]
-pub struct QueueChunks {
-    fold: QueueFold,
-    fast: usize,
-}
-
-impl QueueChunks {
-    /// Fresh state: all queues empty.
-    pub fn new() -> Self {
-        QueueChunks::default()
-    }
-}
-
-impl ChunkSanitizer for QueueChunks {
-    fn name(&self) -> &'static str {
-        "queue-protocol"
-    }
-
-    fn feed_chunk(&mut self, chunk: &DecodedChunk<'_>) {
-        let s = chunk.summary;
-        let safe = s
-            .queues
-            .iter()
-            .all(|&(e, q, d)| self.fold.occupancy((e, q)) >= d.need);
-        if safe {
-            for &(e, q, d) in &s.queues {
-                self.fold.apply_net((e, q), d.net);
-            }
-            self.fast += 1;
-        } else {
-            for ev in chunk.events {
-                self.fold.step(ev);
-            }
-        }
-    }
-
-    fn finish(&mut self, _ctx: &RunContext) -> Vec<Violation> {
-        self.fold.finish()
-    }
-
-    fn fast_chunks(&self) -> usize {
-        self.fast
-    }
-}
-
-/// [`WindowCheck`] lifted to the chunk interface (context-only; ignores
-/// the trace).
-pub struct WindowChunks;
-
-impl ChunkSanitizer for WindowChunks {
-    fn name(&self) -> &'static str {
-        "window"
-    }
-
-    fn feed_chunk(&mut self, _chunk: &DecodedChunk<'_>) {}
-
-    fn finish(&mut self, ctx: &RunContext) -> Vec<Violation> {
-        WindowCheck.check(&Trace::new(ctx.cores), ctx)
-    }
-}
-
-/// [`Accounting`] lifted to the chunk interface (context-only; ignores
-/// the trace).
-pub struct AccountingChunks;
-
-impl ChunkSanitizer for AccountingChunks {
-    fn name(&self) -> &'static str {
-        "accounting"
-    }
-
-    fn feed_chunk(&mut self, _chunk: &DecodedChunk<'_>) {}
-
-    fn finish(&mut self, ctx: &RunContext) -> Vec<Violation> {
-        Accounting.check(&Trace::new(ctx.cores), ctx)
-    }
-}
-
-/// The built-in chunk-level checker set, in the same order as
-/// [`default_checkers`] so violation ordering matches the legacy path.
-pub fn default_chunk_checkers(cores: usize) -> Vec<Box<dyn ChunkSanitizer>> {
-    vec![
-        Box::new(RaceChunks::new(cores)),
-        Box::new(QueueChunks::new()),
-        Box::new(WindowChunks),
-        Box::new(AccountingChunks),
-    ]
-}
-
-/// Cap on decoded events held in the chunk memo cache. Steady-state
-/// traces dominated by repeated chunks stay fully memoized; adversarial
-/// all-distinct traces stop caching here instead of re-materializing the
-/// raw trace.
-const MEMO_EVENT_BUDGET: usize = 64 * 1024;
-
-/// What the compressed analysis did, beyond its verdicts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AnalyzeStats {
-    /// Sealed chunks in the trace (a non-empty staged tail counts as one
-    /// more).
-    pub chunks: usize,
-    /// Total events analyzed.
-    pub events: usize,
-    /// Distinct chunk contents decoded (memo misses).
-    pub distinct_chunks: usize,
-    /// Chunks recalled from the memo cache instead of decoded.
-    pub memo_hits: usize,
-    /// Chunks the queue checker absorbed from their summary alone.
-    pub queue_fast_chunks: usize,
-    /// S010 violations emitted.
-    pub integrity_violations: usize,
-}
-
-/// Runs the chunk-level checker set over a compressed trace.
-///
-/// Emits the identical violation set as [`analyze`] on the decoded
-/// events, preceded by any `S010` trace-integrity violations (out-of-
-/// order or duplicated chunk sequence numbers, undecodable chunks). On an
-/// intact trace the two paths agree exactly — the differential tests in
-/// `tests/sanitizer_compressed.rs` hold this across the whole app×scheme
-/// matrix.
-pub fn analyze_compressed(trace: &CTrace, ctx: &RunContext) -> Vec<Violation> {
-    analyze_compressed_stats(trace, ctx).0
-}
-
-/// [`analyze_compressed`] plus chunk/memoization statistics.
-pub fn analyze_compressed_stats(
-    trace: &CTrace,
-    ctx: &RunContext,
-) -> (Vec<Violation>, AnalyzeStats) {
-    struct Memo {
-        bytes_len: usize,
-        events: Vec<TraceEvent>,
-        summary: ChunkSummary,
-    }
-    let mut memo: HashMap<u64, Memo> = HashMap::new();
-    let mut memo_events = 0usize;
-    let mut stats = AnalyzeStats::default();
-    let mut integrity = Vec::new();
-    let mut checkers = default_chunk_checkers(trace.cores);
-
-    let feed = |checkers: &mut Vec<Box<dyn ChunkSanitizer>>,
-                stats: &mut AnalyzeStats,
-                seq: u64,
-                summary: &ChunkSummary,
-                events: &[TraceEvent]| {
-        stats.chunks += 1;
-        stats.events += events.len();
-        let chunk = DecodedChunk {
-            seq,
-            summary,
-            events,
-        };
-        for c in checkers.iter_mut() {
-            c.feed_chunk(&chunk);
-        }
-    };
-
-    let mut scratch = Vec::new();
-    for (i, chunk) in trace.chunks().iter().enumerate() {
-        if chunk.seq != i as u64 {
-            integrity.push(Violation::new(
-                Code::TraceIntegrity,
-                format!(
-                    "trace chunk at position {i} carries sequence number {} \
-                     (chunks reordered, duplicated, or lost)",
-                    chunk.seq
-                ),
-                format!("compressed trace chunk {i}"),
-            ));
-        }
-        if let Some(m) = memo.get(&chunk.hash) {
-            if m.bytes_len == chunk.bytes.len() && m.summary.events == chunk.events {
-                stats.memo_hits += 1;
-                feed(&mut checkers, &mut stats, chunk.seq, &m.summary, &m.events);
-                continue;
-            }
-        }
-        scratch.clear();
-        match crate::ctrace::decode_chunk(chunk, &mut scratch) {
-            Ok(()) => {
-                stats.distinct_chunks += 1;
-                let summary = summarize_events(chunk.hash, &scratch);
-                feed(&mut checkers, &mut stats, chunk.seq, &summary, &scratch);
-                if memo_events + scratch.len() <= MEMO_EVENT_BUDGET {
-                    memo_events += scratch.len();
-                    memo.insert(
-                        chunk.hash,
-                        Memo {
-                            bytes_len: chunk.bytes.len(),
-                            events: scratch.clone(),
-                            summary,
-                        },
-                    );
-                }
-            }
-            Err(e) => {
-                integrity.push(Violation::new(
-                    Code::TraceIntegrity,
-                    format!("trace chunk {i} failed to decode: {e}"),
-                    format!("compressed trace chunk {i} ({} event(s))", chunk.events),
-                ));
-            }
-        }
-    }
-    if !trace.pending().is_empty() {
-        let tail = trace.pending();
-        let summary = summarize_events(0, tail);
-        feed(
-            &mut checkers,
-            &mut stats,
-            trace.chunks().len() as u64,
-            &summary,
-            tail,
-        );
-    }
-
-    stats.integrity_violations = integrity.len();
-    let mut out = integrity;
-    for c in checkers.iter_mut() {
-        out.extend(c.finish(ctx));
-        stats.queue_fast_chunks += c.fast_chunks();
-    }
-    (out, stats)
 }
 
 /// Everything a sanitized run produced beyond its timing report.
 #[derive(Debug, Clone)]
 pub struct SanitizeReport {
-    /// Violations, built-in checkers first, then externally noted ones.
+    /// Violations: [`analyze`]'s first, then externally noted ones.
     pub violations: Vec<Violation>,
     /// The recorded compressed trace (kept so tests can decode, tamper,
     /// re-encode, and re-analyze).
@@ -1186,6 +709,7 @@ impl SanitizeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ctrace::CHUNK_EVENTS;
 
     fn rec(actor: Actor, addr: u64, bytes: u32, op: MemOp, cycle: u64) -> TraceEvent {
         TraceEvent::Mem(MemRecord {
@@ -1198,16 +722,49 @@ mod tests {
         })
     }
 
-    fn races(trace: &Trace) -> Vec<Violation> {
-        RaceDetector::default().check(trace, &RunContext::empty(trace.cores))
+    fn push(actor: Actor, engine: Actor, q: QueueId, quarters: u32, cycle: u64) -> TraceEvent {
+        TraceEvent::Push {
+            actor,
+            engine,
+            q,
+            quarters,
+            cycle,
+        }
+    }
+
+    fn pop(actor: Actor, engine: Actor, q: QueueId, quarters: u32, cycle: u64) -> TraceEvent {
+        TraceEvent::Pop {
+            actor,
+            engine,
+            q,
+            quarters,
+            cycle,
+        }
+    }
+
+    /// Verdicts on `trace` against a context that trips no context check.
+    fn check(trace: &CTrace) -> Vec<Violation> {
+        analyze(trace, &RunContext::empty(trace.cores))
+    }
+
+    fn codes(v: &[Violation]) -> Vec<&'static str> {
+        v.iter().map(|x| x.code.as_str()).collect()
+    }
+
+    /// A trace of `n` barriers, sealed into full chunks.
+    fn barriers(n: usize) -> CTrace {
+        let events: Vec<_> = (0..n as u64)
+            .map(|cycle| TraceEvent::Barrier { cycle })
+            .collect();
+        CTrace::from_events(1, &events)
     }
 
     #[test]
     fn unordered_writes_race() {
-        let mut t = Trace::new(2);
+        let mut t = CTrace::new(2);
         t.record(rec(Actor::Core(0), 0x100, 4, MemOp::Store, 10));
         t.record(rec(Actor::Compressor(1), 0x100, 4, MemOp::Store, 20));
-        let v = races(&t);
+        let v = check(&t);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].code, Code::WriteWriteRace);
         assert!(v[0].site.contains("compressor 1"), "{}", v[0].site);
@@ -1218,58 +775,42 @@ mod tests {
 
     #[test]
     fn queue_edge_orders_accesses_and_its_removal_races() {
-        let push = TraceEvent::Push {
-            actor: Actor::Core(0),
-            engine: Actor::Fetcher(0),
-            q: 0,
-            quarters: 4,
-            cycle: 11,
-        };
-        let pop = TraceEvent::Pop {
-            actor: Actor::Fetcher(0),
-            engine: Actor::Fetcher(0),
-            q: 0,
-            quarters: 4,
-            cycle: 12,
-        };
-        let mut t = Trace::new(1);
-        t.record(rec(Actor::Core(0), 0x200, 4, MemOp::Store, 10));
-        t.record(push);
-        t.record(pop);
-        t.record(rec(Actor::Fetcher(0), 0x200, 4, MemOp::Store, 20));
-        assert!(races(&t).is_empty());
+        let events = [
+            rec(Actor::Core(0), 0x200, 4, MemOp::Store, 10),
+            push(Actor::Core(0), Actor::Fetcher(0), 0, 4, 11),
+            pop(Actor::Fetcher(0), Actor::Fetcher(0), 0, 4, 12),
+            rec(Actor::Fetcher(0), 0x200, 4, MemOp::Store, 20),
+        ];
+        assert!(check(&CTrace::from_events(1, &events)).is_empty());
 
         // Remove the pop: the producer→consumer edge is gone and the same
-        // two stores now race.
-        let mut broken = t.clone();
-        broken
-            .events
-            .retain(|e| !matches!(e, TraceEvent::Pop { .. }));
-        let v = races(&broken);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].code, Code::WriteWriteRace);
+        // two stores now race (and the pushed slots leak).
+        let broken: Vec<_> = events
+            .into_iter()
+            .filter(|e| !matches!(e, TraceEvent::Pop { .. }))
+            .collect();
+        let v = check(&CTrace::from_events(1, &broken));
+        assert_eq!(codes(&v), ["S001", "S005"]);
     }
 
     #[test]
     fn barrier_orders_phases_and_its_removal_races() {
-        let mut t = Trace::new(2);
-        t.record(rec(Actor::Core(0), 0x300, 4, MemOp::Store, 10));
-        t.record(TraceEvent::Barrier { cycle: 15 });
-        t.record(rec(Actor::Core(1), 0x300, 4, MemOp::Load, 20));
-        assert!(races(&t).is_empty());
+        let events = [
+            rec(Actor::Core(0), 0x300, 4, MemOp::Store, 10),
+            TraceEvent::Barrier { cycle: 15 },
+            rec(Actor::Core(1), 0x300, 4, MemOp::Load, 20),
+        ];
+        assert!(check(&CTrace::from_events(2, &events)).is_empty());
 
-        let mut broken = t.clone();
-        broken
-            .events
-            .retain(|e| !matches!(e, TraceEvent::Barrier { .. }));
-        let v = races(&broken);
+        let broken = [events[0], events[2]];
+        let v = check(&CTrace::from_events(2, &broken));
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].code, Code::ReadWriteRace);
     }
 
     #[test]
     fn drain_orders_engine_before_core() {
-        let mut t = Trace::new(1);
+        let mut t = CTrace::new(1);
         t.record(rec(Actor::Compressor(0), 0x400, 4, MemOp::StreamStore, 10));
         t.record(TraceEvent::Drain {
             actor: Actor::Core(0),
@@ -1277,20 +818,20 @@ mod tests {
             cycle: 15,
         });
         t.record(rec(Actor::Core(0), 0x400, 4, MemOp::Load, 20));
-        assert!(races(&t).is_empty());
+        assert!(check(&t).is_empty());
     }
 
     #[test]
     fn atomics_do_not_race_each_other_but_do_race_plain_stores() {
-        let mut t = Trace::new(2);
+        let mut t = CTrace::new(2);
         t.record(rec(Actor::Core(0), 0x500, 4, MemOp::Atomic, 10));
         t.record(rec(Actor::Core(1), 0x500, 4, MemOp::Atomic, 11));
-        assert!(races(&t).is_empty());
+        assert!(check(&t).is_empty());
 
-        let mut t2 = Trace::new(2);
+        let mut t2 = CTrace::new(2);
         t2.record(rec(Actor::Core(0), 0x500, 4, MemOp::Atomic, 10));
         t2.record(rec(Actor::Core(1), 0x500, 4, MemOp::Store, 11));
-        let v = races(&t2);
+        let v = check(&t2);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].code, Code::WriteWriteRace);
     }
@@ -1299,35 +840,40 @@ mod tests {
     fn atomic_chain_carries_ordering() {
         // a stores, a atomics the flag, b atomics the flag, b loads: the
         // lock clock on the flag word orders the store before the load.
-        let mut t = Trace::new(2);
+        let mut t = CTrace::new(2);
         t.record(rec(Actor::Core(0), 0x600, 4, MemOp::Store, 10));
         t.record(rec(Actor::Core(0), 0x700, 4, MemOp::Atomic, 11));
         t.record(rec(Actor::Core(1), 0x700, 4, MemOp::Atomic, 12));
         t.record(rec(Actor::Core(1), 0x600, 4, MemOp::Load, 13));
-        assert!(races(&t).is_empty());
+        assert!(check(&t).is_empty());
     }
 
     #[test]
     fn multi_word_access_races_per_word() {
-        let mut t = Trace::new(2);
+        let mut t = CTrace::new(2);
         t.record(rec(Actor::Core(0), 0x800, 16, MemOp::Store, 10));
         t.record(rec(Actor::Core(1), 0x804, 4, MemOp::Store, 11));
-        let v = races(&t);
+        let v = check(&t);
         assert_eq!(v.len(), 1);
         assert!(v[0].message.contains("0x804"), "{}", v[0].message);
     }
 
     #[test]
+    fn race_reports_are_capped() {
+        // One race per word on twice as many words as the cap.
+        let mut t = CTrace::new(2);
+        for w in 0..2 * MAX_RACE_REPORTS as u64 {
+            t.record(rec(Actor::Core(0), 0x1000 + 4 * w, 4, MemOp::Store, 1));
+            t.record(rec(Actor::Core(1), 0x1000 + 4 * w, 4, MemOp::Store, 2));
+        }
+        assert_eq!(check(&t).len(), MAX_RACE_REPORTS);
+    }
+
+    #[test]
     fn pop_before_push_flagged() {
-        let mut t = Trace::new(1);
-        t.record(TraceEvent::Pop {
-            actor: Actor::Fetcher(0),
-            engine: Actor::Fetcher(0),
-            q: 2,
-            quarters: 4,
-            cycle: 5,
-        });
-        let v = QueueProtocol.check(&t, &RunContext::empty(1));
+        let mut t = CTrace::new(1);
+        t.record(pop(Actor::Fetcher(0), Actor::Fetcher(0), 2, 4, 5));
+        let v = check(&t);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].code, Code::PopBeforePush);
         assert!(v[0].message.contains("q2"), "{}", v[0].message);
@@ -1335,22 +881,10 @@ mod tests {
 
     #[test]
     fn leaked_queue_slots_flagged() {
-        let mut t = Trace::new(1);
-        t.record(TraceEvent::Push {
-            actor: Actor::Core(0),
-            engine: Actor::Compressor(0),
-            q: 0,
-            quarters: 8,
-            cycle: 5,
-        });
-        t.record(TraceEvent::Pop {
-            actor: Actor::Compressor(0),
-            engine: Actor::Compressor(0),
-            q: 0,
-            quarters: 4,
-            cycle: 6,
-        });
-        let v = QueueProtocol.check(&t, &RunContext::empty(1));
+        let mut t = CTrace::new(1);
+        t.record(push(Actor::Core(0), Actor::Compressor(0), 0, 8, 5));
+        t.record(pop(Actor::Compressor(0), Actor::Compressor(0), 0, 4, 6));
+        let v = check(&t);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].code, Code::QueueSlotLeak);
         assert!(v[0].message.contains('4'), "{}", v[0].message);
@@ -1358,24 +892,12 @@ mod tests {
 
     #[test]
     fn balanced_queues_are_clean() {
-        let mut t = Trace::new(1);
+        let mut t = CTrace::new(1);
         for _ in 0..3 {
-            t.record(TraceEvent::Push {
-                actor: Actor::Core(0),
-                engine: Actor::Fetcher(0),
-                q: 1,
-                quarters: 4,
-                cycle: 0,
-            });
-            t.record(TraceEvent::Pop {
-                actor: Actor::Fetcher(0),
-                engine: Actor::Fetcher(0),
-                q: 1,
-                quarters: 4,
-                cycle: 1,
-            });
+            t.record(push(Actor::Core(0), Actor::Fetcher(0), 1, 4, 0));
+            t.record(pop(Actor::Fetcher(0), Actor::Fetcher(0), 1, 4, 1));
         }
-        assert!(QueueProtocol.check(&t, &RunContext::empty(1)).is_empty());
+        assert!(check(&t).is_empty());
     }
 
     #[test]
@@ -1383,7 +905,7 @@ mod tests {
         let mut ctx = RunContext::empty(2);
         ctx.core_mlp = 10;
         ctx.outstanding = vec![3, 11];
-        let v = WindowCheck.check(&Trace::new(2), &ctx);
+        let v = analyze(&CTrace::new(2), &ctx);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].code, Code::WindowLeak);
         assert!(v[0].message.contains("core 1"), "{}", v[0].message);
@@ -1391,29 +913,30 @@ mod tests {
 
     #[test]
     fn accounting_mismatch_flagged_per_direction() {
+        let empty = CTrace::new(1);
         let mut ctx = RunContext::empty(1);
         ctx.traffic.record_read(DataClass::Updates, 128);
         ctx.dram_fetch_lines = 2; // matches: 2 * 64 == 128
-        assert!(Accounting.check(&Trace::new(1), &ctx).is_empty());
+        assert!(analyze(&empty, &ctx).is_empty());
 
         ctx.dram_fetch_lines = 3; // one line fetched with no class
-        let v = Accounting.check(&Trace::new(1), &ctx);
+        let v = analyze(&empty, &ctx);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].code, Code::LineAccounting);
 
         let mut ctx2 = RunContext::empty(1);
         ctx2.traffic.record_write(DataClass::Frontier, 64);
-        let v2 = Accounting.check(&Trace::new(1), &ctx2);
+        let v2 = analyze(&empty, &ctx2);
         assert_eq!(v2.len(), 1);
         assert!(v2[0].message.contains("write"), "{}", v2[0].message);
     }
 
     #[test]
     fn render_is_compiler_style() {
-        let mut t = Trace::new(2);
+        let mut t = CTrace::new(2);
         t.record(rec(Actor::Core(0), 0x900, 4, MemOp::Store, 10));
         t.record(rec(Actor::Fetcher(1), 0x900, 4, MemOp::Store, 20));
-        let out = render(&analyze(&t, &RunContext::empty(2)));
+        let out = render(&check(&t));
         assert!(out.contains("error[S001]"), "{out}");
         assert!(out.contains("  --> "), "{out}");
         assert!(out.contains("= help:"), "{out}");
@@ -1434,145 +957,87 @@ mod tests {
 
     #[test]
     fn clean_trace_analyzes_silent() {
-        let t = Trace::new(4);
-        assert!(analyze(&t, &RunContext::empty(4)).is_empty());
+        assert!(check(&CTrace::new(4)).is_empty());
     }
 
-    fn assert_verdicts_match(trace: &Trace) {
-        let ctx = RunContext::empty(trace.cores);
-        let legacy = analyze(trace, &ctx);
-        let ct = CTrace::from_trace(trace);
-        let (compressed, stats) = analyze_compressed_stats(&ct, &ctx);
-        assert_eq!(compressed.len(), legacy.len());
-        for (a, b) in legacy.iter().zip(&compressed) {
-            assert_eq!(a.code, b.code);
-            assert_eq!(a.message, b.message);
-            assert_eq!(a.site, b.site);
-        }
-        assert_eq!(stats.events, trace.events.len());
-        assert_eq!(stats.integrity_violations, 0);
-    }
+    // The two `compressed_analysis_matches_legacy_*` tests expect exactly
+    // the verdicts the flat-trace analysis this path replaced reported on
+    // the same events.
 
     #[test]
     fn compressed_analysis_matches_legacy_on_racy_traces() {
-        let mut t = Trace::new(2);
+        let mut ctx = RunContext::empty(2);
+        ctx.core_mlp = 1;
+        ctx.outstanding = vec![0, 2];
+        ctx.dram_fetch_lines = 1;
+        let mut t = CTrace::new(2);
         t.record(rec(Actor::Core(0), 0x100, 4, MemOp::Store, 10));
         t.record(rec(Actor::Compressor(1), 0x100, 4, MemOp::Store, 20));
-        t.record(TraceEvent::Pop {
-            actor: Actor::Fetcher(0),
-            engine: Actor::Fetcher(0),
-            q: 2,
-            quarters: 4,
-            cycle: 5,
-        });
-        t.record(TraceEvent::Push {
-            actor: Actor::Core(0),
-            engine: Actor::Compressor(0),
-            q: 0,
-            quarters: 8,
-            cycle: 6,
-        });
-        assert_verdicts_match(&t);
+        t.record(pop(Actor::Fetcher(0), Actor::Fetcher(0), 2, 4, 5));
+        t.record(push(Actor::Core(0), Actor::Compressor(0), 0, 8, 6));
+        // Races, then queue checks (S003 before the S005 leaks), then the
+        // window and accounting checks.
+        let v = analyze(&t, &ctx);
+        assert_eq!(codes(&v), ["S001", "S003", "S005", "S006", "S007"]);
+        assert_eq!(
+            v[2].message,
+            "queue q0 of compressor 0 ends the run holding 8 quarter-word(s)"
+        );
     }
 
     #[test]
     fn compressed_analysis_matches_legacy_across_chunk_boundaries() {
         // A balanced push/pop loop long enough to span several chunks,
-        // with a race planted near the end so state must survive sealing.
-        let mut t = Trace::new(2);
-        for i in 0..3 * crate::ctrace::CHUNK_EVENTS as u64 {
-            t.record(TraceEvent::Push {
-                actor: Actor::Core(0),
-                engine: Actor::Fetcher(0),
-                q: 1,
-                quarters: 4,
-                cycle: 2 * i,
-            });
-            t.record(TraceEvent::Pop {
-                actor: Actor::Fetcher(0),
-                engine: Actor::Fetcher(0),
-                q: 1,
-                quarters: 4,
-                cycle: 2 * i + 1,
-            });
+        // then a push that fills its chunk with barriers behind it, and a
+        // pop that underflows that queue plus a race in the unsealed tail:
+        // both folds must carry their state across chunk boundaries.
+        let mut t = CTrace::new(2);
+        for i in 0..3 * CHUNK_EVENTS as u64 {
+            t.record(push(Actor::Core(0), Actor::Fetcher(0), 1, 4, 2 * i));
+            t.record(pop(Actor::Fetcher(0), Actor::Fetcher(0), 1, 4, 2 * i + 1));
         }
+        t.record(push(Actor::Core(0), Actor::Fetcher(0), 1, 4, 1));
+        for cycle in 1..CHUNK_EVENTS as u64 {
+            t.record(TraceEvent::Barrier { cycle });
+        }
+        t.record(pop(Actor::Fetcher(0), Actor::Fetcher(0), 1, 8, 2));
         t.record(rec(Actor::Core(0), 0xA00, 4, MemOp::Store, 1));
         t.record(rec(Actor::Core(1), 0xA00, 4, MemOp::Store, 2));
-        assert_verdicts_match(&t);
-    }
-
-    #[test]
-    fn repeated_chunks_are_memoized_and_queue_fast_forwarded() {
-        // Identical balanced chunks: one decode, the rest memo hits, and
-        // the queue checker should fast-forward all of them.
-        let mut t = Trace::new(1);
-        for i in 0..4 * crate::ctrace::CHUNK_EVENTS as u64 {
-            let ev = if i % 2 == 0 {
-                TraceEvent::Push {
-                    actor: Actor::Core(0),
-                    engine: Actor::Fetcher(0),
-                    q: 0,
-                    quarters: 4,
-                    cycle: 7,
-                }
-            } else {
-                TraceEvent::Pop {
-                    actor: Actor::Fetcher(0),
-                    engine: Actor::Fetcher(0),
-                    q: 0,
-                    quarters: 4,
-                    cycle: 7,
-                }
-            };
-            t.record(ev);
-        }
-        let ct = CTrace::from_trace(&t);
-        assert_eq!(ct.chunks().len(), 4);
-        let (v, stats) = analyze_compressed_stats(&ct, &RunContext::empty(1));
-        assert!(v.is_empty(), "{}", render(&v));
-        assert_eq!(stats.distinct_chunks, 1);
-        assert_eq!(stats.memo_hits, 3);
-        assert_eq!(stats.queue_fast_chunks, 4);
-        assert_verdicts_match(&t);
+        assert_eq!(t.chunks().len(), 7);
+        let v = check(&t);
+        assert_eq!(codes(&v), ["S001", "S003"]);
+        assert_eq!(
+            v[1].message,
+            "pop of 8 quarter-words from queue q1 of fetcher 0 which held only 4"
+        );
     }
 
     #[test]
     fn reordered_chunks_report_s010() {
-        let mut t = Trace::new(1);
-        for i in 0..2 * crate::ctrace::CHUNK_EVENTS as u64 {
-            t.record(TraceEvent::Barrier { cycle: i });
-        }
-        let mut ct = CTrace::from_trace(&t);
+        let mut ct = barriers(2 * CHUNK_EVENTS);
         ct.chunks_mut().swap(0, 1);
-        let (v, stats) = analyze_compressed_stats(&ct, &RunContext::empty(1));
-        assert!(v.iter().any(|x| x.code == Code::TraceIntegrity), "{v:?}");
-        assert_eq!(stats.integrity_violations, 2);
+        let v = check(&ct);
+        assert_eq!(codes(&v), ["S010", "S010"], "{}", render(&v));
+        assert!(v[0].message.contains("sequence number"), "{}", v[0].message);
+        assert!(render(&v).contains("error[S010]"));
     }
 
     #[test]
     fn duplicated_chunk_reports_s010() {
-        let mut t = Trace::new(1);
-        for i in 0..2 * crate::ctrace::CHUNK_EVENTS as u64 {
-            t.record(TraceEvent::Barrier { cycle: i });
-        }
-        let mut ct = CTrace::from_trace(&t);
+        let mut ct = barriers(2 * CHUNK_EVENTS);
         let dup = ct.chunks()[0].clone();
         ct.chunks_mut().insert(1, dup);
-        let v = analyze_compressed(&ct, &RunContext::empty(1));
+        let v = check(&ct);
         assert!(v.iter().any(|x| x.code == Code::TraceIntegrity), "{v:?}");
     }
 
     #[test]
     fn undecodable_chunk_reports_s010_not_panic() {
-        let mut t = Trace::new(1);
-        for i in 0..crate::ctrace::CHUNK_EVENTS as u64 {
-            t.record(TraceEvent::Barrier { cycle: i });
-        }
-        let mut ct = CTrace::from_trace(&t);
+        let mut ct = barriers(CHUNK_EVENTS);
         let b = &mut ct.chunks_mut()[0].bytes;
         let len = b.len();
         b.truncate(len / 2);
-        let v = analyze_compressed(&ct, &RunContext::empty(1));
+        let v = check(&ct);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].code, Code::TraceIntegrity);
         assert!(
@@ -1583,28 +1048,26 @@ mod tests {
     }
 
     #[test]
-    fn queue_summary_fast_path_matches_replay_on_underflow() {
-        // First chunk ends with a deficit the second chunk's pops deepen:
-        // the second chunk must replay (need > entry occupancy) and flag
-        // exactly what the legacy path flags.
-        let mut t = Trace::new(1);
-        t.record(TraceEvent::Push {
-            actor: Actor::Core(0),
-            engine: Actor::Fetcher(0),
-            q: 0,
-            quarters: 4,
-            cycle: 1,
-        });
-        for i in 0..crate::ctrace::CHUNK_EVENTS as u64 {
-            t.record(TraceEvent::Barrier { cycle: i });
+    fn corrupted_copy_of_a_repeated_chunk_reports_s010() {
+        // Four byte-identical chunks; damage the third without changing
+        // its length. It must be decoded, not trusted as a repeat.
+        let mut ct = CTrace::new(1);
+        for _ in 0..2 * CHUNK_EVENTS {
+            ct.record(push(Actor::Core(0), Actor::Fetcher(0), 0, 4, 7));
+            ct.record(pop(Actor::Fetcher(0), Actor::Fetcher(0), 0, 4, 7));
         }
-        t.record(TraceEvent::Pop {
-            actor: Actor::Fetcher(0),
-            engine: Actor::Fetcher(0),
-            q: 0,
-            quarters: 8,
-            cycle: 99,
-        });
-        assert_verdicts_match(&t);
+        assert_eq!(ct.chunks().len(), 4);
+        assert!(ct.chunks().iter().all(|c| c.bytes == ct.chunks()[0].bytes));
+        assert!(check(&ct).is_empty());
+
+        ct.chunks_mut()[2].bytes[0] ^= 0xFF;
+        let v = check(&ct);
+        assert_eq!(v.len(), 1, "{}", render(&v));
+        assert_eq!(v[0].code, Code::TraceIntegrity);
+        assert!(
+            v[0].message.starts_with("trace chunk 2 failed to decode"),
+            "{}",
+            v[0].message
+        );
     }
 }

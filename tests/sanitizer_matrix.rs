@@ -1,8 +1,9 @@
 //! Cross-crate SimSanitizer integration: every built-in app x scheme
 //! pipeline must replay with zero violations (the sanitizer is silent on
-//! correct executions), and a real run's trace with a synchronization
-//! edge removed must be flagged as a race with actor/cycle/address
-//! context (the sanitizer is not vacuous).
+//! correct executions), and a real run's trace with its synchronization
+//! edges or its queue pops removed must be flagged — as a race with
+//! actor/cycle/address context, or as leaked queue slots (the sanitizer
+//! is not vacuous).
 //!
 //! Compiled only with the `sanitize` feature:
 //! `cargo test --features sanitize --test sanitizer_matrix`.
@@ -13,7 +14,7 @@ use spzip_apps::{AppName, Scheme};
 use spzip_graph::gen::{community, grid3d, CommunityParams};
 use spzip_mem::cache::{CacheConfig, Replacement};
 use spzip_sim::ctrace::CTrace;
-use spzip_sim::sanitize::{analyze_compressed, render, Code, TraceEvent};
+use spzip_sim::sanitize::{analyze, render, Code, RunContext, TraceEvent, Violation};
 use spzip_sim::MachineConfig;
 use std::sync::Arc;
 
@@ -46,11 +47,11 @@ fn sanitized_matrix_every_app_every_scheme_is_silent() {
     }
 }
 
-#[test]
-fn removing_sync_edges_from_a_real_trace_is_detected_as_a_race() {
-    // A clean run under UB+SpZip: cores hand updates to the compressor,
-    // whose bin writes are ordered against the accumulation phase's reads
-    // only by engine-drain and phase-barrier edges.
+/// One clean sanitized run of PageRank under UB+SpZip: cores hand updates
+/// to the compressor, whose bin writes are ordered against the
+/// accumulation phase's reads only by engine-drain and phase-barrier
+/// edges.
+fn clean_ub_run() -> (CTrace, RunContext) {
     let g = Arc::new(community(&CommunityParams::web_crawl(512, 6), 23));
     let (_, san) = run_app_sanitized(
         AppName::Pr,
@@ -61,19 +62,31 @@ fn removing_sync_edges_from_a_real_trace_is_detected_as_a_race() {
         false,
     );
     assert!(san.clean(), "baseline must be clean:\n{}", san.render());
+    (san.trace, san.context)
+}
 
-    // Strip exactly those edges, re-encode through the compressed trace
-    // layer, and replay the analysis: the same memory accesses must now
-    // race.
-    let mut events = san.trace.decode_all().expect("trace decodes");
+/// Re-encodes `trace` through the compressed trace layer without the
+/// events `drop` selects, and analyzes the result.
+fn tampered(
+    trace: &CTrace,
+    ctx: &RunContext,
+    drop: impl Fn(&TraceEvent) -> bool,
+) -> Vec<Violation> {
+    let mut events = trace.decode_all().expect("trace decodes");
     let before = events.len();
-    events.retain(|e| !matches!(e, TraceEvent::Drain { .. } | TraceEvent::Barrier { .. }));
-    assert!(
-        events.len() < before,
-        "the run must contain drain/barrier edges to remove"
-    );
-    let tampered = CTrace::from_events(san.trace.cores, &events);
-    let violations = analyze_compressed(&tampered, &san.context);
+    events.retain(|e| !drop(e));
+    assert!(events.len() < before, "tampering must remove something");
+    analyze(&CTrace::from_events(trace.cores, &events), ctx)
+}
+
+#[test]
+fn removing_sync_edges_from_a_real_trace_is_detected_as_a_race() {
+    // Strip the drain and barrier edges: the same memory accesses must
+    // now race.
+    let (trace, ctx) = clean_ub_run();
+    let violations = tampered(&trace, &ctx, |e| {
+        matches!(e, TraceEvent::Drain { .. } | TraceEvent::Barrier { .. })
+    });
     let race = violations
         .iter()
         .find(|v| matches!(v.code, Code::WriteWriteRace | Code::ReadWriteRace))
@@ -84,4 +97,15 @@ fn removing_sync_edges_from_a_real_trace_is_detected_as_a_race() {
     let rendered = render(&violations);
     assert!(rendered.contains("error[S00"), "{rendered}");
     assert!(rendered.contains("= help:"), "{rendered}");
+}
+
+#[test]
+fn removing_pops_from_a_real_trace_leaks_queue_slots() {
+    let (trace, ctx) = clean_ub_run();
+    let violations = tampered(&trace, &ctx, |e| matches!(e, TraceEvent::Pop { .. }));
+    assert!(
+        violations.iter().any(|x| x.code == Code::QueueSlotLeak),
+        "unpopped queues must leak:\n{}",
+        render(&violations)
+    );
 }
