@@ -20,6 +20,19 @@ use std::sync::Arc;
 /// stale cache entries are rejected, not misread.
 pub const OUTCOME_FORMAT: &str = "spzip-outcome-v1";
 
+/// The keys [`RunOutcome::to_kv`] writes ahead of the embedded report.
+const OUTCOME_KEYS: [&str; 9] = [
+    "spec",
+    "validated",
+    "adjacency_ratio",
+    "stats.iterations",
+    "stats.edges",
+    "stats.phi_coalesced",
+    "stats.phi_spilled",
+    "stats.bin_raw_bytes",
+    "stats.bin_stored_bytes",
+];
+
 /// The simulated machine plus the per-figure hardware knobs layered on
 /// top of it (Fig. 21's fetcher scratchpad sweep, Fig. 22's compressed
 /// memory hierarchy).
@@ -234,9 +247,11 @@ impl RunOutcome {
         out
     }
 
-    /// Parses [`RunOutcome::to_kv`] output. When `expected_fingerprint`
-    /// is given, a mismatching `spec` line is an error — the caller is
-    /// looking at a stale or colliding cache entry.
+    /// Parses [`RunOutcome::to_kv`] output. Strict: every key `to_kv`
+    /// writes is required exactly once, so a truncated file is an error
+    /// rather than a run with zeroed statistics. When
+    /// `expected_fingerprint` is given, a mismatching `spec` line is an
+    /// error — the caller is looking at a stale or colliding cache entry.
     pub fn from_kv(text: &str, expected_fingerprint: Option<&str>) -> Result<RunOutcome, String> {
         let mut lines = text.lines();
         let header = lines.next().ok_or("empty outcome")?;
@@ -245,9 +260,10 @@ impl RunOutcome {
                 "bad header {header:?}, expected {OUTCOME_FORMAT:?}"
             ));
         }
-        let mut validated = None;
-        let mut adjacency_ratio: Option<Option<f64>> = None;
+        let mut validated = false;
+        let mut adjacency_ratio = None;
         let mut stats = AlgoRunStats::default();
+        let mut seen = std::collections::BTreeSet::new();
         let mut report_text = String::new();
         let mut in_report = false;
         for line in lines {
@@ -265,6 +281,9 @@ impl RunOutcome {
             let (key, value) = line
                 .split_once(' ')
                 .ok_or_else(|| format!("malformed line {line:?}"))?;
+            if !seen.insert(key) {
+                return Err(format!("duplicate key {key:?}"));
+            }
             match key {
                 "spec" => {
                     if let Some(expect) = expected_fingerprint {
@@ -275,13 +294,13 @@ impl RunOutcome {
                         }
                     }
                 }
-                "validated" => validated = Some(value == "1"),
+                "validated" => validated = value == "1",
                 "adjacency_ratio" => {
-                    adjacency_ratio = Some(if value == "-" {
+                    adjacency_ratio = if value == "-" {
                         None
                     } else {
                         Some(value.parse::<f64>().map_err(|e| format!("{key}: {e}"))?)
-                    })
+                    }
                 }
                 "stats.iterations" => {
                     stats.iterations = value.parse().map_err(|e| format!("{key}: {e}"))?
@@ -302,12 +321,15 @@ impl RunOutcome {
                 _ => return Err(format!("unknown key {key:?}")),
             }
         }
+        if let Some(k) = OUTCOME_KEYS.iter().find(|k| !seen.contains(*k)) {
+            return Err(format!("missing key {k:?}"));
+        }
         let report = RunReport::from_kv(&report_text)?;
         Ok(RunOutcome {
             report,
             stats,
-            validated: validated.ok_or("missing key \"validated\"")?,
-            adjacency_ratio: adjacency_ratio.ok_or("missing key \"adjacency_ratio\"")?,
+            validated,
+            adjacency_ratio,
             // `to_kv` drops the deadlock report, so the driver never
             // memoizes a wedged run: a cache hit is always deadlock-free.
             deadlock: None,
@@ -401,6 +423,37 @@ mod tests {
         let mut other = s.clone();
         other.app = AppName::Cc;
         assert!(RunOutcome::from_kv(&text, Some(&other.fingerprint())).is_err());
+    }
+
+    #[test]
+    fn outcome_kv_rejects_truncated_and_gapped_files() {
+        let g = Arc::new(community(&CommunityParams::web_crawl(256, 5), 9));
+        let mut s = spec();
+        s.app = AppName::Pr;
+        s.scheme = Scheme::UbSpzip.config();
+        let fp = s.fingerprint();
+        let text = s.run(&g).to_kv(&fp);
+        let lines: Vec<&str> = text.lines().collect();
+        let unlines = |ls: &[&str]| -> String { ls.iter().map(|l| format!("{l}\n")).collect() };
+        for n in 0..lines.len() {
+            assert!(
+                RunOutcome::from_kv(&unlines(&lines[..n]), Some(&fp)).is_err(),
+                "accepted a file cut after {n} lines"
+            );
+        }
+        for i in 0..lines.len() {
+            let mut gapped = lines.clone();
+            gapped.remove(i);
+            assert!(
+                RunOutcome::from_kv(&unlines(&gapped), Some(&fp)).is_err(),
+                "accepted a file without {:?}",
+                lines[i]
+            );
+        }
+        // A cut inside the last number can still parse; no cut may panic.
+        for n in 0..text.len() {
+            let _ = RunOutcome::from_kv(&text[..n], Some(&fp));
+        }
     }
 
     #[test]

@@ -121,12 +121,19 @@ pub struct EngineModel {
     inputs: Vec<QueueId>,
     traces: Vec<VecDeque<Firing>>,
     pending: Vec<Pending>,
+    /// Pending entries holding an access-unit slot.
+    au_busy: usize,
+    /// Earliest `complete_at` in `pending` (`u64::MAX` when empty).
+    next_complete: u64,
+    /// Set by a failed firing attempt: the next cycle at which an
+    /// attempt could succeed without outside help (the earliest pending
+    /// completion, `u64::MAX` when none). Every external mutator resets
+    /// it to 0; see [`EngineModel::tick`].
+    wake: u64,
     rr_next: usize,
     ready_at: u64,
     /// Total firings executed (utilization statistics).
     pub fired: u64,
-    /// Ticks on which no operator could fire.
-    pub stalled_ticks: u64,
     /// SimSanitizer queue-op log; filled only while logging is enabled.
     #[cfg(feature = "sanitize")]
     queue_log: Vec<QueueLogEntry>,
@@ -145,10 +152,12 @@ impl EngineModel {
             inputs: Vec::new(),
             traces: Vec::new(),
             pending: Vec::new(),
+            au_busy: 0,
+            next_complete: u64::MAX,
+            wake: 0,
             rr_next: 0,
             ready_at: 0,
             fired: 0,
-            stalled_ticks: 0,
             #[cfg(feature = "sanitize")]
             queue_log: Vec::new(),
             #[cfg(feature = "sanitize")]
@@ -212,6 +221,9 @@ impl EngineModel {
             .map(|_| VecDeque::new())
             .collect();
         self.pending.clear();
+        self.au_busy = 0;
+        self.next_complete = u64::MAX;
+        self.wake = 0;
         self.rr_next = 0;
         self.ready_at = now + self.cfg.config_cycles;
     }
@@ -231,6 +243,7 @@ impl EngineModel {
         for (t, f) in self.traces.iter_mut().zip(firings) {
             t.extend(f);
         }
+        self.wake = 0;
     }
 
     /// Whether the core can enqueue `quarters` into queue `q` now.
@@ -243,6 +256,7 @@ impl EngineModel {
     pub fn enqueue(&mut self, q: QueueId, quarters: u16) {
         debug_assert!(self.can_enqueue(q, quarters));
         self.queues[q as usize].occupancy_q += quarters as u32;
+        self.wake = 0;
     }
 
     /// Whether the core can dequeue `quarters` from queue `q` now.
@@ -254,6 +268,7 @@ impl EngineModel {
     pub fn dequeue(&mut self, q: QueueId, quarters: u16) {
         debug_assert!(self.can_dequeue(q, quarters));
         self.queues[q as usize].occupancy_q -= quarters as u32;
+        self.wake = 0;
     }
 
     /// Whether all traces are drained and no work is in flight.
@@ -263,35 +278,58 @@ impl EngineModel {
 
     /// Advances the engine through `[now, now + budget)` cycles, firing at
     /// most one operator per cycle. Returns the number of firings.
+    ///
+    /// Event-driven, with the same schedule as attempting a firing on
+    /// every cycle: the firing rule reads only queue occupancies and
+    /// reservations, the trace fronts, the access-unit count and the
+    /// round-robin pointer. Within a call only the engine's own
+    /// completions change them; between calls only [`Self::enqueue`],
+    /// [`Self::dequeue`], [`Self::append_trace`] and
+    /// [`Self::load_program`] do, and each resets the wake cycle. So a
+    /// failed attempt jumps straight to the next completion, and an
+    /// engine whose wake cycle lies past the window returns at once.
+    /// [`Self::stall_reason`] commits completions too, so no later window
+    /// may end before the cycle it was given.
+    #[inline]
     pub fn tick(&mut self, now: u64, budget: u64, mem: &mut MemorySystem) -> u64 {
-        if self.traces.is_empty() {
+        if self.traces.is_empty() || self.wake > now + budget {
             return 0;
         }
+        self.tick_window(now, now + budget, mem)
+    }
+
+    /// The window loop behind `tick`'s inlined sleep check.
+    fn tick_window(&mut self, now: u64, end: u64, mem: &mut MemorySystem) -> u64 {
         let mut fired_now = 0u64;
-        for dt in 0..budget {
-            let t = now + dt;
-            if t < self.ready_at {
-                continue;
-            }
+        let mut t = now.max(self.ready_at);
+        while t < end {
             self.commit_pending(t);
             if self.fire_one(t, mem) {
                 fired_now += 1;
+                t += 1;
             } else {
-                self.stalled_ticks += 1;
+                // Nothing the firing rule reads changes before then.
+                self.wake = self.next_complete;
+                t = self.next_complete;
             }
         }
         // Commit anything that completes exactly at the end of the window
-        // so core-side checks at `now + budget` see it.
-        self.commit_pending(now + budget);
+        // so core-side checks at `end` see it.
+        self.commit_pending(end);
         self.fired += fired_now;
         fired_now
     }
 
     fn commit_pending(&mut self, t: u64) {
+        if t < self.next_complete {
+            return;
+        }
+        let mut next = u64::MAX;
         let mut i = 0;
         while i < self.pending.len() {
             if self.pending[i].complete_at <= t {
                 let p = self.pending.swap_remove(i);
+                self.au_busy -= usize::from(p.uses_au);
                 for &q in &self.outputs[p.op] {
                     let qs = &mut self.queues[q as usize];
                     qs.reserved_q -= p.produced_q as u32;
@@ -307,21 +345,18 @@ impl EngineModel {
                     }
                 }
             } else {
+                next = next.min(self.pending[i].complete_at);
                 i += 1;
             }
         }
-    }
-
-    fn au_in_use(&self) -> usize {
-        self.pending.iter().filter(|p| p.uses_au).count()
+        self.next_complete = next;
     }
 
     /// Attempts to fire one ready operator (round-robin). Returns whether
     /// a firing happened.
     fn fire_one(&mut self, t: u64, mem: &mut MemorySystem) -> bool {
         let n_ops = self.traces.len();
-        for scan in 0..n_ops {
-            let op = (self.rr_next + scan) % n_ops;
+        for op in (self.rr_next..n_ops).chain(0..self.rr_next) {
             let Some(f) = self.traces[op].front().copied() else {
                 continue;
             };
@@ -339,7 +374,7 @@ impl EngineModel {
             }
             // Functional unit available?
             let uses_au = f.mem.is_some();
-            if uses_au && self.au_in_use() >= self.cfg.au_outstanding {
+            if uses_au && self.au_busy >= self.cfg.au_outstanding {
                 continue;
             }
             // Fire.
@@ -373,7 +408,9 @@ impl EngineModel {
                 produced_q: f.produced_q,
                 uses_au,
             });
-            self.rr_next = (op + 1) % n_ops;
+            self.au_busy += usize::from(uses_au);
+            self.next_complete = self.next_complete.min(complete_at);
+            self.rr_next = if op + 1 == n_ops { 0 } else { op + 1 };
             return true;
         }
         false
@@ -406,7 +443,7 @@ impl EngineModel {
                 saw_output_full = true;
                 continue;
             }
-            if f.mem.is_some() && self.au_in_use() >= self.cfg.au_outstanding {
+            if f.mem.is_some() && self.au_busy >= self.cfg.au_outstanding {
                 saw_au = true;
             }
         }
@@ -446,8 +483,9 @@ mod tests {
     use crate::dcl::{OperatorKind, PipelineBuilder, RangeInput};
     use crate::func::FuncEngine;
     use crate::memory::MemoryImage;
+    use proptest::prelude::*;
     use spzip_mem::hierarchy::{MemConfig, MemorySystem};
-    use spzip_mem::DataClass;
+    use spzip_mem::{Access, DataClass, MemOp};
 
     /// Builds the Fig. 2 pipeline over real data and returns everything a
     /// timing test needs.
@@ -635,5 +673,177 @@ mod tests {
         let mut mem = MemorySystem::new(MemConfig::paper_scaled());
         let mut model = EngineModel::new(EngineConfig::fetcher(), 0);
         assert_eq!(model.tick(0, 1000, &mut mem), 0);
+    }
+
+    /// The per-cycle loop `tick` replaces: attempt a firing on every
+    /// cycle of the window once configuration is done, then commit what
+    /// completes at the window's end.
+    fn reference_tick(e: &mut EngineModel, now: u64, budget: u64, mem: &mut MemorySystem) -> u64 {
+        if e.traces.is_empty() {
+            return 0;
+        }
+        let mut fired_now = 0;
+        for t in now.max(e.ready_at)..now + budget {
+            e.commit_pending(t);
+            fired_now += u64::from(e.fire_one(t, mem));
+        }
+        e.commit_pending(now + budget);
+        e.fired += fired_now;
+        fired_now
+    }
+
+    /// One move of the differential driver below.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// Tick this many consecutive windows with no outside activity.
+        Windows(u32),
+        /// Core-side enqueue of quarters into a queue, if it fits.
+        Enqueue(QueueId, u16),
+        /// Core-side dequeue of quarters from a queue, if available.
+        Dequeue(QueueId, u16),
+        /// Append another batch of firings (one list per operator).
+        Append(Vec<Vec<Firing>>),
+        /// Reload the program at the current cycle.
+        Reload,
+        /// Move time forward without ticking.
+        Gap(u64),
+    }
+
+    /// Random firings: flow-inconsistent on purpose, so engines also wedge
+    /// on input, output space and the access unit.
+    fn arb_firing() -> impl Strategy<Value = Firing> {
+        (0u16..=4, 0u16..=16, 0u8..4, 0u64..1 << 14, 1u32..=64).prop_map(
+            |(consumed_q, produced_q, kind, line, bytes)| {
+                let op = match kind {
+                    0 => None,
+                    1 => Some(MemOp::Store),
+                    _ => Some(MemOp::Load),
+                };
+                Firing {
+                    consumed_q,
+                    produced_q,
+                    mem: op.map(|op| Access::new(line * 16, bytes, op, DataClass::Other)),
+                }
+            },
+        )
+    }
+
+    fn arb_batch() -> impl Strategy<Value = Vec<Vec<Firing>>> {
+        collection::vec(collection::vec(arb_firing(), 0..48), 2)
+    }
+
+    fn arb_step() -> impl Strategy<Value = Step> {
+        // `prop_oneof!` draws uniformly; repeated arms weight the draw
+        // toward short runs of windows and core-side queue traffic.
+        prop_oneof![
+            (1u32..=4).prop_map(Step::Windows),
+            (1u32..=4).prop_map(Step::Windows),
+            (50u32..=300).prop_map(Step::Windows),
+            (0u8..3, 1u16..=64).prop_map(|(q, n)| Step::Enqueue(q, n)),
+            (0u8..3, 1u16..=64).prop_map(|(q, n)| Step::Enqueue(q, n)),
+            (0u8..3, 1u16..=64).prop_map(|(q, n)| Step::Dequeue(q, n)),
+            (0u8..3, 1u16..=64).prop_map(|(q, n)| Step::Dequeue(q, n)),
+            arb_batch().prop_map(Step::Append),
+            Just(Step::Reload),
+            (1u64..5_000).prop_map(Step::Gap),
+        ]
+    }
+
+    /// Asserts that the event-driven engine `ev` and the per-cycle
+    /// reference `rf` agree after a window ending at `end`.
+    fn assert_lockstep(ev: &mut EngineModel, rf: &mut EngineModel, end: u64, fired: (u64, u64)) {
+        assert_eq!(fired.0, fired.1, "firings in the window ending at {end}");
+        assert_eq!(ev.fired, rf.fired);
+        let queues = |e: &EngineModel| -> Vec<(u32, u32)> {
+            e.queues
+                .iter()
+                .map(|q| (q.occupancy_q, q.reserved_q))
+                .collect()
+        };
+        assert_eq!(queues(ev), queues(rf), "queues at {end}");
+        let pending = |e: &EngineModel| -> Vec<(u64, usize, u16, bool)> {
+            e.pending
+                .iter()
+                .map(|p| (p.complete_at, p.op, p.produced_q, p.uses_au))
+                .collect()
+        };
+        assert_eq!(pending(ev), pending(rf), "pending at {end}");
+        assert_eq!(ev.idle(), rf.idle());
+        assert_eq!(ev.stall_reason(end), rf.stall_reason(end), "at {end}");
+        // The O(1) bookkeeping mirrors the pending list.
+        assert_eq!(ev.au_busy, ev.pending.iter().filter(|p| p.uses_au).count());
+        let earliest = ev.pending.iter().map(|p| p.complete_at).min();
+        assert_eq!(ev.next_complete, earliest.unwrap_or(u64::MAX));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn event_driven_tick_matches_per_cycle_reference(
+            au_outstanding in 1usize..=8,
+            window in 1u64..=16,
+            start in 1u64..2_000,
+            first in arb_batch(),
+            steps in collection::vec(arb_step(), 40..160),
+        ) {
+            let (p, ..) = fig2_setup();
+            let mut cfg = EngineConfig::fetcher();
+            cfg.au_outstanding = au_outstanding;
+            let mut ev = EngineModel::new(cfg, 0);
+            let mut rf = EngineModel::new(cfg, 0);
+            let mut mem_ev = MemorySystem::new(MemConfig::paper_scaled());
+            let mut mem_rf = MemorySystem::new(MemConfig::paper_scaled());
+            #[cfg(feature = "sanitize")]
+            for e in [&mut ev, &mut rf] {
+                e.set_queue_logging(true);
+            }
+            let mut now = start;
+            for e in [&mut ev, &mut rf] {
+                e.load_program(&p, now);
+                e.append_trace(first.clone());
+            }
+            for step in steps {
+                match step {
+                    Step::Windows(n) => {
+                        for _ in 0..n {
+                            let a = ev.tick(now, window, &mut mem_ev);
+                            let b = reference_tick(&mut rf, now, window, &mut mem_rf);
+                            now += window;
+                            assert_lockstep(&mut ev, &mut rf, now, (a, b));
+                        }
+                    }
+                    Step::Enqueue(q, n) => {
+                        let fits = ev.can_enqueue(q, n);
+                        prop_assert_eq!(fits, rf.can_enqueue(q, n));
+                        if fits {
+                            ev.enqueue(q, n);
+                            rf.enqueue(q, n);
+                        }
+                    }
+                    Step::Dequeue(q, n) => {
+                        let ready = ev.can_dequeue(q, n);
+                        prop_assert_eq!(ready, rf.can_dequeue(q, n));
+                        if ready {
+                            ev.dequeue(q, n);
+                            rf.dequeue(q, n);
+                        }
+                    }
+                    Step::Append(batch) => {
+                        ev.append_trace(batch.clone());
+                        rf.append_trace(batch);
+                    }
+                    Step::Reload => {
+                        ev.load_program(&p, now);
+                        rf.load_program(&p, now);
+                    }
+                    Step::Gap(cycles) => now += cycles,
+                }
+            }
+            prop_assert_eq!(mem_ev.stats(), mem_rf.stats());
+            prop_assert_eq!(mem_ev.llc_stats(), mem_rf.llc_stats());
+            #[cfg(feature = "sanitize")]
+            prop_assert_eq!(ev.take_queue_log(), rf.take_queue_log());
+        }
     }
 }

@@ -299,22 +299,21 @@ impl Machine {
     ///
     /// If no component makes progress for `deadlock_cycles` (a protocol
     /// bug in the instrumented application, or a liveness-corpus seed),
-    /// the phase stops and records a structured [`DeadlockReport`]
-    /// ([`Machine::deadlock`]); the machine is poisoned — later phases
-    /// drain their source without simulating and return 0 cycles.
+    /// the phase records a structured [`DeadlockReport`]
+    /// ([`Machine::deadlock`]) and drains the rest of its source without
+    /// simulating it; the machine is poisoned — later phases do the same
+    /// from the start and return 0 cycles.
     pub fn run_phase(&mut self, source: &mut dyn WorkSource) -> u64 {
-        if self.deadlock.is_some() {
-            // Poisoned: consume the source (so callers that feed a fixed
-            // batch list terminate) but simulate nothing further.
-            for i in 0..self.cores.len() {
-                while source.next(i).is_some() {}
-            }
-            return 0;
-        }
         let start = self.now;
         for c in &mut self.cores {
             c.exhausted = false;
             c.t = self.now;
+        }
+        if self.deadlock.is_some() {
+            // Poisoned: consume the source (so callers that feed a fixed
+            // batch list terminate) but simulate nothing further.
+            self.drain_source(source);
+            return 0;
         }
         let mut last_progress = self.now;
         loop {
@@ -377,6 +376,7 @@ impl Machine {
                 last_progress = self.now;
             } else if self.now - last_progress > self.cfg.deadlock_cycles {
                 self.deadlock = Some(self.deadlock_report(last_progress));
+                self.drain_source(source);
                 break;
             }
         }
@@ -387,6 +387,19 @@ impl Machine {
             tr.record(TraceEvent::Barrier { cycle: self.now });
         }
         self.now - start
+    }
+
+    /// Pulls the rest of `source`'s work without simulating it, dealing
+    /// it round-robin over the cores not yet exhausted, as live cores
+    /// would take it: sources keep per-core state (UB bins, compressor
+    /// chunks) that is sized for a balanced share and flushed only when
+    /// each core's share runs out.
+    fn drain_source(&mut self, source: &mut dyn WorkSource) {
+        while self.cores.iter().any(|c| !c.exhausted) {
+            for (i, c) in self.cores.iter_mut().enumerate() {
+                c.exhausted = c.exhausted || source.next(i).is_none();
+            }
+        }
     }
 
     fn quiescent(&self) -> bool {

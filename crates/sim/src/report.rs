@@ -39,6 +39,20 @@ pub const REPORT_FORMAT: &str = "spzip-report-v1";
 pub const UNDEFINED_RATIO: f64 = f64::NAN;
 
 impl RunReport {
+    /// A report with every counter zero (what `from_kv` fills in).
+    fn new_empty() -> Self {
+        RunReport {
+            cycles: 0,
+            traffic: TrafficStats::new(),
+            llc: CacheStats::default(),
+            dram_utilization: 0.0,
+            fetcher_fired: 0,
+            compressor_fired: 0,
+            core_stall_cycles: 0,
+            retired_events: 0,
+        }
+    }
+
     /// Speedup of this run over `baseline` (ratio of cycle counts).
     ///
     /// Returns [`UNDEFINED_RATIO`] when `baseline` simulated zero
@@ -135,16 +149,7 @@ impl RunReport {
         if header != REPORT_FORMAT {
             return Err(format!("bad header {header:?}, expected {REPORT_FORMAT:?}"));
         }
-        let mut report = RunReport {
-            cycles: 0,
-            traffic: TrafficStats::new(),
-            llc: CacheStats::default(),
-            dram_utilization: 0.0,
-            fetcher_fired: 0,
-            compressor_fired: 0,
-            core_stall_cycles: 0,
-            retired_events: 0,
-        };
+        let mut report = RunReport::new_empty();
         let mut seen = std::collections::BTreeSet::new();
         for line in lines {
             if line.is_empty() {
@@ -191,18 +196,10 @@ impl RunReport {
                 }
             }
         }
-        let required = [
-            "cycles",
-            "dram_utilization",
-            "fetcher_fired",
-            "compressor_fired",
-            "core_stall_cycles",
-            "retired_events",
-            "llc.hits",
-            "llc.misses",
-            "llc.evictions",
-        ];
-        for k in required {
+        // Every key `to_kv` writes is required: a truncated file must not
+        // read as a healthy run with zeroed counters.
+        let written = RunReport::new_empty().to_kv();
+        for k in written.lines().skip(1).filter_map(|l| l.split(' ').next()) {
             if !seen.contains(k) {
                 return Err(format!("missing key {k:?}"));
             }
