@@ -5,9 +5,12 @@
 //! output to `results/<name>.txt`. A second invocation is all cache hits
 //! and re-renders without simulating anything.
 //!
-//! `--only fig15ab,fig07` restricts the outputs; `--jobs N`, `--fresh`,
-//! `--scale`, `--cache-dir`, and `--out-dir` behave as in every other
-//! binary (`--preprocess` is ignored: both variants are rendered).
+//! This is the one way to render a figure: `--only fig15cd,fig07`
+//! restricts the outputs to the named ones (see
+//! `spzip_bench::figures::all_outputs`), and each output renders its own
+//! randomized or DFS-preprocessed variant. `--jobs N`, `--fresh`,
+//! `--scale`, `--apps`, `--inputs`, `--cache-dir` and `--out-dir` are
+//! the shared flags of `spzip_bench::cli`.
 //!
 //! `--sanitize` (requires building with `--features sanitize`) runs every
 //! cell under the SimSanitizer, bypassing the results cache, and exits
@@ -18,7 +21,9 @@ use spzip_bench::{cli, figures};
 use std::fs;
 
 fn main() {
-    let args = cli::parse();
+    let all = figures::all_outputs();
+    let names: Vec<&str> = all.iter().map(|o| o.name).collect();
+    let args = cli::parse(false, &names);
     if args.sanitize && !spzip_bench::sanitize_supported() {
         eprintln!(
             "error: --sanitize needs the SimSanitizer compiled in; rebuild with\n  \
@@ -26,7 +31,7 @@ fn main() {
         );
         std::process::exit(2);
     }
-    let outputs: Vec<_> = figures::all_outputs()
+    let outputs: Vec<_> = all
         .into_iter()
         .filter(|o| {
             args.only
@@ -34,13 +39,6 @@ fn main() {
                 .is_none_or(|f| f.iter().any(|x| x.eq_ignore_ascii_case(o.name)))
         })
         .collect();
-    if outputs.is_empty() {
-        eprintln!("no outputs match --only; known outputs:");
-        for o in figures::all_outputs() {
-            eprintln!("  {}", o.name);
-        }
-        std::process::exit(1);
-    }
 
     let mut cells = Vec::new();
     for o in &outputs {

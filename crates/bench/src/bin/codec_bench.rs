@@ -16,58 +16,25 @@
 //! codec's kernel-over-reference decode speedup regressed more than 20%
 //! below the trajectory, or if the trajectory itself is below a codec's
 //! speedup floor (≥10× for BPC, ≥5× for delta). Exits 0 on success, 1 on
-//! a failed gate, 2 when a file cannot be read — the `dcl-lint`/`dcl-perf`
-//! ladder, and `--format json` emits the same envelope those tools share
-//! ([`spzip_bench::cli::trajectory_check`]).
+//! a failed gate, 2 on a usage error or when a file cannot be read — the
+//! `dcl-lint`/`dcl-perf` ladder, and `--format json` emits the same
+//! envelope those tools share ([`spzip_bench::cli::trajectory_check`]).
 
-use spzip_bench::cli::trajectory_check;
+use spzip_bench::cli::{self, trajectory_check, CommonArgs, OutputFormat};
 use spzip_bench::codec_bench::{check_against, BenchReport, REQUIRED_CODECS};
+use std::path::Path;
 
 fn main() {
-    std::process::exit(run(&std::env::args().skip(1).collect::<Vec<_>>()));
+    std::process::exit(run(&cli::parse(false, &[])));
 }
 
-fn run(args: &[String]) -> i32 {
-    let mut measure_ms = 200u64;
-    let mut out_path = String::from("BENCH_codecs.json");
-    let mut check_path: Option<String> = None;
-    let mut json = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--measure-ms" => {
-                if let Some(ms) = args.get(i + 1).and_then(|s| s.parse::<u64>().ok()) {
-                    measure_ms = ms.max(1);
-                }
-                i += 1;
-            }
-            "--out" => {
-                if let Some(p) = args.get(i + 1) {
-                    out_path = p.clone();
-                }
-                i += 1;
-            }
-            "--check" => {
-                if let Some(p) = args.get(i + 1) {
-                    check_path = Some(p.clone());
-                }
-                i += 1;
-            }
-            "--format" => {
-                json = args.get(i + 1).map(String::as_str) == Some("json");
-                i += 1;
-            }
-            other => {
-                eprintln!("codec-bench: ignoring unknown flag {other:?}");
-            }
-        }
-        i += 1;
-    }
-
-    if let Some(path) = check_path {
+fn run(args: &CommonArgs) -> i32 {
+    let measure_ms = args.measure_ms.unwrap_or(200);
+    let json = args.format == OutputFormat::Json;
+    if let Some(path) = &args.check {
         trajectory_check(
             "codec-bench",
-            &path,
+            path,
             json,
             REQUIRED_CODECS.len(),
             BenchReport::from_json,
@@ -85,8 +52,12 @@ fn run(args: &[String]) -> i32 {
             }
             return 1;
         }
-        if let Err(e) = std::fs::write(&out_path, report.to_json()) {
-            eprintln!("codec-bench: cannot write {out_path}: {e}");
+        let out_path = args
+            .out
+            .as_deref()
+            .unwrap_or(Path::new("BENCH_codecs.json"));
+        if let Err(e) = std::fs::write(out_path, report.to_json()) {
+            eprintln!("codec-bench: cannot write {}: {e}", out_path.display());
             return 2;
         }
         for codec in REQUIRED_CODECS {
@@ -95,7 +66,8 @@ fn run(args: &[String]) -> i32 {
             }
         }
         println!(
-            "codec-bench: wrote {out_path} ({} records)",
+            "codec-bench: wrote {} ({} records)",
+            out_path.display(),
             report.records.len()
         );
         0

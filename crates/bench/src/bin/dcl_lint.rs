@@ -9,9 +9,10 @@
 //!
 //! Exits 0 when every linted pipeline passes (warnings allowed unless
 //! `--deny-warnings`), 1 when any diagnostic fails the run, and 2 when the
-//! tool could not do its job — an unreadable file or nothing to lint.
+//! tool could not do its job — a usage error, an unreadable file or
+//! nothing to lint.
 
 fn main() {
-    let args = spzip_bench::cli::parse();
+    let args = spzip_bench::cli::parse(true, &[]);
     std::process::exit(spzip_bench::dcl_lint::run(&args));
 }

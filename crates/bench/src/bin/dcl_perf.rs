@@ -12,9 +12,9 @@
 //! `--deny-warnings`) and, under `--crosscheck`, when every cell of the
 //! gate matrix predicts within tolerance; 1 when any `P0xx` diagnostic
 //! fails the run or any cross-check misses; 2 when the tool could not do
-//! its job — an unreadable file or nothing to analyze.
+//! its job — a usage error, an unreadable file or nothing to analyze.
 
 fn main() {
-    let args = spzip_bench::cli::parse();
+    let args = spzip_bench::cli::parse(true, &[]);
     std::process::exit(spzip_bench::dcl_perf::run(&args));
 }

@@ -18,15 +18,16 @@
 //!
 //! Requires a binary built with `--features sanitize` (exit 2 otherwise —
 //! the machinery is absent, not a verdict). Exit codes follow the shared
-//! ladder: 0 pass, 1 failed gate, 2 unreadable input; `--format json`
-//! emits the envelope `dcl-lint`/`dcl-perf`/`codec-bench` share
-//! ([`spzip_bench::cli::trajectory_check`]).
+//! ladder: 0 pass, 1 failed gate, 2 unreadable input or usage error;
+//! `--format json` emits the envelope `dcl-lint`/`dcl-perf`/`codec-bench`
+//! share ([`spzip_bench::cli::trajectory_check`]).
 
-use spzip_bench::cli::trajectory_check;
+use spzip_bench::cli::{self, trajectory_check, CommonArgs, OutputFormat};
 use spzip_bench::sanitize_bench::{check_against, SanitizeBenchReport, BUILTIN_CELLS};
+use std::path::Path;
 
 fn main() {
-    std::process::exit(run(&std::env::args().skip(1).collect::<Vec<_>>()));
+    std::process::exit(run(&cli::parse(false, &[])));
 }
 
 #[cfg(feature = "sanitize")]
@@ -39,48 +40,9 @@ fn measure(_measure_ms: u64) -> SanitizeBenchReport {
     unreachable!("callers gate on sanitize_supported()")
 }
 
-fn run(args: &[String]) -> i32 {
-    let mut measure_ms = 20u64;
-    let mut out_path = String::from("BENCH_sanitize.json");
-    let mut check_path: Option<String> = None;
-    let mut json = false;
-    let mut perturb_ratio: Option<f64> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--measure-ms" => {
-                if let Some(ms) = args.get(i + 1).and_then(|s| s.parse::<u64>().ok()) {
-                    measure_ms = ms.max(1);
-                }
-                i += 1;
-            }
-            "--out" => {
-                if let Some(p) = args.get(i + 1) {
-                    out_path = p.clone();
-                }
-                i += 1;
-            }
-            "--check" => {
-                if let Some(p) = args.get(i + 1) {
-                    check_path = Some(p.clone());
-                }
-                i += 1;
-            }
-            "--format" => {
-                json = args.get(i + 1).map(String::as_str) == Some("json");
-                i += 1;
-            }
-            "--perturb-ratio" => {
-                perturb_ratio = args.get(i + 1).and_then(|s| s.parse::<f64>().ok());
-                i += 1;
-            }
-            other => {
-                eprintln!("sanitize-bench: ignoring unknown flag {other:?}");
-            }
-        }
-        i += 1;
-    }
-
+fn run(args: &CommonArgs) -> i32 {
+    let measure_ms = args.measure_ms.unwrap_or(20);
+    let json = args.format == OutputFormat::Json;
     if !spzip_bench::sanitize_supported() {
         eprintln!(
             "sanitize-bench: this binary was built without the SimSanitizer; \
@@ -89,17 +51,17 @@ fn run(args: &[String]) -> i32 {
         return 2;
     }
 
-    if let Some(path) = check_path {
+    if let Some(path) = &args.check {
         trajectory_check(
             "sanitize-bench",
-            &path,
+            path,
             json,
             BUILTIN_CELLS.len(),
             SanitizeBenchReport::from_json,
             |checked_in| {
                 eprintln!("sanitize-bench: measuring ({measure_ms} ms analysis window/cell)...");
                 let mut fresh = measure(measure_ms);
-                if let Some(p) = perturb_ratio {
+                if let Some(p) = args.perturb_ratio {
                     // Deliberately mis-scale the fresh footprint wins so CI
                     // can prove the gate still fires on a regression.
                     eprintln!("sanitize-bench: perturbing fresh ratios by {p} (gate sanity check)");
@@ -120,8 +82,12 @@ fn run(args: &[String]) -> i32 {
             }
             return 1;
         }
-        if let Err(e) = std::fs::write(&out_path, report.to_json()) {
-            eprintln!("sanitize-bench: cannot write {out_path}: {e}");
+        let out_path = args
+            .out
+            .as_deref()
+            .unwrap_or(Path::new("BENCH_sanitize.json"));
+        if let Err(e) = std::fs::write(out_path, report.to_json()) {
+            eprintln!("sanitize-bench: cannot write {}: {e}", out_path.display());
             return 2;
         }
         for cell in &report.records {
@@ -136,7 +102,8 @@ fn run(args: &[String]) -> i32 {
             );
         }
         println!(
-            "sanitize-bench: wrote {out_path} ({} records)",
+            "sanitize-bench: wrote {} ({} records)",
+            out_path.display(),
             report.records.len()
         );
         0

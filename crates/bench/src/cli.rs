@@ -1,9 +1,11 @@
 //! The one flag parser every benchmark binary shares.
 //!
-//! Flags (all optional, unknown flags are ignored for compatibility):
+//! Flags are all optional. A usage error — an unknown flag, a value flag
+//! with a missing or unparsable value, a positional argument to a tool
+//! that takes no files, or an `--only` name that matches no output —
+//! exits 2 before the tool does any work ([`parse`]).
 //!
 //! * `--scale tiny|bench|large` — input generation scale (default bench).
-//! * `--preprocess` — run the DFS-preprocessed variant of the figure.
 //! * `--apps PR,BFS` / `--inputs arb,ukl` — restrict sweep figures.
 //! * `--jobs N` — worker threads for cache misses (default: all cores).
 //! * `--fresh` — ignore memoized outcomes and re-simulate everything.
@@ -33,31 +35,40 @@
 //!   (default text; both tools share the JSON diagnostic shape, and
 //!   `sarif` renders the same records as a SARIF 2.1.0 log for CI
 //!   annotation; gate modes without per-diagnostic records fall back to
-//!   text).
+//!   text). `codec-bench`, `sanitize-bench` and `codec-sweep` read only
+//!   `json`.
 //! * `--crosscheck` — `dcl-perf`: run the model-vs-simulator traffic
 //!   gate over the built-in cell matrix.
 //! * `--perturb-ratio X` — `dcl-perf --crosscheck`/`--auto-gate`: scale
 //!   every codec-derived byte prediction by `X` (sanity check that the
 //!   gates catch a mis-modeled codec; `1.0` is the honest model). For
 //!   `dcl-lint --corpus`, any `X` other than 1 instead selects each
-//!   corpus's weakened checker (which must fail the gate).
+//!   corpus's weakened checker (which must fail the gate), and for
+//!   `sanitize-bench --check` it scales the fresh footprint ratios.
 //! * `--suggest` — `dcl-perf`: run the static codec-selection pass
 //!   ([`spzip_core::suggest`]) instead of the perf report; emits `A0xx`
 //!   advisories plus a machine-readable rewiring plan. Advisories never
 //!   affect the exit code.
-//! * `--rates FILE` — `dcl-perf --suggest`: trajectory file for the rate
-//!   calibration (default `BENCH_codecs.json`; missing file falls back
-//!   to the nominal table, stated in the report header).
+//! * `--rates FILE` — `dcl-perf --suggest`/`codec-sweep`: trajectory
+//!   file for the rate calibration (default `BENCH_codecs.json`; missing
+//!   file falls back to the nominal table, stated in the report header).
 //! * `--auto-gate` — `dcl-perf`: simulate auto-selected vs paper-default
 //!   pipelines over the built-in cell matrix and fail unless auto wins
 //!   or ties every cell.
+//! * `--measure-ms N` — `codec-bench`/`sanitize-bench`: measurement
+//!   window per cell (each tool has its own default).
+//! * `--out FILE` — `codec-bench`/`sanitize-bench`: where a fresh
+//!   trajectory is written (default: the tool's `BENCH_*.json`).
+//! * `--check FILE` — `codec-bench`/`sanitize-bench`: gate a fresh
+//!   measurement against the checked-in trajectory instead of writing.
 //!
-//! Positional arguments (paths for `dcl-lint`) are collected separately.
+//! Positional arguments are `.dcl` files, which only `dcl-lint` and
+//! `dcl-perf` take.
 
 use crate::driver::DriverOptions;
 use crate::figures::SweepOpts;
 use spzip_graph::datasets::Scale;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Report format for the analysis tools (`--format`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -80,13 +91,12 @@ pub enum OutputFormat {
 pub struct CommonArgs {
     /// Input generation scale.
     pub scale: Scale,
-    /// Render/run the preprocessed (`--preprocess`) variant.
-    pub preprocess: bool,
     /// Application filter (`--apps`), by paper abbreviation.
     pub apps: Option<Vec<String>>,
     /// Input filter (`--inputs`), by dataset short name.
     pub inputs: Option<Vec<String>>,
-    /// Output filter for `bench_all` (`--only`).
+    /// Output filter for `bench_all` (`--only`); every name matches one
+    /// of the tool's outputs.
     pub only: Option<Vec<String>>,
     /// Worker threads (`--jobs`).
     pub jobs: usize,
@@ -112,34 +122,64 @@ pub struct CommonArgs {
     pub explain: Option<String>,
     /// Treat lint warnings as fatal (`--deny-warnings`, `dcl-lint`).
     pub deny_warnings: bool,
-    /// Report format (`--format text|json`).
+    /// Report format (`--format text|json|sarif`).
     pub format: OutputFormat,
     /// Run the model-vs-simulator gate (`--crosscheck`, `dcl-perf`).
     pub crosscheck: bool,
-    /// Perturb codec-derived predictions (`dcl-perf`) or select the
-    /// weakened corpus checkers (`dcl-lint --corpus`) (`--perturb-ratio`).
+    /// Perturb codec-derived predictions (`dcl-perf`), select the
+    /// weakened corpus checkers (`dcl-lint --corpus`) or scale fresh
+    /// footprint ratios (`sanitize-bench`) (`--perturb-ratio`).
     pub perturb_ratio: Option<f64>,
     /// Run the codec-selection pass (`--suggest`, `dcl-perf`).
     pub suggest: bool,
-    /// Trajectory file calibrating `--suggest` (`--rates`, `dcl-perf`).
+    /// Trajectory file calibrating `--suggest` (`--rates`, `dcl-perf`,
+    /// `codec-sweep`).
     pub rates: PathBuf,
     /// Run the auto-vs-default simulation gate (`--auto-gate`,
     /// `dcl-perf`).
     pub auto_gate: bool,
+    /// Measurement window per cell in milliseconds, at least 1
+    /// (`--measure-ms`, `codec-bench`/`sanitize-bench`).
+    pub measure_ms: Option<u64>,
+    /// Where a fresh trajectory is written (`--out`,
+    /// `codec-bench`/`sanitize-bench`).
+    pub out: Option<PathBuf>,
+    /// Checked-in trajectory to gate against (`--check`,
+    /// `codec-bench`/`sanitize-bench`).
+    pub check: Option<PathBuf>,
     /// Positional arguments: `.dcl` files for `dcl-lint`/`dcl-perf`.
     pub paths: Vec<PathBuf>,
 }
 
-/// Parses the process arguments.
-pub fn parse() -> CommonArgs {
-    parse_from(&std::env::args().skip(1).collect::<Vec<_>>())
+/// Parses the process arguments. `takes_files` says whether the tool
+/// accepts positional `.dcl` files (`dcl-lint` and `dcl-perf` do), and
+/// `outputs` names what `--only` may select (`bench_all`'s
+/// [`crate::figures::all_outputs`]; empty for the other tools). On a
+/// usage error this prints `error: <argument>: <reason>` to stderr and
+/// exits 2, before the tool does any work.
+pub fn parse(takes_files: bool, outputs: &[&str]) -> CommonArgs {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    parse_from(&args, takes_files, outputs).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
 }
 
-/// Parses an explicit argument list (tests).
-pub fn parse_from(args: &[String]) -> CommonArgs {
+/// Parses an explicit argument list.
+///
+/// # Errors
+///
+/// Returns `<argument>: <reason>` for the first usage error: an unknown
+/// flag, a value flag with a missing or unparsable value, a positional
+/// argument when `takes_files` is false, or an `--only` name that
+/// matches none of `outputs` (the reason then lists them).
+pub fn parse_from(
+    args: &[String],
+    takes_files: bool,
+    outputs: &[&str],
+) -> Result<CommonArgs, String> {
     let mut parsed = CommonArgs {
         scale: Scale::Bench,
-        preprocess: false,
         apps: None,
         inputs: None,
         only: None,
@@ -162,153 +202,103 @@ pub fn parse_from(args: &[String]) -> CommonArgs {
         suggest: false,
         rates: PathBuf::from("BENCH_codecs.json"),
         auto_gate: false,
+        measure_ms: None,
+        out: None,
+        check: None,
         paths: Vec::new(),
     };
-    let value = |i: usize| args.get(i + 1).map(|s| s.as_str());
-    let list = |i: usize| value(i).map(|s| s.split(',').map(|x| x.to_string()).collect());
-    // Indices consumed as the value of a preceding flag, so they are not
-    // mistaken for positional paths.
-    let mut consumed = vec![false; args.len()];
-    for (i, a) in args.iter().enumerate() {
-        match a.as_str() {
+    let mut rest = args.iter().map(String::as_str);
+    while let Some(flag) = rest.next() {
+        if !flag.starts_with("--") {
+            if !takes_files {
+                return Err(format!(
+                    "{flag}: unexpected argument (this tool takes no files)"
+                ));
+            }
+            parsed.paths.push(PathBuf::from(flag));
+            continue;
+        }
+        let switch = match flag {
+            "--fresh" => Some(&mut parsed.fresh),
+            "--sanitize" => Some(&mut parsed.sanitize),
+            "--deny-warnings" => Some(&mut parsed.deny_warnings),
+            "--all-builtin" => Some(&mut parsed.all_builtin),
+            "--dot" => Some(&mut parsed.dot),
+            "--equiv" => Some(&mut parsed.equiv),
+            "--crosscheck" => Some(&mut parsed.crosscheck),
+            "--suggest" => Some(&mut parsed.suggest),
+            "--auto-gate" => Some(&mut parsed.auto_gate),
+            _ => None,
+        };
+        if let Some(on) = switch {
+            *on = true;
+            continue;
+        }
+        let mut value = || rest.next().ok_or_else(|| format!("{flag}: missing value"));
+        let list = |v: &str| Some(v.split(',').map(str::to_string).collect());
+        match flag {
             "--scale" => {
-                parsed.scale = match value(i) {
-                    Some("tiny") => Scale::Tiny,
-                    Some("large") => Scale::Large,
-                    _ => Scale::Bench,
-                };
-                consumed[i] = true;
-                if i + 1 < consumed.len() {
-                    consumed[i + 1] = true;
-                }
-            }
-            "--preprocess" => {
-                parsed.preprocess = true;
-                consumed[i] = true;
-            }
-            "--apps" | "--inputs" | "--only" | "--jobs" | "--cache-dir" | "--out-dir" => {
-                match a.as_str() {
-                    "--apps" => parsed.apps = list(i),
-                    "--inputs" => parsed.inputs = list(i),
-                    "--only" => parsed.only = list(i),
-                    "--jobs" => {
-                        if let Some(n) = value(i).and_then(|s| s.parse::<usize>().ok()) {
-                            parsed.jobs = n.max(1);
-                        }
-                    }
-                    "--cache-dir" => {
-                        if let Some(d) = value(i) {
-                            parsed.cache_dir = PathBuf::from(d);
-                        }
-                    }
-                    "--out-dir" => {
-                        if let Some(d) = value(i) {
-                            parsed.out_dir = PathBuf::from(d);
-                        }
-                    }
-                    _ => unreachable!(),
-                }
-                consumed[i] = true;
-                if i + 1 < consumed.len() {
-                    consumed[i + 1] = true;
-                }
-            }
-            "--fresh" => {
-                parsed.fresh = true;
-                consumed[i] = true;
-            }
-            "--sanitize" => {
-                parsed.sanitize = true;
-                consumed[i] = true;
-            }
-            "--deny-warnings" => {
-                parsed.deny_warnings = true;
-                consumed[i] = true;
-            }
-            "--all-builtin" => {
-                parsed.all_builtin = true;
-                consumed[i] = true;
-            }
-            "--dot" => {
-                parsed.dot = true;
-                consumed[i] = true;
-            }
-            "--equiv" => {
-                parsed.equiv = true;
-                consumed[i] = true;
-            }
-            "--corpus" => {
-                parsed.corpus = value(i).map(|s| s.to_string());
-                consumed[i] = true;
-                if i + 1 < consumed.len() {
-                    consumed[i + 1] = true;
-                }
-            }
-            "--explain" => {
-                parsed.explain = value(i).map(|s| s.to_string());
-                consumed[i] = true;
-                if i + 1 < consumed.len() {
-                    consumed[i + 1] = true;
-                }
-            }
-            "--crosscheck" => {
-                parsed.crosscheck = true;
-                consumed[i] = true;
-            }
-            "--suggest" => {
-                parsed.suggest = true;
-                consumed[i] = true;
-            }
-            "--auto-gate" => {
-                parsed.auto_gate = true;
-                consumed[i] = true;
-            }
-            "--rates" => {
-                if let Some(p) = value(i) {
-                    parsed.rates = PathBuf::from(p);
-                }
-                consumed[i] = true;
-                if i + 1 < consumed.len() {
-                    consumed[i + 1] = true;
+                parsed.scale = match value()? {
+                    "tiny" => Scale::Tiny,
+                    "bench" => Scale::Bench,
+                    "large" => Scale::Large,
+                    v => return Err(invalid(flag, v, "tiny, bench or large")),
                 }
             }
             "--format" => {
-                match value(i) {
-                    Some("json") => parsed.format = OutputFormat::Json,
-                    Some("sarif") => parsed.format = OutputFormat::Sarif,
-                    _ => {}
-                }
-                consumed[i] = true;
-                if i + 1 < consumed.len() {
-                    consumed[i + 1] = true;
+                parsed.format = match value()? {
+                    "text" => OutputFormat::Text,
+                    "json" => OutputFormat::Json,
+                    "sarif" => OutputFormat::Sarif,
+                    v => return Err(invalid(flag, v, "text, json or sarif")),
                 }
             }
-            "--perturb-ratio" => {
-                parsed.perturb_ratio = value(i).and_then(|s| s.parse::<f64>().ok());
-                consumed[i] = true;
-                if i + 1 < consumed.len() {
-                    consumed[i + 1] = true;
-                }
-            }
-            _ => {}
+            "--jobs" => parsed.jobs = number::<usize>(flag, value()?)?.max(1),
+            "--measure-ms" => parsed.measure_ms = Some(number::<u64>(flag, value()?)?.max(1)),
+            "--perturb-ratio" => parsed.perturb_ratio = Some(number(flag, value()?)?),
+            "--apps" => parsed.apps = list(value()?),
+            "--inputs" => parsed.inputs = list(value()?),
+            "--only" => parsed.only = list(value()?),
+            "--cache-dir" => parsed.cache_dir = value()?.into(),
+            "--out-dir" => parsed.out_dir = value()?.into(),
+            "--rates" => parsed.rates = value()?.into(),
+            "--out" => parsed.out = Some(value()?.into()),
+            "--check" => parsed.check = Some(value()?.into()),
+            "--corpus" => parsed.corpus = Some(value()?.to_string()),
+            "--explain" => parsed.explain = Some(value()?.to_string()),
+            _ => return Err(format!("{flag}: unknown flag")),
         }
     }
-    for (i, a) in args.iter().enumerate() {
-        if !consumed[i] && !a.starts_with("--") {
-            parsed.paths.push(PathBuf::from(a));
-        }
+    if let Some(name) = parsed
+        .only
+        .iter()
+        .flatten()
+        .find(|name| !outputs.iter().any(|o| o.eq_ignore_ascii_case(name)))
+    {
+        return Err(format!(
+            "--only: no output named {name:?}; known outputs:\n  {}",
+            outputs.join("\n  ")
+        ));
     }
-    parsed
+    Ok(parsed)
+}
+
+fn invalid(flag: &str, value: &str, expected: &str) -> String {
+    format!("{flag}: invalid value {value:?} (expected {expected})")
+}
+
+fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value
+        .parse()
+        .map_err(|e| format!("{flag}: invalid value {value:?} ({e})"))
 }
 
 impl CommonArgs {
-    /// The sweep options these flags select.
-    pub fn sweep(&self) -> SweepOpts {
-        self.sweep_with(self.preprocess)
-    }
-
-    /// Sweep options with an explicit preprocessed/randomized choice
-    /// (`bench_all` renders both variants regardless of `--preprocess`).
+    /// Sweep options for one output's preprocessed/randomized variant
+    /// (`bench_all` renders both, per [`crate::figures::FigureOutput`]).
     pub fn sweep_with(&self, preprocess: bool) -> SweepOpts {
         SweepOpts {
             scale: self.scale,
@@ -516,7 +506,7 @@ pub fn trajectory_json(
 /// fails schema validation or a gate fails.
 pub fn trajectory_check<R>(
     tool: &str,
-    path: &str,
+    path: &Path,
     json: bool,
     cells: usize,
     parse: impl FnOnce(&str) -> Result<R, String>,
@@ -529,14 +519,14 @@ pub fn trajectory_check<R>(
             (
                 vec![],
                 vec![],
-                vec![(path.to_string(), format!("cannot read: {e}"))],
+                vec![(path.display().to_string(), format!("cannot read: {e}"))],
             )
         }
         Ok(text) => match parse(&text) {
             Err(e) => {
                 counts.errors = 1;
                 let failure = format!("failed schema validation: {e}");
-                (vec![], vec![], vec![(path.to_string(), failure)])
+                (vec![], vec![], vec![(path.display().to_string(), failure)])
             }
             Ok(checked_in) => {
                 counts.checked = cells;
@@ -580,24 +570,31 @@ mod tests {
         s.split_whitespace().map(|x| x.to_string()).collect()
     }
 
+    const OUTPUTS: [&str; 3] = ["fig07", "fig15ab", "sorted"];
+
     #[test]
     fn defaults() {
-        let a = parse_from(&[]);
+        let a = parse_from(&[], false, &[]).unwrap();
         assert_eq!(a.scale, Scale::Bench);
-        assert!(!a.preprocess);
         assert!(!a.fresh);
+        assert_eq!((a.measure_ms, a.out, a.check), (None, None, None));
         assert!(a.jobs >= 1);
         assert_eq!(a.cache_dir, PathBuf::from("results/cache"));
     }
 
     #[test]
     fn parses_every_flag() {
-        let a = parse_from(&argv(
-            "--scale tiny --preprocess --apps PR,BFS --inputs arb --only fig07 \
-             --jobs 3 --fresh --sanitize --deny-warnings --cache-dir /tmp/c --out-dir /tmp/o",
-        ));
+        let a = parse_from(
+            &argv(
+                "--scale tiny --apps PR,BFS --inputs arb --only fig07 --jobs 3 --fresh \
+                 --sanitize --deny-warnings --cache-dir /tmp/c --out-dir /tmp/o \
+                 --measure-ms 0 --out /tmp/t.json --check BENCH_codecs.json",
+            ),
+            false,
+            &OUTPUTS,
+        )
+        .unwrap();
         assert_eq!(a.scale, Scale::Tiny);
-        assert!(a.preprocess);
         assert_eq!(
             a.apps.as_deref(),
             Some(&["PR".to_string(), "BFS".to_string()][..])
@@ -610,36 +607,49 @@ mod tests {
         assert!(a.deny_warnings);
         assert_eq!(a.cache_dir, PathBuf::from("/tmp/c"));
         assert_eq!(a.out_dir, PathBuf::from("/tmp/o"));
+        assert_eq!(a.measure_ms, Some(1), "a zero window clamps to 1 ms");
+        assert_eq!(a.out, Some(PathBuf::from("/tmp/t.json")));
+        assert_eq!(a.check, Some(PathBuf::from("BENCH_codecs.json")));
     }
 
     #[test]
     fn parses_format_and_crosscheck_flags() {
-        let a = parse_from(&argv("--format json --crosscheck --perturb-ratio 1.5"));
+        let a = parse_from(
+            &argv("--format json --crosscheck --perturb-ratio 1.5"),
+            true,
+            &[],
+        )
+        .unwrap();
         assert_eq!(a.format, OutputFormat::Json);
         assert!(a.crosscheck);
         assert_eq!(a.perturb_ratio, Some(1.5));
-        let b = parse_from(&argv("--format text"));
+        let b = parse_from(&argv("--format text"), true, &[]).unwrap();
         assert_eq!(b.format, OutputFormat::Text);
         assert_eq!(b.perturb_ratio, None);
         assert!(!b.crosscheck);
-        let c = parse_from(&argv("--format sarif"));
+        let c = parse_from(&argv("--format sarif"), true, &[]).unwrap();
         assert_eq!(c.format, OutputFormat::Sarif);
     }
 
     #[test]
     fn parses_equiv_flags() {
-        let a = parse_from(&argv("--equiv --corpus equiv"));
+        let a = parse_from(&argv("--equiv --corpus equiv"), true, &[]).unwrap();
         assert!(a.equiv);
         assert_eq!(a.corpus.as_deref(), Some("equiv"));
         assert!(a.paths.is_empty(), "the corpus name is not a path");
-        let b = parse_from(&[]);
+        let b = parse_from(&[], false, &[]).unwrap();
         assert!(!b.equiv);
         assert_eq!(b.corpus, None);
     }
 
     #[test]
     fn format_and_perturb_values_are_not_paths() {
-        let a = parse_from(&argv("--format json pipe.dcl --perturb-ratio 2.0"));
+        let a = parse_from(
+            &argv("--format json pipe.dcl --perturb-ratio 2.0"),
+            true,
+            &[],
+        )
+        .unwrap();
         assert_eq!(a.paths, vec![PathBuf::from("pipe.dcl")]);
         assert_eq!(a.format, OutputFormat::Json);
         assert_eq!(a.perturb_ratio, Some(2.0));
@@ -647,12 +657,17 @@ mod tests {
 
     #[test]
     fn parses_suggest_flags() {
-        let a = parse_from(&argv("--suggest --rates other/traj.json --auto-gate"));
+        let a = parse_from(
+            &argv("--suggest --rates other/traj.json --auto-gate"),
+            true,
+            &[],
+        )
+        .unwrap();
         assert!(a.suggest);
         assert!(a.auto_gate);
         assert_eq!(a.rates, PathBuf::from("other/traj.json"));
         assert!(a.paths.is_empty(), "flag values are not paths");
-        let b = parse_from(&[]);
+        let b = parse_from(&[], false, &[]).unwrap();
         assert!(!b.suggest);
         assert!(!b.auto_gate);
         assert_eq!(b.rates, PathBuf::from("BENCH_codecs.json"));
@@ -660,7 +675,7 @@ mod tests {
 
     #[test]
     fn parses_shape_flags() {
-        let a = parse_from(&argv("--corpus shape --perturb-ratio 0.1"));
+        let a = parse_from(&argv("--corpus shape --perturb-ratio 0.1"), true, &[]).unwrap();
         assert_eq!(a.corpus.as_deref(), Some("shape"));
         assert_eq!(a.perturb_ratio, Some(0.1));
         assert!(a.paths.is_empty(), "flag values are not paths");
@@ -668,11 +683,11 @@ mod tests {
 
     #[test]
     fn parses_liveness_flags() {
-        let a = parse_from(&argv("--corpus liveness --explain D001"));
+        let a = parse_from(&argv("--corpus liveness --explain D001"), true, &[]).unwrap();
         assert_eq!(a.corpus.as_deref(), Some("liveness"));
         assert_eq!(a.explain.as_deref(), Some("D001"));
         assert!(a.paths.is_empty(), "the explain value is not a path");
-        let b = parse_from(&[]);
+        let b = parse_from(&[], false, &[]).unwrap();
         assert_eq!(b.explain, None);
     }
 
@@ -757,9 +772,9 @@ mod tests {
     #[test]
     fn trajectory_check_follows_the_exit_ladder() {
         let pass = |_: &()| Ok(vec!["cell: ok".to_string()]);
-        let missing = "/nonexistent/BENCH_missing.json";
+        let missing = Path::new("/nonexistent/BENCH_missing.json");
         assert_eq!(trajectory_check("t", missing, true, 1, |_| Ok(()), pass), 2);
-        let readable = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml");
+        let readable = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml"));
         let bad_schema = |_: &str| Err::<(), _>("not a trajectory".to_string());
         assert_eq!(
             trajectory_check("t", readable, true, 1, bad_schema, pass),
@@ -777,14 +792,46 @@ mod tests {
     }
 
     #[test]
-    fn ignores_unknown_flags() {
-        let a = parse_from(&argv("--frobnicate --scale large"));
-        assert_eq!(a.scale, Scale::Large);
+    fn rejects_usage_errors() {
+        for (args, takes_files, offending) in [
+            ("--frobnicate --scale large", true, "--frobnicate"),
+            ("--scael tiny", false, "--scael"),
+            ("--scale tny", false, "--scale"),
+            ("--scale", false, "--scale"),
+            ("--format xml", true, "--format"),
+            ("--jobs x", false, "--jobs"),
+            ("--jobs -1", false, "--jobs"),
+            ("--perturb-ratio abc", true, "--perturb-ratio"),
+            ("--measure-ms x", false, "--measure-ms"),
+            ("--check", false, "--check"),
+            ("fig07", false, "fig07"),
+            ("--scale tiny fig07", false, "fig07"),
+            ("--only fig07,fig99", false, "fig99"),
+            ("--only nosuchname", false, "nosuchname"),
+        ] {
+            let err = parse_from(&argv(args), takes_files, &OUTPUTS)
+                .expect_err(&format!("{args:?} must be a usage error"));
+            assert!(err.contains(offending), "{args:?}: {err}");
+        }
+        let err = parse_from(&argv("--only fig99"), false, &OUTPUTS).unwrap_err();
+        assert!(err.contains("fig15ab"), "lists the known outputs: {err}");
+        assert_eq!(parse_from(&argv("--jobs 0"), false, &[]).unwrap().jobs, 1);
+        let only = parse_from(&argv("--only FIG07,sorted"), false, &OUTPUTS).unwrap();
+        assert_eq!(
+            only.only.unwrap().len(),
+            2,
+            "names match case-insensitively"
+        );
     }
 
     #[test]
     fn collects_positional_paths_without_eating_flag_values() {
-        let a = parse_from(&argv("fig2.dcl --jobs 3 extra.dcl --dot --all-builtin"));
+        let a = parse_from(
+            &argv("fig2.dcl --jobs 3 extra.dcl --dot --all-builtin"),
+            true,
+            &[],
+        )
+        .unwrap();
         assert_eq!(
             a.paths,
             vec![PathBuf::from("fig2.dcl"), PathBuf::from("extra.dcl")]
@@ -796,7 +843,12 @@ mod tests {
 
     #[test]
     fn flag_values_are_not_paths() {
-        let a = parse_from(&argv("--cache-dir /tmp/c --scale tiny pipeline.dcl"));
+        let a = parse_from(
+            &argv("--cache-dir /tmp/c --scale tiny pipeline.dcl"),
+            true,
+            &[],
+        )
+        .unwrap();
         assert_eq!(a.paths, vec![PathBuf::from("pipeline.dcl")]);
         assert_eq!(a.cache_dir, PathBuf::from("/tmp/c"));
         assert_eq!(a.scale, Scale::Tiny);

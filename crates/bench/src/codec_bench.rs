@@ -8,8 +8,8 @@
 //! GB/s varies with the machine, but the ratio is stable enough to gate on
 //! in CI (`codec-bench --check`), which fails when
 //!
-//! * the trajectory file does not parse against the
-//!   [`SCHEMA`] shared with [`spzip_compress::stats::CodecPerfRecord`],
+//! * the trajectory file does not parse against [`SCHEMA`] (one
+//!   [`CodecPerfRecord`] per line),
 //! * the checked-in `codec_version` disagrees with the built crate (the
 //!   trajectory must be regenerated alongside any wire-format change),
 //! * a codec's fresh decode speedup falls more than 20% below the
@@ -27,7 +27,7 @@
 //! costs ([`BenchReport::rate_table`]) consumed by `dcl-perf --suggest`.
 
 use spzip_compress::reference::ReferenceCodec;
-use spzip_compress::stats::{geometric_mean, CodecPerfRecord, ThroughputStats};
+use spzip_compress::stats::{geometric_mean, ThroughputStats};
 use spzip_compress::{
     bpc::BpcCodec, delta::DeltaCodec, rle::RleCodec, sorted::SortedChunks, Codec, CodecKind,
     ElemWidth, CODEC_VERSION,
@@ -141,6 +141,50 @@ pub fn arms() -> Vec<(&'static str, &'static str, Box<dyn Codec>)> {
     ]
 }
 
+/// One row of the codec perf trajectory: a codec × implementation × stream
+/// cell with its compression ratio and encode/decode throughput.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CodecPerfRecord {
+    /// Codec name (e.g. `"delta"`, `"bpc32"`).
+    pub codec: String,
+    /// Implementation arm: `"kernel"` or `"reference"`.
+    pub implementation: String,
+    /// Builtin stream the measurement ran on.
+    pub stream: String,
+    /// Compression ratio (uncompressed / compressed).
+    pub ratio: f64,
+    /// Encode throughput in GB/s of uncompressed input.
+    pub encode_gbps: f64,
+    /// Decode throughput in GB/s of uncompressed output.
+    pub decode_gbps: f64,
+}
+
+impl CodecPerfRecord {
+    fn to_json(&self) -> String {
+        format!(
+            "{{\"codec\":\"{}\",\"implementation\":\"{}\",\"stream\":\"{}\",\
+             \"ratio\":{:.4},\"encode_gbps\":{:.4},\"decode_gbps\":{:.4}}}",
+            self.codec,
+            self.implementation,
+            self.stream,
+            self.ratio,
+            self.encode_gbps,
+            self.decode_gbps
+        )
+    }
+
+    fn from_json(obj: &str) -> Result<CodecPerfRecord, String> {
+        Ok(CodecPerfRecord {
+            codec: json_str(obj, "codec")?,
+            implementation: json_str(obj, "implementation")?,
+            stream: json_str(obj, "stream")?,
+            ratio: json_num(obj, "ratio")?,
+            encode_gbps: json_num(obj, "encode_gbps")?,
+            decode_gbps: json_num(obj, "decode_gbps")?,
+        })
+    }
+}
+
 /// Times `routine` over a wall-clock window and reports GB/s for
 /// `bytes_per_iter` of work per call. A quarter of the window warms up.
 fn time_gbps(bytes_per_iter: u64, measure_ms: u64, mut routine: impl FnMut()) -> f64 {
@@ -246,28 +290,14 @@ impl BenchReport {
     /// missing schema tag, malformed envelope fields, or an unparsable
     /// record.
     pub fn from_json(text: &str) -> Result<BenchReport, String> {
-        let schema = json_str(text, "schema")?;
-        if schema != SCHEMA {
-            return Err(format!("schema {schema:?} is not {SCHEMA:?}"));
-        }
-        let codec_version = json_num(text, "codec_version")? as u32;
-        let measure_ms = json_num(text, "measure_ms")? as u64;
-        let arr_start = text
-            .find("\"records\":[")
-            .ok_or("missing field \"records\"")?
-            + "\"records\":[".len();
-        let arr_end = text.rfind(']').ok_or("unterminated records array")?;
-        if arr_end < arr_start {
-            return Err("malformed records array".to_string());
-        }
-        let mut records = Vec::new();
-        for obj in split_objects(&text[arr_start..arr_end]) {
-            records.push(CodecPerfRecord::from_json(obj)?);
-        }
+        let records = trajectory_records(text, SCHEMA)?;
         Ok(BenchReport {
-            codec_version,
-            measure_ms,
-            records,
+            codec_version: json_num(text, "codec_version")? as u32,
+            measure_ms: json_num(text, "measure_ms")? as u64,
+            records: records
+                .into_iter()
+                .map(CodecPerfRecord::from_json)
+                .collect::<Result<_, _>>()?,
         })
     }
 
@@ -446,9 +476,42 @@ pub fn check_against(
     }
 }
 
-/// Extracts a string field from the envelope (writer-subset JSON).
-/// Shared with `sanitize_bench`, whose trajectory file uses the same
-/// hand-rolled envelope style.
+/// Checks a trajectory document's `schema` tag against `schema` and
+/// returns the text of each object in its `records` array. Shared with
+/// `sanitize_bench`, whose trajectory file uses the same hand-rolled
+/// envelope style.
+pub(crate) fn trajectory_records<'a>(text: &'a str, schema: &str) -> Result<Vec<&'a str>, String> {
+    let found = json_str(text, "schema")?;
+    if found != schema {
+        return Err(format!("schema {found:?} is not {schema:?}"));
+    }
+    let arr_start = text
+        .find("\"records\":[")
+        .ok_or("missing field \"records\"")?
+        + "\"records\":[".len();
+    let arr_end = text.rfind(']').ok_or("unterminated records array")?;
+    if arr_end < arr_start {
+        return Err("malformed records array".to_string());
+    }
+    // Records are flat objects: no nested braces.
+    let mut objects = Vec::new();
+    let mut start = None;
+    for (i, c) in text[arr_start..arr_end].char_indices() {
+        match c {
+            '{' if start.is_none() => start = Some(arr_start + i),
+            '}' => {
+                if let Some(s) = start.take() {
+                    objects.push(&text[s..=arr_start + i]);
+                }
+            }
+            _ => {}
+        }
+    }
+    Ok(objects)
+}
+
+/// Extracts a string field from a flat JSON object or the envelope
+/// (writer-subset JSON: no escapes, no nested objects inside strings).
 pub(crate) fn json_str(text: &str, key: &str) -> Result<String, String> {
     let pat = format!("\"{key}\":");
     let start = text.find(&pat).ok_or(format!("missing field {key:?}"))? + pat.len();
@@ -472,25 +535,6 @@ pub(crate) fn json_num(text: &str, key: &str) -> Result<f64, String> {
         .trim()
         .parse::<f64>()
         .map_err(|e| format!("field {key:?}: {e}"))
-}
-
-/// Splits a flat JSON array body into its top-level `{...}` objects
-/// (records contain no nested braces).
-pub(crate) fn split_objects(body: &str) -> Vec<&str> {
-    let mut objects = Vec::new();
-    let mut start = None;
-    for (i, c) in body.char_indices() {
-        match c {
-            '{' if start.is_none() => start = Some(i),
-            '}' => {
-                if let Some(s) = start.take() {
-                    objects.push(&body[s..=i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    objects
 }
 
 #[cfg(test)]
@@ -520,6 +564,34 @@ mod tests {
             measure_ms: 1,
             records,
         }
+    }
+
+    #[test]
+    fn perf_record_json_roundtrip() {
+        let rec = CodecPerfRecord {
+            codec: "delta".into(),
+            implementation: "kernel".into(),
+            stream: "clustered_ids".into(),
+            ratio: 7.5,
+            encode_gbps: 3.25,
+            decode_gbps: 12.125,
+        };
+        let back = CodecPerfRecord::from_json(&rec.to_json()).unwrap();
+        assert_eq!(back, rec);
+    }
+
+    #[test]
+    fn perf_record_rejects_malformed() {
+        assert!(CodecPerfRecord::from_json("{}").is_err());
+        assert!(CodecPerfRecord::from_json("{\"codec\":\"delta\"}").is_err());
+        let bad_num = "{\"codec\":\"d\",\"implementation\":\"k\",\"stream\":\"s\",\
+                       \"ratio\":x,\"encode_gbps\":1,\"decode_gbps\":1}";
+        assert!(CodecPerfRecord::from_json(bad_num).is_err());
+        // A malformed record fails the whole document.
+        let doc = synthetic(12.0, 1.0)
+            .to_json()
+            .replacen("\"ratio\":4.0000", "\"ratio\":x", 1);
+        assert!(BenchReport::from_json(&doc).is_err());
     }
 
     #[test]

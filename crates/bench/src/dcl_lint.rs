@@ -475,7 +475,12 @@ mod tests {
 
     #[test]
     fn unreadable_file_is_an_io_error_not_a_diagnostic() {
-        let args = crate::cli::parse_from(&["/nonexistent/definitely-missing.dcl".to_string()]);
+        let args = crate::cli::parse_from(
+            &["/nonexistent/definitely-missing.dcl".to_string()],
+            true,
+            &[],
+        )
+        .unwrap();
         let mut report = LintReport::default();
         match std::fs::read_to_string(&args.paths[0]) {
             Ok(_) => panic!("path should not exist"),
@@ -527,7 +532,9 @@ mod tests {
 
     #[test]
     fn unknown_corpus_exits_2() {
-        let args = crate::cli::parse_from(&["--corpus".to_string(), "nosuch".to_string()]);
+        let args =
+            crate::cli::parse_from(&["--corpus".to_string(), "nosuch".to_string()], true, &[])
+                .unwrap();
         assert_eq!(run(&args), 2);
     }
 }

@@ -82,7 +82,7 @@ impl SweepOpts {
 pub struct FigureOutput {
     /// Output file stem (`results/<name>.txt`).
     pub name: &'static str,
-    /// The `--preprocess` value this output is rendered with.
+    /// Whether this output renders the DFS-preprocessed variant.
     pub preprocess: bool,
     /// Enumerates the cells the renderer will read.
     pub cells: fn(&SweepOpts) -> Vec<RunSpec>,

@@ -9,11 +9,12 @@
 //! * [`driver`] — unions cells across figures, deduplicates them by
 //!   fingerprint, executes the unique ones on a worker pool over shared
 //!   inputs, and memoizes serialized outcomes under `results/cache/`.
-//! * [`cli`] — the shared flag parser every binary uses.
+//! * [`cli`] — the one flag parser every binary uses.
 //!
-//! Each figure still has a standalone binary in `src/bin/`; `bench_all`
-//! regenerates everything in one process so overlapping cells (e.g. the
-//! Fig. 15/16/17 sweeps) are simulated exactly once. The [`dcl_lint`]
+//! `bench_all` is the one figure entry point: it regenerates every output
+//! of [`figures::all_outputs`] in one process, so overlapping cells (e.g.
+//! the Fig. 15/16/17 sweeps) are simulated exactly once, and
+//! `bench_all --only <name>` renders a single one. The [`dcl_lint`]
 //! module backs the `dcl-lint` binary, which statically analyzes `.dcl`
 //! files and every built-in pipeline with [`spzip_core::lint`] and the
 //! shape-and-bounds verifier ([`spzip_core::shape`]); the
@@ -112,21 +113,6 @@ pub fn render_scheme_table(title: &str, outcomes: &[(Scheme, &RunOutcome)]) -> S
             }
         )
         .unwrap();
-    }
-    if std::env::var("SPZIP_DIAG").is_ok() {
-        for (s, o) in outcomes {
-            writeln!(
-                out,
-                "  [diag] {:<12} total {:>12} B  dram-util {:>5.1}%  stalls {:>12}  f-fired {:>10}  c-fired {:>10}",
-                s.to_string(),
-                o.report.traffic.total_bytes(),
-                o.report.dram_utilization * 100.0,
-                o.report.core_stall_cycles,
-                o.report.fetcher_fired,
-                o.report.compressor_fired,
-            )
-            .unwrap();
-        }
     }
     out
 }

@@ -27,7 +27,7 @@
 //!   raw footprint over peak compressed residency — must clear
 //!   [`RESIDENCY_RATIO_FLOOR`] in both the trajectory and the fresh run.
 
-use crate::codec_bench::{json_num, json_str, split_objects};
+use crate::codec_bench::{json_num, json_str, trajectory_records};
 use spzip_compress::CODEC_VERSION;
 use spzip_sim::ctrace::SANITIZE_TRACE_VERSION;
 
@@ -156,28 +156,14 @@ impl SanitizeBenchReport {
     ///
     /// Returns a description of the first schema violation.
     pub fn from_json(text: &str) -> Result<SanitizeBenchReport, String> {
-        let schema = json_str(text, "schema")?;
-        if schema != SCHEMA {
-            return Err(format!("schema {schema:?} is not {SCHEMA:?}"));
-        }
-        let trace_version = json_num(text, "trace_version")? as u32;
-        let codec_version = json_num(text, "codec_version")? as u32;
-        let arr_start = text
-            .find("\"records\":[")
-            .ok_or("missing field \"records\"")?
-            + "\"records\":[".len();
-        let arr_end = text.rfind(']').ok_or("unterminated records array")?;
-        if arr_end < arr_start {
-            return Err("malformed records array".to_string());
-        }
-        let mut records = Vec::new();
-        for obj in split_objects(&text[arr_start..arr_end]) {
-            records.push(SanitizeCell::from_json(obj)?);
-        }
+        let records = trajectory_records(text, SCHEMA)?;
         Ok(SanitizeBenchReport {
-            trace_version,
-            codec_version,
-            records,
+            trace_version: json_num(text, "trace_version")? as u32,
+            codec_version: json_num(text, "codec_version")? as u32,
+            records: records
+                .into_iter()
+                .map(SanitizeCell::from_json)
+                .collect::<Result<_, _>>()?,
         })
     }
 

@@ -1,10 +1,5 @@
 //! Compression-ratio and throughput accounting shared by the engines,
 //! benchmarks, and figure renderers.
-//!
-//! [`CodecPerfRecord`] is the one schema behind `BENCH_codecs.json`: each
-//! record carries ratio *and* encode/decode throughput side by side, so the
-//! bench harness that writes the trajectory and the tools that read it
-//! cannot drift apart.
 
 use std::fmt;
 
@@ -135,102 +130,6 @@ impl ThroughputStats {
     }
 }
 
-/// One row of the codec perf trajectory: a codec × implementation × stream
-/// cell with its compression ratio and encode/decode throughput.
-///
-/// Serialized as one JSON object per record inside `BENCH_codecs.json`;
-/// [`CodecPerfRecord::to_json`] and [`CodecPerfRecord::from_json`] are
-/// inverses so the writer (bench harness) and readers (CI gate, figure
-/// renderers) share one schema.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CodecPerfRecord {
-    /// Codec name (e.g. `"delta"`, `"bpc32"`).
-    pub codec: String,
-    /// Implementation arm: `"kernel"` or `"reference"`.
-    pub implementation: String,
-    /// Builtin stream the measurement ran on.
-    pub stream: String,
-    /// Compression ratio (uncompressed / compressed).
-    pub ratio: f64,
-    /// Encode throughput in GB/s of uncompressed input.
-    pub encode_gbps: f64,
-    /// Decode throughput in GB/s of uncompressed output.
-    pub decode_gbps: f64,
-}
-
-impl CodecPerfRecord {
-    /// Renders the record as a single-line JSON object.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"codec\":\"{}\",\"implementation\":\"{}\",\"stream\":\"{}\",\
-             \"ratio\":{:.4},\"encode_gbps\":{:.4},\"decode_gbps\":{:.4}}}",
-            self.codec,
-            self.implementation,
-            self.stream,
-            self.ratio,
-            self.encode_gbps,
-            self.decode_gbps
-        )
-    }
-
-    /// Parses a record from a JSON object as written by
-    /// [`CodecPerfRecord::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first missing or malformed field. The
-    /// parser accepts the subset of JSON this crate writes (no escapes
-    /// inside strings), which is all the trajectory file ever contains.
-    pub fn from_json(obj: &str) -> Result<CodecPerfRecord, String> {
-        Ok(CodecPerfRecord {
-            codec: json_str_field(obj, "codec")?,
-            implementation: json_str_field(obj, "implementation")?,
-            stream: json_str_field(obj, "stream")?,
-            ratio: json_num_field(obj, "ratio")?,
-            encode_gbps: json_num_field(obj, "encode_gbps")?,
-            decode_gbps: json_num_field(obj, "decode_gbps")?,
-        })
-    }
-}
-
-/// Extracts a string field from a flat JSON object (writer-subset JSON:
-/// no escapes, no nested objects inside strings).
-fn json_str_field(obj: &str, key: &str) -> Result<String, String> {
-    let rest = json_field(obj, key)?;
-    let rest = rest
-        .strip_prefix('"')
-        .ok_or_else(|| format!("field {key:?} is not a string"))?;
-    let end = rest
-        .find('"')
-        .ok_or_else(|| format!("unterminated string in field {key:?}"))?;
-    let value = &rest[..end];
-    if value.contains('\\') {
-        return Err(format!("field {key:?} uses unsupported escapes"));
-    }
-    Ok(value.to_string())
-}
-
-/// Extracts a numeric field from a flat JSON object.
-fn json_num_field(obj: &str, key: &str) -> Result<f64, String> {
-    let rest = json_field(obj, key)?;
-    let end = rest
-        .find([',', '}'])
-        .ok_or_else(|| format!("unterminated value in field {key:?}"))?;
-    rest[..end]
-        .trim()
-        .parse::<f64>()
-        .map_err(|e| format!("field {key:?}: {e}"))
-}
-
-/// Returns the text immediately after `"key":`.
-fn json_field<'a>(obj: &'a str, key: &str) -> Result<&'a str, String> {
-    let pat = format!("\"{key}\":");
-    let start = obj
-        .find(&pat)
-        .ok_or_else(|| format!("missing field {key:?}"))?;
-    Ok(obj[start + pat.len()..].trim_start())
-}
-
 /// Geometric mean of a slice of positive ratios; 1.0 for an empty slice.
 ///
 /// Used for the paper's "gmean" speedup summaries.
@@ -290,30 +189,6 @@ mod tests {
         assert_eq!(t.bytes(), 2_000);
         assert_eq!(t.nanos(), 1_000);
         assert_eq!(t.gbps(), 2.0);
-    }
-
-    #[test]
-    fn perf_record_json_roundtrip() {
-        let rec = CodecPerfRecord {
-            codec: "delta".into(),
-            implementation: "kernel".into(),
-            stream: "clustered_ids".into(),
-            ratio: 7.5,
-            encode_gbps: 3.25,
-            decode_gbps: 12.125,
-        };
-        let json = rec.to_json();
-        let back = CodecPerfRecord::from_json(&json).unwrap();
-        assert_eq!(back, rec);
-    }
-
-    #[test]
-    fn perf_record_rejects_malformed() {
-        assert!(CodecPerfRecord::from_json("{}").is_err());
-        assert!(CodecPerfRecord::from_json("{\"codec\":\"delta\"}").is_err());
-        let bad_num = "{\"codec\":\"d\",\"implementation\":\"k\",\"stream\":\"s\",\
-                       \"ratio\":x,\"encode_gbps\":1,\"decode_gbps\":1}";
-        assert!(CodecPerfRecord::from_json(bad_num).is_err());
     }
 
     #[test]
