@@ -129,15 +129,8 @@ pub fn run_app_full(
     cmh: bool,
 ) -> RunOutcome {
     let mut machine = Machine::new(mcfg);
-    let (stats, validated, adjacency_ratio) = simulate(
-        &mut machine,
-        app,
-        g,
-        cfg,
-        fetcher_scratchpad,
-        cmh,
-        |_, _| {},
-    );
+    let (stats, validated, adjacency_ratio) =
+        simulate(&mut machine, app, g, cfg, fetcher_scratchpad, cmh);
     let deadlock = machine.take_deadlock();
     RunOutcome {
         report: machine.finish(),
@@ -155,7 +148,6 @@ pub fn run_app_full(
 /// codec byte-conservation over the workload's compressed regions.
 /// Machine deadlocks surface through [`RunOutcome::deadlock`], as in
 /// [`run_app`].
-#[cfg(feature = "sanitize")]
 pub fn run_app_sanitized(
     app: AppName,
     g: &Arc<Csr>,
@@ -166,21 +158,8 @@ pub fn run_app_sanitized(
 ) -> (RunOutcome, spzip_sim::sanitize::SanitizeReport) {
     let mut machine = Machine::new(mcfg);
     machine.enable_sanitizer();
-    // Vertex-slice conservation is checked inside run_algorithm at each
-    // iteration's sync point; the static adjacency is checked here.
-    let (stats, validated, adjacency_ratio) = simulate(
-        &mut machine,
-        app,
-        g,
-        cfg,
-        fetcher_scratchpad,
-        cmh,
-        |m, w| {
-            for v in crate::sanitize::check_adjacency_conservation(w, cfg) {
-                m.note_violation(v);
-            }
-        },
-    );
+    let (stats, validated, adjacency_ratio) =
+        simulate(&mut machine, app, g, cfg, fetcher_scratchpad, cmh);
     let deadlock = machine.take_deadlock();
     let (report, sanitize) = machine.finish_sanitized();
     (
@@ -197,9 +176,8 @@ pub fn run_app_sanitized(
 
 /// The run every entry point shares, on a freshly built `machine`: lay
 /// out the workload, simulate `app`, and validate its result against a
-/// reference execution. `after_run` sees the workload between the
-/// simulation and the validation. Returns the run's statistics, whether
-/// it validated, and the adjacency compression ratio.
+/// reference execution. Returns the run's statistics, whether it
+/// validated, and the adjacency compression ratio.
 fn simulate(
     machine: &mut Machine,
     app: AppName,
@@ -207,7 +185,6 @@ fn simulate(
     cfg: &SchemeConfig,
     fetcher_scratchpad: Option<u32>,
     cmh: bool,
-    after_run: impl FnOnce(&mut Machine, &Workload),
 ) -> (AlgoRunStats, bool, Option<f64>) {
     if let Some(bytes) = fetcher_scratchpad {
         machine.set_fetcher_scratchpad(bytes);
@@ -241,7 +218,13 @@ fn simulate(
     }
     let stats = runtime::run_algorithm(machine, &mut w, alg.as_mut(), cfg);
     let result = alg.result(&w);
-    after_run(machine, &w);
+    // Vertex-slice conservation is checked inside run_algorithm at each
+    // iteration's sync point; the static adjacency is checked here.
+    if machine.sanitizing() {
+        for v in crate::sanitize::check_adjacency_conservation(&w, cfg) {
+            machine.note_violation(v);
+        }
+    }
 
     // Reference: the same functional trajectory without the machine.
     let mut ref_alg = app.build();
@@ -335,7 +318,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "sanitize")]
     #[test]
     fn sanitized_bfs_is_clean_under_all_schemes() {
         let g = tiny_graph();

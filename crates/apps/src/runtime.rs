@@ -215,7 +215,6 @@ pub fn run_algorithm(
         // every accumulation recompressed the chunks it touched, and the
         // host-side end_iteration below may rewrite the raw arrays
         // without recompressing.
-        #[cfg(feature = "sanitize")]
         if machine.sanitizing() {
             for v in crate::sanitize::check_vertex_conservation(w, cfg) {
                 machine.note_violation(v);
@@ -503,7 +502,6 @@ fn run_traversal_phase(
     // Drain discipline (S004): the binning compressors were finalized with
     // closing markers before the phase ended, so no operator may still
     // buffer an open chunk.
-    #[cfg(feature = "sanitize")]
     if machine.sanitizing() {
         use spzip_sim::sanitize::{Code, Violation};
         for (c, eng) in comp_engines.iter().enumerate() {

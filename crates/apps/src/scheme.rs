@@ -101,6 +101,39 @@ impl SchemeConfig {
     pub fn bins_updates(&self) -> bool {
         matches!(self.strategy, Strategy::Ub | Strategy::Phi)
     }
+
+    /// A short name: the [`Scheme`] with this strategy and engine switch,
+    /// followed by every setting that differs from that scheme's
+    /// (`PHI+SpZip-bins-vertex-sort`, `UB+SpZip,bins=bpc32`). Equals the
+    /// scheme's name exactly when the configuration is a named scheme.
+    pub fn label(&self) -> String {
+        let base = Scheme::all()
+            .into_iter()
+            .find(|s| s.config().strategy == self.strategy && s.config().spzip == self.spzip)
+            .expect("every strategy has a software and a SpZip scheme");
+        let b = base.config();
+        let mut out = base.to_string();
+        for (name, on, base_on) in [
+            ("adj", self.compress_adjacency, b.compress_adjacency),
+            ("bins", self.compress_updates, b.compress_updates),
+            ("vertex", self.compress_vertex, b.compress_vertex),
+            ("sort", self.sort_chunks, b.sort_chunks),
+        ] {
+            if on != base_on {
+                out += &format!("{}{name}", if on { '+' } else { '-' });
+            }
+        }
+        for (name, codec, base_codec) in [
+            ("adj", self.adjacency_codec, b.adjacency_codec),
+            ("bins", self.update_codec, b.update_codec),
+            ("vertex", self.vertex_codec, b.vertex_codec),
+        ] {
+            if codec != base_codec {
+                out += &format!(",{name}={codec}");
+            }
+        }
+        out
+    }
 }
 
 /// The six named schemes of the main results (Fig. 15's legend order:
@@ -187,6 +220,17 @@ mod tests {
             let c = s.config();
             assert!(c.compress_adjacency && c.compress_updates && c.compress_vertex);
         }
+    }
+
+    #[test]
+    fn labels_name_the_scheme_and_what_differs() {
+        for s in Scheme::all() {
+            assert_eq!(s.config().label(), s.to_string());
+        }
+        let mut c = SchemeConfig::decoupled_only(Strategy::Phi);
+        c.sort_chunks = true;
+        c.update_codec = CodecKind::Rle;
+        assert_eq!(c.label(), "PHI+SpZip-adj-bins-vertex,bins=rle");
     }
 
     #[test]

@@ -153,9 +153,19 @@ impl RunSpec {
         )
     }
 
-    /// A short human-readable label for progress lines.
+    /// A short human-readable label for progress lines and sanitizer
+    /// findings: app, input, preprocessing, the scheme
+    /// ([`SchemeConfig::label`]), and the machine overrides (`sp=<bytes>`
+    /// for a fetcher scratchpad, `cmh`). It names one cell of a
+    /// `bench_all` sweep; scale and base machine are left out.
     pub fn label(&self) -> String {
-        format!("{}/{}/{:?}", self.app, self.input, self.prep)
+        let (app, input, prep) = (self.app, &self.input, self.prep);
+        let sp = self
+            .machine
+            .fetcher_scratchpad
+            .map_or(String::new(), |b| format!("/sp={b}"));
+        let cmh = if self.machine.cmh { "/cmh" } else { "" };
+        format!("{app}/{input}/{prep:?}/{}{sp}{cmh}", self.scheme.label())
     }
 
     /// Executes this cell on (a shared handle to) its generated input.
@@ -176,7 +186,6 @@ impl RunSpec {
 
     /// Executes this cell with the SimSanitizer enabled. Sanitized runs
     /// are never cached (the verdict, not the numbers, is the product).
-    #[cfg(feature = "sanitize")]
     pub fn run_sanitized(&self, g: &Arc<Csr>) -> (RunOutcome, spzip_sim::sanitize::SanitizeReport) {
         crate::run::run_app_sanitized(
             self.app,

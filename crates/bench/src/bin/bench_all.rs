@@ -12,9 +12,8 @@
 //! `--scale`, `--apps`, `--inputs`, `--cache-dir` and `--out-dir` are
 //! the shared flags of `spzip_bench::cli`.
 //!
-//! `--sanitize` (requires building with `--features sanitize`) runs every
-//! cell under the SimSanitizer, bypassing the results cache, and exits
-//! non-zero if any run reports a violation.
+//! `--sanitize` runs every cell under the SimSanitizer, bypassing the
+//! results cache, and exits non-zero if any run reports a violation.
 
 use spzip_bench::driver::Driver;
 use spzip_bench::{cli, figures};
@@ -24,13 +23,6 @@ fn main() {
     let all = figures::all_outputs();
     let names: Vec<&str> = all.iter().map(|o| o.name).collect();
     let args = cli::parse(false, &names);
-    if args.sanitize && !spzip_bench::sanitize_supported() {
-        eprintln!(
-            "error: --sanitize needs the SimSanitizer compiled in; rebuild with\n  \
-             cargo run --release --features sanitize --bin bench_all -- --sanitize"
-        );
-        std::process::exit(2);
-    }
     let outputs: Vec<_> = all
         .into_iter()
         .filter(|o| {

@@ -16,41 +16,22 @@
 //!                                            # sanity check that the gate fires
 //! ```
 //!
-//! Requires a binary built with `--features sanitize` (exit 2 otherwise —
-//! the machinery is absent, not a verdict). Exit codes follow the shared
-//! ladder: 0 pass, 1 failed gate, 2 unreadable input or usage error;
-//! `--format json` emits the envelope `dcl-lint`/`dcl-perf`/`codec-bench`
-//! share ([`spzip_bench::cli::trajectory_check`]).
+//! Exit codes follow the shared ladder: 0 pass, 1 failed gate, 2
+//! unreadable input or usage error; `--format json` emits the envelope
+//! `dcl-lint`/`dcl-perf`/`codec-bench` share
+//! ([`spzip_bench::cli::trajectory_check`]).
 
 use spzip_bench::cli::{self, trajectory_check, CommonArgs, OutputFormat};
-use spzip_bench::sanitize_bench::{check_against, SanitizeBenchReport, BUILTIN_CELLS};
+use spzip_bench::sanitize_bench::{check_against, measure, SanitizeBenchReport, BUILTIN_CELLS};
 use std::path::Path;
 
 fn main() {
     std::process::exit(run(&cli::parse(false, &[])));
 }
 
-#[cfg(feature = "sanitize")]
-fn measure(measure_ms: u64) -> SanitizeBenchReport {
-    spzip_bench::sanitize_bench::measure(measure_ms)
-}
-
-#[cfg(not(feature = "sanitize"))]
-fn measure(_measure_ms: u64) -> SanitizeBenchReport {
-    unreachable!("callers gate on sanitize_supported()")
-}
-
 fn run(args: &CommonArgs) -> i32 {
     let measure_ms = args.measure_ms.unwrap_or(20);
     let json = args.format == OutputFormat::Json;
-    if !spzip_bench::sanitize_supported() {
-        eprintln!(
-            "sanitize-bench: this binary was built without the SimSanitizer; \
-             rebuild with --features sanitize"
-        );
-        return 2;
-    }
-
     if let Some(path) = &args.check {
         trajectory_check(
             "sanitize-bench",

@@ -9,8 +9,8 @@
 //! * `--apps PR,BFS` / `--inputs arb,ukl` — restrict sweep figures.
 //! * `--jobs N` — worker threads for cache misses (default: all cores).
 //! * `--fresh` — ignore memoized outcomes and re-simulate everything.
-//! * `--sanitize` — run every cell under the SimSanitizer (requires the
-//!   `sanitize` feature; sanitized runs bypass the results cache).
+//! * `--sanitize` — run every cell under the SimSanitizer (sanitized
+//!   runs bypass the results cache).
 //! * `--cache-dir DIR` — memoization directory (default `results/cache`).
 //! * `--out-dir DIR` — where `bench_all` writes figure text (default
 //!   `results`).

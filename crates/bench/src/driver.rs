@@ -10,11 +10,11 @@
 //! to the cache directory, so re-running any figure — or `bench_all` —
 //! is free until a spec's fingerprint changes.
 //!
-//! With [`DriverOptions::sanitize`] set (the `--sanitize` flag, `sanitize`
-//! feature), every cell instead runs under the SimSanitizer: the cache is
-//! bypassed in both directions (the verdict is the product, and a cached
-//! outcome has no trace to check), and each dirty run's rendered report is
-//! collected for [`Driver::sanitize_findings`].
+//! With [`DriverOptions::sanitize`] set (the `--sanitize` flag), every
+//! cell instead runs under the SimSanitizer: the cache is bypassed in
+//! both directions (the verdict is the product, and a cached outcome has
+//! no trace to check), and each dirty run's rendered report is collected
+//! for [`Driver::sanitize_findings`], named by [`RunSpec::label`].
 
 use crate::RANDOMIZE_SEED;
 use spzip_apps::{RunOutcome, RunSpec};
@@ -81,8 +81,8 @@ pub struct DriverOptions {
     pub jobs: usize,
     /// Ignore existing cache entries and re-simulate (`--fresh`).
     pub fresh: bool,
-    /// Run every cell under the SimSanitizer (`--sanitize`). Requires the
-    /// `sanitize` feature; sanitized runs never read or write the cache.
+    /// Run every cell under the SimSanitizer (`--sanitize`). Sanitized
+    /// runs never read or write the cache.
     pub sanitize: bool,
     /// Where memoized outcomes live; `None` disables disk memoization.
     pub cache_dir: Option<PathBuf>,
@@ -228,24 +228,19 @@ impl Driver {
 
     /// Simulates one cell, under the sanitizer when so configured.
     fn run_spec(&self, spec: &RunSpec, g: &Arc<Csr>) -> RunOutcome {
-        if self.opts.sanitize {
-            #[cfg(feature = "sanitize")]
-            {
-                let (out, san) = spec.run_sanitized(g);
-                self.sanitized.fetch_add(1, Ordering::Relaxed);
-                if !san.clean() {
-                    self.findings.lock().unwrap().push(SanitizeFinding {
-                        label: spec.label(),
-                        violations: san.violations.len(),
-                        rendered: san.render(),
-                    });
-                }
-                return out;
-            }
-            #[cfg(not(feature = "sanitize"))]
-            panic!("DriverOptions::sanitize requires a build with the `sanitize` feature");
+        if !self.opts.sanitize {
+            return spec.run(g);
         }
-        spec.run(g)
+        let (out, san) = spec.run_sanitized(g);
+        self.sanitized.fetch_add(1, Ordering::Relaxed);
+        if !san.clean() {
+            self.findings.lock().unwrap().push(SanitizeFinding {
+                label: spec.label(),
+                violations: san.violations.len(),
+                rendered: san.render(),
+            });
+        }
+        out
     }
 
     /// Executes `specs`: dedup, load memoized outcomes, simulate misses

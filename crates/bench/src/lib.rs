@@ -49,13 +49,6 @@ use std::fmt::Write as _;
 /// ("we randomize the vertex ids of the input graph").
 pub const RANDOMIZE_SEED: u64 = 0x5EED;
 
-/// Whether this binary was built with the SimSanitizer compiled in.
-/// Binaries gate `--sanitize` on this and point the user at
-/// `--features sanitize` when it is off.
-pub fn sanitize_supported() -> bool {
-    cfg!(feature = "sanitize")
-}
-
 /// The standard scaled Table II machine.
 pub fn machine_config() -> MachineConfig {
     MachineConfig::paper_scaled()

@@ -28,8 +28,16 @@
 //!   [`RESIDENCY_RATIO_FLOOR`] in both the trajectory and the fresh run.
 
 use crate::codec_bench::{json_num, json_str, trajectory_records};
+use spzip_apps::run::run_app_sanitized;
+use spzip_apps::{AppName, Scheme};
 use spzip_compress::CODEC_VERSION;
+use spzip_graph::gen::{community, grid3d, CommunityParams};
+use spzip_mem::cache::{CacheConfig, Replacement};
 use spzip_sim::ctrace::SANITIZE_TRACE_VERSION;
+use spzip_sim::sanitize::analyze;
+use spzip_sim::MachineConfig;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Schema tag written into (and required of) `BENCH_sanitize.json`.
 pub const SCHEMA: &str = "spzip-sanitize-bench/v2";
@@ -218,17 +226,7 @@ impl SanitizeBenchReport {
 /// Measures every builtin cell. Each app runs on its canonical tiny
 /// input (the sanitized-matrix graph/matrix) on a 4-core machine; the
 /// analysis wall-clock is averaged over a `measure_ms` window.
-#[cfg(feature = "sanitize")]
 pub fn measure(measure_ms: u64) -> SanitizeBenchReport {
-    use spzip_apps::run::run_app_sanitized;
-    use spzip_apps::{AppName, Scheme};
-    use spzip_graph::gen::{community, grid3d, CommunityParams};
-    use spzip_mem::cache::{CacheConfig, Replacement};
-    use spzip_sim::sanitize::analyze;
-    use spzip_sim::MachineConfig;
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-
     let mut cfg = MachineConfig::paper_scaled();
     cfg.mem.cores = 4;
     cfg.mem.llc = CacheConfig::new(32 * 1024, 16, Replacement::Drrip);
@@ -436,7 +434,6 @@ mod tests {
         assert!(check_against(&synthetic(7.0, 6.0), &synthetic(8.0, 6.0)).is_ok());
     }
 
-    #[cfg(feature = "sanitize")]
     #[test]
     fn measured_report_is_complete_and_parses() {
         // A 1 ms window keeps this fast; completeness, determinism of the

@@ -4,8 +4,10 @@
 
 use spzip_apps::{AppName, RunSpec, Scheme};
 use spzip_bench::driver::{Driver, DriverOptions, Memo};
+use spzip_bench::figures::{all_outputs, SweepOpts};
 use spzip_graph::datasets::Scale;
 use spzip_graph::reorder::Preprocessing;
+use std::collections::HashMap;
 use std::fs;
 use std::path::PathBuf;
 
@@ -199,7 +201,6 @@ fn wedged_cells_are_never_memoized() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-#[cfg(feature = "sanitize")]
 #[test]
 fn sanitized_runs_bypass_the_cache_and_come_back_clean() {
     let dir = temp_dir("sanitize");
@@ -243,4 +244,20 @@ fn fresh_flag_ignores_cache() {
     assert_eq!(s.simulated, specs.len());
 
     let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn labels_name_exactly_one_cell_of_the_tiny_sweep() {
+    // Progress lines and sanitizer findings name a cell by its label, so
+    // two distinct cells of one sweep must never share one.
+    let mut by_label: HashMap<String, String> = HashMap::new();
+    for o in all_outputs() {
+        for spec in (o.cells)(&SweepOpts::new(Scale::Tiny, o.preprocess)) {
+            let key = spec.cache_key();
+            if let Some(other) = by_label.insert(spec.label(), key.clone()) {
+                assert_eq!(other, key, "{}: label names two cells", spec.label());
+            }
+        }
+    }
+    assert!(by_label.len() > 400, "{} labels", by_label.len());
 }

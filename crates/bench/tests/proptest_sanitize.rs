@@ -1,10 +1,6 @@
 //! Property-based sanitizer test: for random scheme x graph app x random
 //! graph x core-count layouts, every run validates against the reference
 //! and replays with zero sanitizer violations.
-//!
-//! Compiled only with the `sanitize` feature:
-//! `cargo test -p spzip-bench --features sanitize --test proptest_sanitize`.
-#![cfg(feature = "sanitize")]
 
 use proptest::prelude::*;
 use spzip_apps::run::run_app_sanitized;

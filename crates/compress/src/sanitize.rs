@@ -11,8 +11,8 @@
 //! accounting) checks; the sanitizer layer in `spzip-sim` turns the
 //! [`ConservationError`] values returned here into rendered diagnostics.
 //!
-//! This module is always compiled (it has no hot-path hooks); the
-//! `sanitize` feature only controls whether the simulator invokes it.
+//! This module has no hot-path hooks: the application layer calls it only
+//! during a sanitized run.
 
 use crate::{Codec, DecodeError};
 use std::fmt;

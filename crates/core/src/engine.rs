@@ -97,6 +97,21 @@ pub struct QueueLogEntry {
     pub cycle: u64,
 }
 
+/// Appends a queue movement of `quarters` quarter-words to a SimSanitizer
+/// log, unless it moved nothing. Cold: engines log only during a
+/// sanitized run.
+#[cold]
+fn log_queue_op(log: &mut Vec<QueueLogEntry>, q: QueueId, quarters: u16, push: bool, cycle: u64) {
+    if quarters > 0 {
+        log.push(QueueLogEntry {
+            q,
+            quarters: quarters as u32,
+            push,
+            cycle,
+        });
+    }
+}
+
 /// Why the engine could not fire on a given tick (diagnostics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stall {
@@ -134,11 +149,8 @@ pub struct EngineModel {
     ready_at: u64,
     /// Total firings executed (utilization statistics).
     pub fired: u64,
-    /// SimSanitizer queue-op log; filled only while logging is enabled.
-    #[cfg(feature = "sanitize")]
-    queue_log: Vec<QueueLogEntry>,
-    #[cfg(feature = "sanitize")]
-    log_queue_ops: bool,
+    /// SimSanitizer queue-op log; `Some` only while logging is enabled.
+    queue_log: Option<Vec<QueueLogEntry>>,
 }
 
 impl EngineModel {
@@ -158,23 +170,22 @@ impl EngineModel {
             rr_next: 0,
             ready_at: 0,
             fired: 0,
-            #[cfg(feature = "sanitize")]
-            queue_log: Vec::new(),
-            #[cfg(feature = "sanitize")]
-            log_queue_ops: false,
+            queue_log: None,
         }
     }
 
-    /// Turns SimSanitizer queue-op logging on or off.
-    #[cfg(feature = "sanitize")]
-    pub fn set_queue_logging(&mut self, on: bool) {
-        self.log_queue_ops = on;
+    /// Turns SimSanitizer queue-op logging on. Idempotent.
+    pub fn enable_queue_log(&mut self) {
+        self.queue_log.get_or_insert_with(Vec::new);
     }
 
-    /// Takes the accumulated queue-op log.
-    #[cfg(feature = "sanitize")]
+    /// Takes the queue-op log accumulated so far (empty when logging is
+    /// off).
     pub fn take_queue_log(&mut self) -> Vec<QueueLogEntry> {
-        std::mem::take(&mut self.queue_log)
+        self.queue_log
+            .as_mut()
+            .map(std::mem::take)
+            .unwrap_or_default()
     }
 
     /// The engine configuration.
@@ -334,14 +345,8 @@ impl EngineModel {
                     let qs = &mut self.queues[q as usize];
                     qs.reserved_q -= p.produced_q as u32;
                     qs.occupancy_q += p.produced_q as u32;
-                    #[cfg(feature = "sanitize")]
-                    if self.log_queue_ops && p.produced_q > 0 {
-                        self.queue_log.push(QueueLogEntry {
-                            q,
-                            quarters: p.produced_q as u32,
-                            push: true,
-                            cycle: p.complete_at,
-                        });
+                    if let Some(log) = &mut self.queue_log {
+                        log_queue_op(log, q, p.produced_q, true, p.complete_at);
                     }
                 }
             } else {
@@ -380,14 +385,8 @@ impl EngineModel {
             // Fire.
             self.traces[op].pop_front();
             self.queues[self.inputs[op] as usize].occupancy_q -= f.consumed_q as u32;
-            #[cfg(feature = "sanitize")]
-            if self.log_queue_ops && f.consumed_q > 0 {
-                self.queue_log.push(QueueLogEntry {
-                    q: self.inputs[op],
-                    quarters: f.consumed_q as u32,
-                    push: false,
-                    cycle: t,
-                });
+            if let Some(log) = &mut self.queue_log {
+                log_queue_op(log, self.inputs[op], f.consumed_q, false, t);
             }
             for &q in &self.outputs[op] {
                 self.queues[q as usize].reserved_q += f.produced_q as u32;
@@ -794,12 +793,9 @@ mod tests {
             let mut rf = EngineModel::new(cfg, 0);
             let mut mem_ev = MemorySystem::new(MemConfig::paper_scaled());
             let mut mem_rf = MemorySystem::new(MemConfig::paper_scaled());
-            #[cfg(feature = "sanitize")]
-            for e in [&mut ev, &mut rf] {
-                e.set_queue_logging(true);
-            }
             let mut now = start;
             for e in [&mut ev, &mut rf] {
+                e.enable_queue_log();
                 e.load_program(&p, now);
                 e.append_trace(first.clone());
             }
@@ -842,7 +838,6 @@ mod tests {
             }
             prop_assert_eq!(mem_ev.stats(), mem_rf.stats());
             prop_assert_eq!(mem_ev.llc_stats(), mem_rf.llc_stats());
-            #[cfg(feature = "sanitize")]
             prop_assert_eq!(ev.take_queue_log(), rf.take_queue_log());
         }
     }

@@ -146,7 +146,6 @@ pub struct MemorySystem {
     /// Compressed-memory-hierarchy baseline state, when enabled.
     cmh: Option<CmhState>,
     /// SimSanitizer probe, when a sanitized run is active.
-    #[cfg(feature = "sanitize")]
     probe: Option<crate::sanitize::Probe>,
 }
 
@@ -167,7 +166,6 @@ impl MemorySystem {
             directory: HashMap::new(),
             stats: TrafficStats::new(),
             cmh: None,
-            #[cfg(feature = "sanitize")]
             probe: None,
             cfg,
         }
@@ -175,7 +173,6 @@ impl MemorySystem {
 
     /// Starts collecting sanitizer records (watched accesses, DRAM line
     /// counts). Idempotent; keeps an existing probe's records.
-    #[cfg(feature = "sanitize")]
     pub fn enable_probe(&mut self) {
         if self.probe.is_none() {
             self.probe = Some(crate::sanitize::Probe::default());
@@ -183,14 +180,12 @@ impl MemorySystem {
     }
 
     /// Takes the probe, ending collection.
-    #[cfg(feature = "sanitize")]
     pub fn take_probe(&mut self) -> Option<crate::sanitize::Probe> {
         self.probe.take()
     }
 
     /// Drains the watched-access records collected so far, in issue order.
     /// The line counters stay on the probe. Empty when no probe is active.
-    #[cfg(feature = "sanitize")]
     pub fn drain_probe_records(&mut self) -> Vec<crate::sanitize::MemRecord> {
         match &mut self.probe {
             Some(p) => std::mem::take(&mut p.records),
@@ -236,9 +231,9 @@ impl MemorySystem {
     /// # Panics
     ///
     /// Panics if `core >= cores`.
+    #[inline]
     pub fn issue(&mut self, core: usize, port: Port, access: &Access, now: u64) -> u64 {
         assert!(core < self.cfg.cores, "core {core} out of range");
-        #[cfg(feature = "sanitize")]
         if let Some(p) = &mut self.probe {
             p.record_access(port, core, access, now);
         }
@@ -337,7 +332,6 @@ impl MemorySystem {
             let ready = now + latency;
             let complete = self.dram.request_line(channel, ready);
             self.stats.record_read(class, LINE_BYTES);
-            #[cfg(feature = "sanitize")]
             if let Some(p) = &mut self.probe {
                 p.dram_fetch_lines += 1;
             }
@@ -502,7 +496,6 @@ impl MemorySystem {
             let at = self.dram.busy_until(channel);
             self.dram.request_line(channel, at);
             self.stats.record_write(ev.class, LINE_BYTES);
-            #[cfg(feature = "sanitize")]
             if let Some(p) = &mut self.probe {
                 p.dram_writeback_lines += 1;
             }
@@ -525,7 +518,6 @@ impl MemorySystem {
                 }
             }
             self.stats.record_write(class, LINE_BYTES);
-            #[cfg(feature = "sanitize")]
             if let Some(p) = &mut self.probe {
                 p.flushed_lines += 1;
             }

@@ -13,9 +13,8 @@
 //!   [`crate::stats::TrafficStats`] so that every line the DRAM model
 //!   moved is attributed to exactly one traffic class.
 //!
-//! The module is always compiled; the `sanitize` feature only gates the
-//! hooks in the hierarchy that feed it, so default builds carry no probe
-//! state and no per-access branches.
+//! The probe is off until [`crate::hierarchy::MemorySystem::enable_probe`];
+//! until then each hook in the hierarchy is one `None` check.
 
 use crate::{Access, DataClass, MemOp, Port};
 use std::fmt;
@@ -133,7 +132,9 @@ impl Probe {
         matches!(class, DataClass::Frontier | DataClass::Updates)
     }
 
-    /// Records `access` if its class is watched.
+    /// Records `access` if its class is watched. Cold: the hierarchy calls
+    /// it only while a probe is active.
+    #[cold]
     pub fn record_access(&mut self, port: Port, core: usize, access: &Access, cycle: u64) {
         if Self::watched(access.class) {
             self.records.push(MemRecord {

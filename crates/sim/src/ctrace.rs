@@ -212,6 +212,11 @@ impl CTrace {
     }
 
     /// Appends one event, sealing a chunk when the staging buffer fills.
+    ///
+    /// Cold, like every sanitizer hook: the machine calls it only during a
+    /// sanitized run, and the hint keeps the replay loop's default path
+    /// down to one `None` check.
+    #[cold]
     pub fn record(&mut self, e: TraceEvent) {
         self.pending.push(e);
         self.total_events += 1;
@@ -221,7 +226,8 @@ impl CTrace {
     }
 
     /// Appends a batch of events (the machine's per-quantum engine-log
-    /// merges arrive as batches).
+    /// merges arrive as batches). Cold, as [`CTrace::record`].
+    #[cold]
     pub fn record_all(&mut self, events: impl IntoIterator<Item = TraceEvent>) {
         for e in events {
             self.record(e);

@@ -8,27 +8,17 @@
 //! core from the [`WorkSource`] whenever its event queue drains — the
 //! dynamic chunk scheduling of the paper's runtime.
 
-#[cfg(feature = "sanitize")]
 use crate::ctrace::CTrace;
 use crate::event::Event;
 use crate::report::RunReport;
-#[cfg(feature = "sanitize")]
 use crate::sanitize::{RunContext, SanitizeReport, TraceEvent, Violation};
 use spzip_core::dcl::Pipeline;
 use spzip_core::engine::{EngineConfig, EngineModel};
 use spzip_core::func::Firing;
 use spzip_mem::hierarchy::{MemConfig, MemorySystem};
-#[cfg(feature = "sanitize")]
 use spzip_mem::sanitize::Actor;
 use spzip_mem::Port;
 use std::collections::VecDeque;
-
-/// The sanitizer trace slot threaded through the core step. A unit type
-/// in default builds, so the hot path carries no state and no branches.
-#[cfg(feature = "sanitize")]
-type SanitizeSlot = Option<CTrace>;
-#[cfg(not(feature = "sanitize"))]
-type SanitizeSlot = ();
 
 /// One blocked actor in a wedged machine and what it waits on — an edge
 /// of the wait-for graph at the moment the watchdog tripped.
@@ -175,9 +165,8 @@ pub struct Machine {
     /// Set when the watchdog trips; poisons subsequent phases.
     deadlock: Option<DeadlockReport>,
     /// SimSanitizer trace; `Some` only while a sanitized run is active.
-    sanitize: SanitizeSlot,
+    sanitize: Option<CTrace>,
     /// Violations noted by outer layers (codec checks, drain discipline).
-    #[cfg(feature = "sanitize")]
     external_violations: Vec<Violation>,
 }
 
@@ -194,8 +183,7 @@ impl Machine {
                 .collect(),
             now: 0,
             deadlock: None,
-            sanitize: Default::default(),
-            #[cfg(feature = "sanitize")]
+            sanitize: None,
             external_violations: Vec::new(),
             cfg,
         }
@@ -204,14 +192,10 @@ impl Machine {
     /// Turns on SimSanitizer collection: the memory probe, engine
     /// queue-op logs, and the synchronization trace. Idempotent. Call
     /// before the first phase; end the run with [`Machine::finish_sanitized`].
-    #[cfg(feature = "sanitize")]
     pub fn enable_sanitizer(&mut self) {
         self.mem.enable_probe();
-        for f in &mut self.fetchers {
-            f.set_queue_logging(true);
-        }
-        for c in &mut self.compressors {
-            c.set_queue_logging(true);
+        for e in self.fetchers.iter_mut().chain(&mut self.compressors) {
+            e.enable_queue_log();
         }
         if self.sanitize.is_none() {
             self.sanitize = Some(CTrace::new(self.cfg.mem.cores));
@@ -219,14 +203,12 @@ impl Machine {
     }
 
     /// Whether a sanitized run is active.
-    #[cfg(feature = "sanitize")]
     pub fn sanitizing(&self) -> bool {
         self.sanitize.is_some()
     }
 
     /// Records a violation found by an outer layer (codec conservation,
     /// functional drain discipline) for inclusion in the final report.
-    #[cfg(feature = "sanitize")]
     pub fn note_violation(&mut self, v: Violation) {
         self.external_violations.push(v);
     }
@@ -281,15 +263,11 @@ impl Machine {
     /// sensitivity sweep). Takes effect at the next program load.
     pub fn set_fetcher_scratchpad(&mut self, bytes: u32) {
         self.cfg.fetcher.scratchpad_bytes = bytes;
-        #[cfg(feature = "sanitize")]
         let relog = self.sanitize.is_some();
         for (i, f) in self.fetchers.iter_mut().enumerate() {
-            let mut cfg = self.cfg.fetcher;
-            cfg.scratchpad_bytes = bytes;
-            *f = EngineModel::new(cfg, i);
-            #[cfg(feature = "sanitize")]
+            *f = EngineModel::new(self.cfg.fetcher, i);
             if relog {
-                f.set_queue_logging(true);
+                f.enable_queue_log();
             }
         }
     }
@@ -350,26 +328,28 @@ impl Machine {
                     &mut self.mem,
                     self.now,
                     quantum,
-                    &mut self.sanitize,
+                    self.sanitize.as_mut(),
                 );
             }
             for i in 0..self.cores.len() {
                 progressed |= self.fetchers[i].tick(self.now, quantum, &mut self.mem) > 0;
-                #[cfg(feature = "sanitize")]
-                drain_engine_events(
-                    &mut self.sanitize,
-                    &mut self.mem,
-                    &mut self.fetchers[i],
-                    Actor::Fetcher(i),
-                );
+                if let Some(tr) = &mut self.sanitize {
+                    drain_engine_events(
+                        tr,
+                        &mut self.mem,
+                        &mut self.fetchers[i],
+                        Actor::Fetcher(i),
+                    );
+                }
                 progressed |= self.compressors[i].tick(self.now, quantum, &mut self.mem) > 0;
-                #[cfg(feature = "sanitize")]
-                drain_engine_events(
-                    &mut self.sanitize,
-                    &mut self.mem,
-                    &mut self.compressors[i],
-                    Actor::Compressor(i),
-                );
+                if let Some(tr) = &mut self.sanitize {
+                    drain_engine_events(
+                        tr,
+                        &mut self.mem,
+                        &mut self.compressors[i],
+                        Actor::Compressor(i),
+                    );
+                }
             }
             self.now += quantum;
             if progressed {
@@ -382,7 +362,6 @@ impl Machine {
         }
         // A phase ends only once every core and engine is quiescent: a
         // global barrier in happens-before terms.
-        #[cfg(feature = "sanitize")]
         if let Some(tr) = self.sanitize.as_mut() {
             tr.record(TraceEvent::Barrier { cycle: self.now });
         }
@@ -474,7 +453,6 @@ impl Machine {
     /// # Panics
     ///
     /// Panics if [`Machine::enable_sanitizer`] was never called.
-    #[cfg(feature = "sanitize")]
     pub fn finish_sanitized(mut self) -> (RunReport, SanitizeReport) {
         let mut trace = self
             .sanitize
@@ -531,14 +509,13 @@ impl Machine {
 /// merging by `(cycle, rank)` (stable) reconstructs the engine's
 /// processing order across them: pending pushes commit first each cycle,
 /// then a firing pops its input and touches memory.
-#[cfg(feature = "sanitize")]
+#[cold]
 fn drain_engine_events(
-    slot: &mut SanitizeSlot,
+    tr: &mut CTrace,
     mem: &mut MemorySystem,
     engine: &mut EngineModel,
     who: Actor,
 ) {
-    let Some(tr) = slot.as_mut() else { return };
     let mut evs: Vec<TraceEvent> = engine
         .take_queue_log()
         .into_iter()
@@ -579,14 +556,12 @@ fn advance_core(
     mem: &mut MemorySystem,
     now: u64,
     quantum: u64,
-    sanitize: &mut SanitizeSlot,
+    mut trace: Option<&mut CTrace>,
 ) -> bool {
     let deadline = now + quantum;
     if core.t < now {
         core.t = now;
     }
-    #[cfg(not(feature = "sanitize"))]
-    let _ = sanitize;
     let mut progressed = false;
     while core.t < deadline {
         let Some(&ev) = core.events.front() else {
@@ -612,8 +587,7 @@ fn advance_core(
                     core.window.retain(|&c| c > core.t);
                 }
                 let done = mem.issue(core_id, Port::Core, &acc, core.t);
-                #[cfg(feature = "sanitize")]
-                if let Some(tr) = sanitize.as_mut() {
+                if let Some(tr) = trace.as_mut() {
                     tr.record_all(mem.drain_probe_records().into_iter().map(TraceEvent::Mem));
                 }
                 if acc.op == spzip_mem::MemOp::Atomic {
@@ -639,8 +613,7 @@ fn advance_core(
             Event::FetcherEnqueue { q, quarters } => {
                 if fetcher.can_enqueue(q, quarters) {
                     fetcher.enqueue(q, quarters);
-                    #[cfg(feature = "sanitize")]
-                    if let Some(tr) = sanitize.as_mut() {
+                    if let Some(tr) = trace.as_mut() {
                         tr.record(TraceEvent::Push {
                             actor: Actor::Core(core_id),
                             engine: Actor::Fetcher(core_id),
@@ -661,8 +634,7 @@ fn advance_core(
             Event::FetcherDequeue { q, quarters } => {
                 if fetcher.can_dequeue(q, quarters) {
                     fetcher.dequeue(q, quarters);
-                    #[cfg(feature = "sanitize")]
-                    if let Some(tr) = sanitize.as_mut() {
+                    if let Some(tr) = trace.as_mut() {
                         tr.record(TraceEvent::Pop {
                             actor: Actor::Core(core_id),
                             engine: Actor::Fetcher(core_id),
@@ -683,8 +655,7 @@ fn advance_core(
             Event::CompressorEnqueue { q, quarters } => {
                 if compressor.can_enqueue(q, quarters) {
                     compressor.enqueue(q, quarters);
-                    #[cfg(feature = "sanitize")]
-                    if let Some(tr) = sanitize.as_mut() {
+                    if let Some(tr) = trace.as_mut() {
                         tr.record(TraceEvent::Push {
                             actor: Actor::Core(core_id),
                             engine: Actor::Compressor(core_id),
@@ -704,8 +675,7 @@ fn advance_core(
             }
             Event::CompressorDrain => {
                 if compressor.idle() {
-                    #[cfg(feature = "sanitize")]
-                    if let Some(tr) = sanitize.as_mut() {
+                    if let Some(tr) = trace.as_mut() {
                         tr.record(TraceEvent::Drain {
                             actor: Actor::Core(core_id),
                             engine: Actor::Compressor(core_id),
@@ -722,8 +692,7 @@ fn advance_core(
             }
             Event::FetcherDrain => {
                 if fetcher.idle() {
-                    #[cfg(feature = "sanitize")]
-                    if let Some(tr) = sanitize.as_mut() {
+                    if let Some(tr) = trace.as_mut() {
                         tr.record(TraceEvent::Drain {
                             actor: Actor::Core(core_id),
                             engine: Actor::Fetcher(core_id),
@@ -861,7 +830,6 @@ mod tests {
         assert!(m.now() >= 1000);
     }
 
-    #[cfg(feature = "sanitize")]
     #[test]
     fn sanitized_run_is_clean_and_accounts_all_lines() {
         let mut m = Machine::new(tiny_config());

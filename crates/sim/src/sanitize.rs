@@ -26,9 +26,10 @@
 //! The codec byte-conservation checks (S008/S009) live in
 //! `spzip_compress::sanitize` and feed in through the application layer.
 //!
-//! Everything here is ordinary always-compiled code. The `sanitize`
-//! feature only gates the *collection* hooks in the machine and memory
-//! hierarchy, so default builds pay nothing.
+//! The *collection* hooks in the machine, the engines and the memory
+//! hierarchy are compiled into every build and switched on at run time by
+//! [`crate::Machine::enable_sanitizer`]; until then each hook is one
+//! `None` check.
 //!
 //! # Trace order
 //!

@@ -3,13 +3,10 @@
 //! correct executions), and a real run's trace with its synchronization
 //! edges or its queue pops removed must be flagged — as a race with
 //! actor/cycle/address context, or as leaked queue slots (the sanitizer
-//! is not vacuous).
-//!
-//! Compiled only with the `sanitize` feature:
-//! `cargo test --features sanitize --test sanitizer_matrix`.
-#![cfg(feature = "sanitize")]
+//! is not vacuous). A sanitized run must also report exactly what the
+//! same run reports unsanitized: the hooks observe, never steer.
 
-use spzip_apps::run::run_app_sanitized;
+use spzip_apps::run::{run_app_full, run_app_sanitized};
 use spzip_apps::{AppName, Scheme};
 use spzip_graph::gen::{community, grid3d, CommunityParams};
 use spzip_mem::cache::{CacheConfig, Replacement};
@@ -25,15 +22,18 @@ fn tiny_machine() -> MachineConfig {
     cfg
 }
 
-#[test]
-fn sanitized_matrix_every_app_every_scheme_is_silent() {
+/// Runs every app under every scheme with the SimSanitizer on a machine
+/// with the given knobs: each run must validate, replay with zero
+/// violations, and report exactly what the same run reports unsanitized
+/// (the hooks observe, never steer).
+fn sanitize_every_app_every_scheme(scratchpad: Option<u32>, cmh: bool) {
     let g = Arc::new(community(&CommunityParams::web_crawl(512, 6), 23));
     let m = Arc::new(grid3d(6, 1, 3));
     for app in AppName::all() {
         let input = if app.is_matrix() { &m } else { &g };
         for scheme in Scheme::all() {
-            let (out, san) =
-                run_app_sanitized(app, input, &scheme.config(), tiny_machine(), None, false);
+            let cfg = scheme.config();
+            let (out, san) = run_app_sanitized(app, input, &cfg, tiny_machine(), scratchpad, cmh);
             assert!(
                 out.validated,
                 "{app} under {scheme} diverged from reference"
@@ -43,8 +43,31 @@ fn sanitized_matrix_every_app_every_scheme_is_silent() {
                 !san.trace.is_empty(),
                 "{app} under {scheme} recorded no trace"
             );
+            let plain = run_app_full(app, input, &cfg, tiny_machine(), scratchpad, cmh);
+            assert_eq!(
+                out.report.to_kv(),
+                plain.report.to_kv(),
+                "{app} under {scheme}: sanitizing changed the run"
+            );
         }
     }
+}
+
+#[test]
+fn sanitized_matrix_every_app_every_scheme_is_silent() {
+    sanitize_every_app_every_scheme(None, false);
+}
+
+#[test]
+fn sanitized_matrix_with_a_halved_fetcher_scratchpad_is_silent() {
+    // Fig. 21's override rebuilds the fetchers after the sanitizer is on,
+    // so the rebuilt engines must log their queue operations too.
+    sanitize_every_app_every_scheme(Some(256), false);
+}
+
+#[test]
+fn sanitized_matrix_on_the_compressed_memory_hierarchy_is_silent() {
+    sanitize_every_app_every_scheme(None, true);
 }
 
 /// One clean sanitized run of PageRank under UB+SpZip: cores hand updates
