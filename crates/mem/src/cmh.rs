@@ -12,7 +12,7 @@
 //! the application layer, which reports the BDI-compressed size of any
 //! line from the real array contents.
 
-use crate::cache::CacheConfig;
+use crate::cache::{CacheConfig, SetIndex};
 use crate::{DataClass, LINE_BYTES};
 use std::collections::HashMap;
 
@@ -64,6 +64,7 @@ pub const SEGMENT_BYTES: u32 = 8;
 pub struct CompressedLlc {
     /// Logical (uncompressed-equivalent) geometry.
     base: CacheConfig,
+    index: SetIndex,
     sets: Vec<CSet>,
     hits: u64,
     misses: u64,
@@ -120,17 +121,12 @@ impl CompressedLlc {
             .collect();
         CompressedLlc {
             base,
+            index: SetIndex::new(base.sets()),
             sets,
             hits: 0,
             misses: 0,
             tick: 0,
         }
-    }
-
-    fn set_of(&self, line_addr: u64) -> usize {
-        let sets = self.base.sets();
-        let h = line_addr ^ (line_addr >> 13) ^ (line_addr >> 27);
-        (h % sets) as usize
     }
 
     fn segments_for(bytes: u32) -> u32 {
@@ -143,7 +139,7 @@ impl CompressedLlc {
     pub fn access(&mut self, line_addr: u64, write: bool) -> bool {
         self.tick += 1;
         let tick = self.tick;
-        let set = self.set_of(line_addr);
+        let set = self.index.of(line_addr);
         for line in &mut self.sets[set].lines {
             if line.valid && line.tag == line_addr {
                 line.dirty |= write;
@@ -168,7 +164,7 @@ impl CompressedLlc {
         self.tick += 1;
         let tick = self.tick;
         let needed = Self::segments_for(oracle.bdi_bytes(line_addr));
-        let set_idx = self.set_of(line_addr);
+        let set_idx = self.index.of(line_addr);
         let set = &mut self.sets[set_idx];
         let mut evicted = Vec::new();
         loop {
@@ -207,6 +203,23 @@ impl CompressedLlc {
                     });
                 }
             }
+        }
+    }
+
+    /// Marks a resident line clean (after its writeback) without touching
+    /// statistics or LRU state; returns whether it was resident.
+    pub(crate) fn clean(&mut self, line_addr: u64) -> bool {
+        let set = self.index.of(line_addr);
+        match self.sets[set]
+            .lines
+            .iter_mut()
+            .find(|l| l.valid && l.tag == line_addr)
+        {
+            Some(line) => {
+                line.dirty = false;
+                true
+            }
+            None => false,
         }
     }
 
@@ -380,6 +393,17 @@ mod tests {
         assert_eq!(llc.dirty_lines(), vec![(5, DataClass::Other)]);
         let (h, m) = llc.hit_miss();
         assert_eq!((h, m), (1, 0));
+    }
+
+    #[test]
+    fn clean_keeps_the_line_and_its_stats() {
+        let mut llc = CompressedLlc::new(cfg());
+        llc.fill(5, true, DataClass::Updates, &FixedOracle(16));
+        assert!(llc.clean(5));
+        assert!(llc.dirty_lines().is_empty());
+        assert_eq!(llc.occupancy(), 1);
+        assert_eq!(llc.hit_miss(), (0, 0));
+        assert!(!llc.clean(6));
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::cmh::{CompressedLlc, CompressibilityOracle, LcpMemory};
 use crate::dram::{Dram, DramConfig};
 use crate::noc::Mesh;
 use crate::stats::TrafficStats;
-use crate::{Access, DataClass, MemOp, Port, LINE_BYTES};
+use crate::{Access, DataClass, LineMap, MemOp, Port, LINE_BYTES};
 use std::collections::HashMap;
 
 /// A static per-line BDI profile used as the CMH baseline's oracle.
@@ -141,7 +141,7 @@ pub struct MemorySystem {
     mesh: Mesh,
     dram: Dram,
     /// Sharer bitmap per LLC-resident line.
-    directory: HashMap<u64, u32>,
+    directory: LineMap<u32>,
     stats: TrafficStats,
     /// Compressed-memory-hierarchy baseline state, when enabled.
     cmh: Option<CmhState>,
@@ -163,7 +163,7 @@ impl MemorySystem {
                 Mesh::new(cfg.cores.max(1), 1, 2)
             },
             dram: Dram::new(cfg.dram),
-            directory: HashMap::new(),
+            directory: LineMap::default(),
             stats: TrafficStats::new(),
             cmh: None,
             probe: None,
@@ -266,7 +266,8 @@ impl MemorySystem {
             latency += self.cfg.l1_latency;
             if self.l1[core].access(line_addr, write) {
                 if write {
-                    self.handle_write_coherence(core, line_addr);
+                    let others = self.claim_line(core, line_addr);
+                    self.invalidate_sharers(others, line_addr, None);
                 }
                 let extra = if op == MemOp::Atomic {
                     self.cfg.atomic_penalty
@@ -288,7 +289,8 @@ impl MemorySystem {
                     self.fill_l1(core, line_addr, write);
                 }
                 if write {
-                    self.handle_write_coherence(core, line_addr);
+                    let others = self.claim_line(core, line_addr);
+                    self.invalidate_sharers(others, line_addr, None);
                 }
                 let extra = if op == MemOp::Atomic {
                     self.cfg.atomic_penalty
@@ -302,8 +304,13 @@ impl MemorySystem {
             }
         }
 
-        // LLC (plain, or the CMH baseline's compressed LLC).
+        // LLC (plain, or the CMH baseline's compressed LLC). `llc_way` is
+        // the plain LLC's way holding the line once a lookup or fill has
+        // found it. Only CMH's burst fills could fill the LLC again before
+        // this access returns, so the line's later touches below reuse the
+        // way instead of scanning the set again.
         latency += self.cfg.llc_latency + self.mesh.llc_round_trip(core, line_addr);
+        let mut llc_way = None;
         let llc_hit = match &mut self.cmh {
             Some(c) => {
                 let hit = c.cllc.access(line_addr, write);
@@ -314,13 +321,16 @@ impl MemorySystem {
                 }
                 hit
             }
-            None => self.llc.access(line_addr, write),
+            None => {
+                llc_way = self.llc.access_way(line_addr, write);
+                llc_way.is_some()
+            }
         };
         let (complete_at, level) = if llc_hit {
             (now + latency, Level::Llc)
         } else if op == MemOp::StreamStore {
             // Full-line streaming store: allocate dirty, no DRAM fetch.
-            self.fill_llc(line_addr, true, class);
+            llc_way = self.fill_llc(line_addr, true, class);
             (now + latency, Level::Llc)
         } else {
             // DRAM fetch. A DRAM access always moves one 64 B burst; under
@@ -335,7 +345,7 @@ impl MemorySystem {
             if let Some(p) = &mut self.probe {
                 p.dram_fetch_lines += 1;
             }
-            self.fill_llc(line_addr, false, class);
+            llc_way = self.fill_llc(line_addr, false, class);
             let cline = self.dram_line_bytes(line_addr);
             if (cline as u64) < LINE_BYTES {
                 let per_burst = (LINE_BYTES / cline as u64).max(1);
@@ -348,23 +358,32 @@ impl MemorySystem {
             }
             if write {
                 // The line was fetched for ownership; mark dirty in LLC.
-                self.llc_touch(line_addr, true);
+                self.llc_touch(line_addr, llc_way, true);
             }
             (complete, Level::Dram)
         };
 
         // Install in private caches and update the directory.
-        if port != Port::EngineLlc {
+        let others = if port != Port::EngineLlc {
             self.fill_l2(core, line_addr, write);
             if port == Port::Core {
                 self.fill_l1(core, line_addr, write);
             }
-            *self.directory.entry(line_addr).or_insert(0) |= 1 << core;
-        }
+            let bit = 1u32 << core;
+            let sharers = self.directory.entry(line_addr).or_insert(0);
+            let others = *sharers & !bit;
+            // A write leaves this core the only sharer.
+            *sharers = if write { bit } else { *sharers | bit };
+            others
+        } else if write {
+            self.claim_line(core, line_addr)
+        } else {
+            0
+        };
         if write {
-            self.handle_write_coherence(core, line_addr);
+            let llc_way = self.invalidate_sharers(others, line_addr, llc_way);
             // Writes leave the line dirty at the level that owns it.
-            self.llc_touch(line_addr, true);
+            self.llc_touch(line_addr, llc_way, true);
         }
         let extra = if op == MemOp::Atomic {
             self.cfg.atomic_penalty
@@ -377,53 +396,64 @@ impl MemorySystem {
         }
     }
 
-    /// Invalidates other cores' private copies on a write.
-    fn handle_write_coherence(&mut self, core: usize, line_addr: u64) {
-        let Some(&sharers) = self.directory.get(&line_addr) else {
-            return;
+    /// Makes `core` the only sharer of `line_addr` for a write; returns
+    /// the other sharers, whose copies the write invalidates.
+    fn claim_line(&mut self, core: usize, line_addr: u64) -> u32 {
+        let Some(sharers) = self.directory.get_mut(&line_addr) else {
+            return 0;
         };
-        let others = sharers & !(1u32 << core);
-        if others == 0 {
-            return;
-        }
-        for other in 0..self.cfg.cores {
-            if others & (1 << other) != 0 {
-                // Dirty private copies fold into the LLC (it is inclusive,
-                // so the line exists there).
-                let d1 = self.l1[other].invalidate(line_addr) == Some(true);
-                let d2 = self.l2[other].invalidate(line_addr) == Some(true);
-                if d1 || d2 {
-                    self.llc_touch(line_addr, true);
-                }
-                self.stats.invalidations += 1;
-            }
-        }
-        self.directory.insert(line_addr, sharers & (1 << core));
+        let others = *sharers & !(1u32 << core);
+        *sharers &= 1 << core;
+        others
     }
 
-    fn fill_l1(&mut self, core: usize, line_addr: u64, dirty: bool) {
-        if self.l1[core].contains(line_addr) {
-            return;
+    /// Invalidates the private copies of `line_addr` that the cores in
+    /// `others` hold, on a write. `llc_way` is the plain LLC's way holding
+    /// the line, if known; returns it, found by the first fold when it was
+    /// not known.
+    fn invalidate_sharers(
+        &mut self,
+        mut others: u32,
+        line_addr: u64,
+        mut llc_way: Option<usize>,
+    ) -> Option<usize> {
+        while others != 0 {
+            let other = others.trailing_zeros() as usize;
+            others &= others - 1;
+            // Dirty private copies fold into the LLC (it is inclusive,
+            // so the line exists there).
+            let d1 = self.l1[other].invalidate(line_addr) == Some(true);
+            let d2 = self.l2[other].invalidate(line_addr) == Some(true);
+            if d1 || d2 {
+                llc_way = self.llc_touch(line_addr, llc_way, true);
+            }
+            self.stats.invalidations += 1;
         }
+        llc_way
+    }
+
+    // The private fills below run only after this same access missed the
+    // cache they fill, and nothing in between fills it: LLC evictions and
+    // coherence only invalidate private lines. So the line is absent, as
+    // `Cache::fill` asserts in debug builds, and needs no `contains` scan.
+
+    fn fill_l1(&mut self, core: usize, line_addr: u64, dirty: bool) {
         if let Some(ev) = self.l1[core].fill(line_addr, dirty, DataClass::Other) {
             if ev.dirty {
                 // Dirty L1 victims fold into the L2.
                 if !self.l2[core].access(ev.line_addr, true) {
                     // Fold the dirty victim into the inclusive LLC.
-                    self.llc_touch(ev.line_addr, true);
+                    self.llc_touch(ev.line_addr, None, true);
                 }
             }
         }
     }
 
     fn fill_l2(&mut self, core: usize, line_addr: u64, dirty: bool) {
-        if self.l2[core].contains(line_addr) {
-            return;
-        }
         if let Some(ev) = self.l2[core].fill(line_addr, dirty, DataClass::Other) {
             if ev.dirty {
                 // Dirty L2 victims fold into the inclusive LLC.
-                self.llc_touch(ev.line_addr, true);
+                self.llc_touch(ev.line_addr, None, true);
             }
             // Drop the L1 copy to keep L1 ⊆ L2 simple.
             self.l1[core].invalidate(ev.line_addr);
@@ -440,11 +470,21 @@ impl MemorySystem {
         }
     }
 
-    /// Marks a line in whichever LLC variant is active (no fill).
-    fn llc_touch(&mut self, line_addr: u64, write: bool) -> bool {
-        match &mut self.cmh {
-            Some(c) => c.cllc.access(line_addr, write),
-            None => self.llc.access(line_addr, write),
+    /// Marks a line in whichever LLC variant is active (no fill). `way`
+    /// is the plain LLC's way holding the line, when known, and spares the
+    /// lookup; returns the way for the next touch of the same line (always
+    /// `None` under CMH).
+    fn llc_touch(&mut self, line_addr: u64, way: Option<usize>, write: bool) -> Option<usize> {
+        match (&mut self.cmh, way) {
+            (Some(c), _) => {
+                c.cllc.access(line_addr, write);
+                None
+            }
+            (None, Some(way)) => {
+                self.llc.touch_way(way, write);
+                Some(way)
+            }
+            (None, None) => self.llc.access_way(line_addr, write),
         }
     }
 
@@ -457,7 +497,9 @@ impl MemorySystem {
         }
     }
 
-    fn fill_llc(&mut self, line_addr: u64, dirty: bool, class: DataClass) {
+    /// Fills a line into whichever LLC variant is active; returns the plain
+    /// LLC's way that now holds it (`None` under CMH).
+    fn fill_llc(&mut self, line_addr: u64, dirty: bool, class: DataClass) -> Option<usize> {
         if self.cmh.is_some() {
             let mut cmh = self.cmh.take().expect("checked");
             let evictions = cmh.cllc.fill(line_addr, dirty, class, &cmh.profile);
@@ -469,22 +511,26 @@ impl MemorySystem {
                     class: ev.class,
                 });
             }
-        } else if let Some(ev) = self.llc.fill(line_addr, dirty, class) {
+            return None;
+        }
+        let (way, evicted) = self.llc.fill_way(line_addr, dirty, class);
+        if let Some(ev) = evicted {
             self.evict_llc_line(ev);
         }
+        Some(way)
     }
 
     fn evict_llc_line(&mut self, ev: Evicted) {
         // Inclusive LLC: invalidate every private copy; dirty private
         // copies make the victim dirty.
         let mut dirty = ev.dirty;
-        if let Some(sharers) = self.directory.remove(&ev.line_addr) {
-            for core in 0..self.cfg.cores {
-                if sharers & (1 << core) != 0 {
-                    dirty |= self.l1[core].invalidate(ev.line_addr) == Some(true);
-                    dirty |= self.l2[core].invalidate(ev.line_addr) == Some(true);
-                    self.stats.invalidations += 1;
-                }
+        if let Some(mut sharers) = self.directory.remove(&ev.line_addr) {
+            while sharers != 0 {
+                let core = sharers.trailing_zeros() as usize;
+                sharers &= sharers - 1;
+                dirty |= self.l1[core].invalidate(ev.line_addr) == Some(true);
+                dirty |= self.l2[core].invalidate(ev.line_addr) == Some(true);
+                self.stats.invalidations += 1;
             }
         }
         if dirty {
@@ -510,13 +556,9 @@ impl MemorySystem {
         let dirty_lines: Vec<(u64, DataClass)> = self.collect_dirty();
         for (line, class) in dirty_lines {
             match &mut self.cmh {
-                Some(c) => {
-                    c.cllc.access(line, false);
-                }
-                None => {
-                    self.llc.clean(line);
-                }
-            }
+                Some(c) => c.cllc.clean(line),
+                None => self.llc.clean(line),
+            };
             self.stats.record_write(class, LINE_BYTES);
             if let Some(p) = &mut self.probe {
                 p.flushed_lines += 1;
@@ -669,15 +711,20 @@ mod tests {
 
     #[test]
     fn flush_dirty_accounts_resident_lines() {
-        let mut m = system();
-        let st = Access::new(0x9000, 64, MemOp::StreamStore, DataClass::Updates);
-        m.issue(0, Port::EngineLlc, &st, 0);
-        assert_eq!(m.stats().write_bytes(DataClass::Updates), 0);
-        m.flush_dirty();
-        assert_eq!(m.stats().write_bytes(DataClass::Updates), 64);
-        // Idempotent.
-        m.flush_dirty();
-        assert_eq!(m.stats().write_bytes(DataClass::Updates), 64);
+        for cmh in [false, true] {
+            let mut m = system();
+            if cmh {
+                m.enable_cmh(BdiProfile::default(), 2);
+            }
+            let st = Access::new(0x9000, 64, MemOp::StreamStore, DataClass::Updates);
+            m.issue(0, Port::EngineLlc, &st, 0);
+            assert_eq!(m.stats().write_bytes(DataClass::Updates), 0);
+            m.flush_dirty();
+            assert_eq!(m.stats().write_bytes(DataClass::Updates), 64, "cmh {cmh}");
+            // Idempotent: a flushed line is clean.
+            m.flush_dirty();
+            assert_eq!(m.stats().write_bytes(DataClass::Updates), 64, "cmh {cmh}");
+        }
     }
 
     #[test]

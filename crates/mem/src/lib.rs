@@ -35,10 +35,42 @@ pub mod phi;
 pub mod sanitize;
 pub mod stats;
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Cache-line size in bytes, fixed at 64 throughout (Table II).
 pub const LINE_BYTES: u64 = 64;
+
+/// A map keyed by line address, hashed with one folded multiply instead
+/// of SipHash. Its iteration order is arbitrary, so it suits maps that
+/// only do point lookups, or whose iteration is sorted before it reaches
+/// an output.
+pub(crate) type LineMap<V> = HashMap<u64, V, BuildHasherDefault<LineHasher>>;
+
+/// The [`LineMap`] hasher: the 128-bit product of the key and an odd
+/// 64-bit constant, folded to 64 bits, so that every key bit moves both
+/// the low and the high bits of the hash (a table uses both).
+#[derive(Default)]
+pub(crate) struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, key: u64) {
+        let p = (self.0 ^ key) as u128 * 0x9E37_79B9_7F4A_7C15;
+        self.0 = p as u64 ^ (p >> 64) as u64;
+    }
+}
 
 /// Application-level classification of memory traffic, matching the
 /// paper's traffic breakdown categories (Figs. 7, 15b, 15d, 18).

@@ -12,8 +12,7 @@
 //! possibly evicting a victim line whose distinct updates spill to bins.
 
 use crate::cache::{Cache, CacheConfig, Replacement};
-use crate::LINE_BYTES;
-use std::collections::HashMap;
+use crate::{LineMap, LINE_BYTES};
 
 /// Outcome of pushing one update into the PHI unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,7 +43,8 @@ pub enum PhiPush {
 pub struct PhiUnit {
     tags: Cache,
     /// Distinct-slot bitmaps per buffered line (slot = update within line).
-    slots: HashMap<u64, u64>,
+    /// Point lookups only; `drain` sorts what it iterates.
+    slots: LineMap<u64>,
     update_bytes: u32,
     coalesced: u64,
     spilled: u64,
@@ -58,7 +58,7 @@ impl PhiUnit {
         assert!(update_bytes > 0 && LINE_BYTES.is_multiple_of(update_bytes as u64));
         PhiUnit {
             tags: Cache::new(CacheConfig::new(capacity_bytes, ways, Replacement::Lru)),
-            slots: HashMap::new(),
+            slots: LineMap::default(),
             update_bytes,
             coalesced: 0,
             spilled: 0,
