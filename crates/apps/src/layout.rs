@@ -19,12 +19,10 @@ use std::sync::Arc;
 /// at once").
 pub const ADJ_GROUP_ROWS: u32 = 32;
 
-/// Vertices per traversal chunk handed to one core at a time.
+/// Vertices per traversal chunk handed to one core at a time. Compressed
+/// source-data chunks hold as many elements, so the fetcher streams one
+/// compressed frame per traversal chunk.
 pub const CHUNK_VERTICES: u32 = 256;
-
-/// Elements per compressed source-data chunk (aligned with traversal
-/// chunks so the fetcher can stream one compressed frame per chunk).
-pub const VERTEX_CHUNK: u32 = CHUNK_VERTICES;
 
 /// Elements per compressed destination-slice sub-chunk; a bin's slice
 /// spans several sub-chunks so fetch and writeback parallelize across
@@ -206,7 +204,7 @@ impl Workload {
         let aux_addr = img.alloc("aux_data", n as u64 * 4, DataClass::DestinationVertex);
         let frontier_addr = img.alloc("frontier", n as u64 * 4 + 64, DataClass::Frontier);
         let next_frontier_addr = img.alloc("next_frontier", n as u64 * 4 + 64, DataClass::Frontier);
-        let cfrontier_addr = img.alloc("cfrontier", n as u64 * 5 + 4096, DataClass::Frontier);
+        let cfrontier_addr = img.alloc("cfrontier", cfrontier_bytes(n), DataClass::Frontier);
 
         // Compressed adjacency (Fig. 3 layout): per-row for random access,
         // multi-row groups for sequential all-active traversals.
@@ -261,15 +259,15 @@ impl Workload {
             )
         });
         let csrc = (scheme.compress_vertex && scheme.bins_updates() && all_active)
-            .then(|| alloc_slices(&mut img, "csrc", n, VERTEX_CHUNK, DataClass::SourceVertex));
+            .then(|| alloc_slices(&mut img, "csrc", n, CHUNK_VERTICES, DataClass::SourceVertex));
 
-        let staging_bytes = bins
-            .as_ref()
-            .map_or(VERTEX_CHUNK as u64 * 4, |b| b.slice_vertices as u64 * 4)
-            .max(VERTEX_CHUNK as u64 * 4);
         // Staging holds the decompressed destination slice: its cache
         // behaviour (and any writebacks) are destination-vertex traffic.
-        let staging_addr = img.alloc("staging", staging_bytes, DataClass::DestinationVertex);
+        let staging_addr = img.alloc(
+            "staging",
+            staging_bytes(bins.as_ref()),
+            DataClass::DestinationVertex,
+        );
 
         Workload {
             img,
@@ -353,7 +351,7 @@ impl Workload {
         s.add_region(RegionSchema::framed(
             "cfrontier",
             self.cfrontier_addr,
-            n * 5 + 4096,
+            cfrontier_bytes(self.n()),
             cfg.vertex_codec,
             4,
             Some(vmax),
@@ -423,15 +421,10 @@ impl Workload {
                 None,
             ));
         }
-        let staging_bytes = self
-            .bins
-            .as_ref()
-            .map_or(VERTEX_CHUNK as u64 * 4, |b| b.slice_vertices as u64 * 4)
-            .max(VERTEX_CHUNK as u64 * 4);
         s.add_region(RegionSchema::raw(
             "staging",
             self.staging_addr,
-            staging_bytes,
+            staging_bytes(self.bins.as_ref()),
             4,
         ));
         s
@@ -441,57 +434,72 @@ impl Workload {
     /// applies), updating the stored compressed bytes and length. Returns
     /// the new compressed length.
     pub fn recompress_dst_chunk(&mut self, codec: CodecKind, i: usize) -> u32 {
-        let Some(cdst) = &self.cdst else { return 0 };
-        let chunk = cdst.chunk_elems as usize;
-        let lo = i * chunk;
-        let hi = ((i + 1) * chunk).min(self.n());
-        let addr = cdst.chunk_addr(i);
-        // Reuse the workload's codec context and staging buffers: this
-        // runs once per touched chunk per iteration.
-        let mut values = std::mem::take(&mut self.recompress_values);
-        values.clear();
-        values.extend((lo..hi).map(|v| self.img.read_u32(self.dst_addr + v as u64 * 4) as u64));
-        let mut bytes = std::mem::take(&mut self.recompress_bytes);
-        bytes.clear();
-        CodecCtx::ensure(&mut self.codec_ctx, codec).compress(&values, &mut bytes);
-        self.recompress_values = values;
-        let cdst = self.cdst.as_ref().expect("checked above");
-        assert!(
-            (bytes.len() as u64) < cdst.stride,
-            "compressed vertex chunk overflows its region"
-        );
-        self.img.write_bytes(addr, &bytes);
-        let len = bytes.len() as u32;
-        self.recompress_bytes = bytes;
-        self.cdst.as_mut().unwrap().lens[i] = len;
-        len
+        self.recompress_chunk(
+            codec,
+            i,
+            |w| &mut w.cdst,
+            self.dst_addr,
+            "compressed vertex chunk overflows its region",
+        )
     }
 
     /// Recompresses source-data chunk `i` (end-of-iteration vertex phase).
     pub fn recompress_src_chunk(&mut self, codec: CodecKind, i: usize) -> u32 {
-        let Some(csrc) = &self.csrc else { return 0 };
-        let chunk = csrc.chunk_elems as usize;
+        self.recompress_chunk(
+            codec,
+            i,
+            |w| &mut w.csrc,
+            self.src_addr,
+            "compressed source chunk overflow",
+        )
+    }
+
+    /// Recompresses chunk `i` of the slice set `slices` picks from the raw
+    /// 4-byte array at `raw`, and returns the new compressed length (0 if
+    /// the workload has no such slices).
+    fn recompress_chunk(
+        &mut self,
+        codec: CodecKind,
+        i: usize,
+        slices: fn(&mut Workload) -> &mut Option<CompressedSlices>,
+        raw: u64,
+        overflow: &str,
+    ) -> u32 {
+        let Some(set) = slices(self) else { return 0 };
+        let chunk = set.chunk_elems as usize;
+        let (addr, stride) = (set.chunk_addr(i), set.stride);
         let lo = i * chunk;
         let hi = ((i + 1) * chunk).min(self.n());
-        let addr = csrc.chunk_addr(i);
+        // Reuse the workload's codec context and staging buffers: this
+        // runs once per touched chunk per iteration.
         let mut values = std::mem::take(&mut self.recompress_values);
         values.clear();
-        values.extend((lo..hi).map(|v| self.img.read_u32(self.src_addr + v as u64 * 4) as u64));
+        values.extend((lo..hi).map(|v| self.img.read_u32(raw + v as u64 * 4) as u64));
         let mut bytes = std::mem::take(&mut self.recompress_bytes);
         bytes.clear();
         CodecCtx::ensure(&mut self.codec_ctx, codec).compress(&values, &mut bytes);
         self.recompress_values = values;
-        let csrc = self.csrc.as_ref().expect("checked above");
-        assert!(
-            (bytes.len() as u64) < csrc.stride,
-            "compressed source chunk overflow"
-        );
+        assert!((bytes.len() as u64) < stride, "{overflow}");
         self.img.write_bytes(addr, &bytes);
         let len = bytes.len() as u32;
         self.recompress_bytes = bytes;
-        self.csrc.as_mut().unwrap().lens[i] = len;
+        slices(self).as_mut().expect("checked above").lens[i] = len;
         len
     }
+}
+
+/// Bytes of the compressed-frontier region for `n` vertices (5 B per id
+/// plus 4 KiB); the runtime splits it evenly across cores.
+pub(crate) fn cfrontier_bytes(n: usize) -> u64 {
+    n as u64 * 5 + 4096
+}
+
+/// Bytes of the staging buffer: one bin's destination slice, and at least
+/// one traversal chunk's worth of vertices.
+fn staging_bytes(bins: Option<&BinLayout>) -> u64 {
+    bins.map_or(CHUNK_VERTICES, |b| b.slice_vertices)
+        .max(CHUNK_VERTICES) as u64
+        * 4
 }
 
 fn alloc_slices(

@@ -26,13 +26,14 @@
 
 use crate::alg::{Algorithm, EndIter};
 use crate::cost::CostModel;
-use crate::layout::{Workload, CHUNK_VERTICES};
+use crate::layout::{self, Workload, CHUNK_VERTICES, DST_SUBCHUNK};
 use crate::pipelines::{self, TraversalOpts};
 use crate::scheme::{SchemeConfig, Strategy};
 use spzip_compress::CodecCtx;
-use spzip_core::func::FuncEngine;
+use spzip_core::dcl::Pipeline;
+use spzip_core::func::{Firing, FuncEngine};
 use spzip_core::memory::MemoryImage;
-use spzip_core::QueueItem;
+use spzip_core::{QueueId, QueueItem};
 use spzip_graph::VertexId;
 use spzip_mem::phi::{PhiPush, PhiUnit};
 use spzip_mem::DataClass;
@@ -112,17 +113,11 @@ pub fn run_algorithm(
 
     // Initialize compressed vertex structures from current contents.
     if cfg.compress_vertex {
-        if w.cdst.is_some() {
-            let chunks = w.cdst.as_ref().unwrap().lens.len();
-            for i in 0..chunks {
-                w.recompress_dst_chunk(cfg.vertex_codec, i);
-            }
+        for i in 0..w.cdst.as_ref().map_or(0, |c| c.lens.len()) {
+            w.recompress_dst_chunk(cfg.vertex_codec, i);
         }
-        if w.csrc.is_some() {
-            let chunks = w.csrc.as_ref().unwrap().lens.len();
-            for i in 0..chunks {
-                w.recompress_src_chunk(cfg.vertex_codec, i);
-            }
+        for i in 0..w.csrc.as_ref().map_or(0, |c| c.lens.len()) {
+            w.recompress_src_chunk(cfg.vertex_codec, i);
         }
     }
 
@@ -207,7 +202,7 @@ pub fn run_algorithm(
                         };
                     }
                 }
-                run_accumulation(machine, w, alg, cfg, &cost, cores, &binned, &activations);
+                run_accumulation(machine, w, cfg, &cost, cores, &binned);
             }
         }
 
@@ -223,7 +218,7 @@ pub fn run_algorithm(
 
         let end = alg.end_iteration(w, iteration);
         if end == EndIter::ContinueWithVertexPhase {
-            run_vertex_phase(machine, w, cfg, &cost, cores);
+            run_vertex_phase(machine, w, cfg, &cost);
         }
         if end == EndIter::Done {
             break;
@@ -263,12 +258,12 @@ fn compress_frontier_host(
     let mut ctx = CodecCtx::new(cfg.vertex_codec);
     let region_cap = region_capacity(w, cores);
     let mut chunks = Vec::new();
-    let mut core = 0usize;
     let mut cursors = vec![0u64; cores];
     let mut values: Vec<u64> = Vec::new();
     let mut bytes: Vec<u8> = Vec::new();
+    let mut ids_lo = 0;
     for (ci, chunk_ids) in ids.chunks(CHUNK_VERTICES as usize).enumerate() {
-        let _ = ci;
+        let core = ci % cores;
         values.clear();
         values.extend(chunk_ids.iter().map(|&v| v as u64));
         bytes.clear();
@@ -279,10 +274,6 @@ fn compress_frontier_host(
             "cfrontier overflow"
         );
         w.img.write_bytes(w.cfrontier_addr + pos, &bytes);
-        let ids_lo = chunks
-            .iter()
-            .map(|c: &CFrontierChunk| c.ids_hi - c.ids_lo)
-            .sum();
         chunks.push(CFrontierChunk {
             pos,
             len: bytes.len() as u32,
@@ -290,14 +281,15 @@ fn compress_frontier_host(
             ids_hi: ids_lo + chunk_ids.len(),
         });
         cursors[core] += bytes.len() as u64;
-        core = (core + 1) % cores;
+        ids_lo += chunk_ids.len();
     }
     chunks
 }
 
+/// Bytes of the cfrontier region each core's share of a compressed
+/// frontier may fill.
 fn region_capacity(w: &Workload, cores: usize) -> u64 {
-    // The cfrontier region was allocated with n*5 + 4096 bytes.
-    (w.n() as u64 * 5 + 4096) / cores as u64
+    layout::cfrontier_bytes(w.n()) / cores as u64
 }
 
 /// Timed frontier compression at end of iteration (UB/PHI + SpZip,
@@ -405,28 +397,20 @@ fn run_traversal_phase(
     let frontier_compressed = !cfrontier_chunks.is_empty();
 
     // Build the chunk pool.
-    let mut chunks: Vec<Chunk> = Vec::new();
-    if all_active {
-        let n = w.n() as u32;
-        let mut lo = 0;
-        while lo < n {
-            let hi = (lo + CHUNK_VERTICES).min(n);
-            chunks.push(Chunk::VertexRange { lo, hi });
-            lo = hi;
-        }
+    let chunks: Vec<Chunk> = if all_active {
+        chunk_ranges(w.n() as u32)
+            .map(|(lo, hi)| Chunk::VertexRange { lo, hi })
+            .collect()
     } else if frontier_compressed {
-        for c in cfrontier_chunks {
-            chunks.push(Chunk::CFrontier(*c));
-        }
+        cfrontier_chunks
+            .iter()
+            .map(|&c| Chunk::CFrontier(c))
+            .collect()
     } else {
-        let n = frontier.len() as u32;
-        let mut lo = 0;
-        while lo < n {
-            let hi = (lo + CHUNK_VERTICES).min(n);
-            chunks.push(Chunk::FrontierRange { lo, hi });
-            lo = hi;
-        }
-    }
+        chunk_ranges(frontier.len() as u32)
+            .map(|(lo, hi)| Chunk::FrontierRange { lo, hi })
+            .collect()
+    };
 
     // SpZip: load traversal program; build per-core binning compressors.
     let trav = cfg.spzip.then(|| {
@@ -472,6 +456,8 @@ fn run_traversal_phase(
         })
         .collect();
 
+    let in_next = vec![false; w.n()];
+    let num_bins = w.bins.as_ref().map_or(0, |b| b.num_bins as usize);
     let mut source = TraversalSource {
         w,
         alg,
@@ -486,18 +472,15 @@ fn run_traversal_phase(
         next_chunk: 0,
         binned,
         activations,
-        in_next: vec![false; 0],
+        in_next,
         nf_cursor: 0,
         phi,
         phi_payloads: HashMap::new(),
-        bin_cursors: vec![],
+        bin_cursors: vec![vec![0u64; num_bins]; cores],
         finalized: vec![false; cores],
         drain_shares: None,
         all_active,
     };
-    source.in_next = vec![false; source.w.n()];
-    source.bin_cursors =
-        vec![vec![0u64; source.w.bins.as_ref().map_or(0, |b| b.num_bins as usize)]; cores];
     machine.run_phase(&mut source);
     // Drain discipline (S004): the binning compressors were finalized with
     // closing markers before the phase ended, so no operator may still
@@ -559,58 +542,23 @@ impl TraversalSource<'_> {
         }
     }
 
-    /// Emits the per-edge action (apply / bin / PHI-push) for `dst`.
-    #[allow(clippy::too_many_arguments)]
-    fn edge_action(
-        &mut self,
-        core: usize,
-        ev: &mut Vec<Event>,
-        src: VertexId,
-        dst: VertexId,
-        payload: u32,
-    ) {
+    /// Emits the per-edge action (apply / bin / PHI-push) for `dst`, then
+    /// applies the update and activates `dst` for the next frontier.
+    fn edge_action(&mut self, core: usize, ev: &mut Vec<Event>, dst: VertexId, payload: u32) {
         let w_dst_addr = self.w.dst_addr + dst as u64 * 4;
         match self.mode {
             TravMode::PushApply => {
                 ev.push(Event::atomic(w_dst_addr, 4, DataClass::DestinationVertex));
                 ev.push(Event::Compute(self.cost.apply));
-                let activated = self.alg.apply(self.w, dst, payload);
-                if activated && !self.all_active && !self.in_next[dst as usize] {
-                    self.in_next[dst as usize] = true;
-                    self.activations.push(dst);
-                    ev.push(Event::store(
-                        self.w.next_frontier_addr + self.nf_cursor * 4,
-                        4,
-                        DataClass::Frontier,
-                    ));
-                    self.nf_cursor += 1;
-                }
             }
             TravMode::UbBin => {
-                let bins = self.w.bins.as_ref().unwrap();
-                let bin = bins.bin_of(dst);
-                let update = ((dst as u64) << 32) | payload as u64;
-                if self.cfg.spzip {
-                    let q = self.bin_pipes[core].bin_q;
-                    let eng = self.comp_engines[core].as_mut().unwrap();
-                    eng.enqueue_value(q, bin as u64, 4);
-                    eng.enqueue_value(q, update, 8);
-                    ev.push(Event::Compute(self.cost.spzip_per_edge));
-                    ev.push(Event::CompressorEnqueue { q, quarters: 4 });
-                    ev.push(Event::CompressorEnqueue { q, quarters: 8 });
+                ev.push(Event::Compute(if self.cfg.spzip {
+                    self.cost.spzip_per_edge
                 } else {
-                    let addr = bins.bin_addr(core, bin) + self.bin_cursors[core][bin as usize];
-                    ev.push(Event::Compute(self.cost.bin_update));
-                    ev.push(Event::stream_store(addr, 8, DataClass::Updates));
-                    self.bin_cursors[core][bin as usize] += 8;
-                }
-                self.record_binned(core, bin, update);
-                let activated = self.alg.apply(self.w, dst, payload);
-                if activated && !self.all_active && !self.in_next[dst as usize] {
-                    self.in_next[dst as usize] = true;
-                    self.activations.push(dst);
-                }
-                let _ = src;
+                    self.cost.bin_update
+                }));
+                let bin = self.w.bins.as_ref().unwrap().bin_of(dst);
+                self.bin_update(core, ev, bin, ((dst as u64) << 32) | payload as u64);
             }
             TravMode::PhiBin => {
                 ev.push(Event::Compute(self.cost.phi_push));
@@ -631,11 +579,20 @@ impl TraversalSource<'_> {
                     let spilled = self.phi_payloads.remove(&victim).unwrap_or([None; 16]);
                     self.spill_line(core, ev, victim, &spilled);
                 }
-                let activated = self.alg.apply(self.w, dst, payload);
-                if activated && !self.all_active && !self.in_next[dst as usize] {
-                    self.in_next[dst as usize] = true;
-                    self.activations.push(dst);
-                }
+            }
+        }
+        let activated = self.alg.apply(self.w, dst, payload);
+        if activated && !self.all_active && !self.in_next[dst as usize] {
+            self.in_next[dst as usize] = true;
+            self.activations.push(dst);
+            if self.mode == TravMode::PushApply {
+                // Push writes the next frontier as it goes.
+                ev.push(Event::store(
+                    self.w.next_frontier_addr + self.nf_cursor * 4,
+                    4,
+                    DataClass::Frontier,
+                ));
+                self.nf_cursor += 1;
             }
         }
     }
@@ -654,25 +611,27 @@ impl TraversalSource<'_> {
             let dst = base_dst as u32 + slot as u32;
             let bins = self.w.bins.as_ref().unwrap();
             let bin = bins.bin_of(dst.min(self.w.n() as u32 - 1));
-            let update = ((dst as u64) << 32) | *p as u64;
-            if self.cfg.spzip {
-                let q = self.bin_pipes[core].bin_q;
-                let eng = self.comp_engines[core].as_mut().unwrap();
-                eng.enqueue_value(q, bin as u64, 4);
-                eng.enqueue_value(q, update, 8);
-                ev.push(Event::CompressorEnqueue { q, quarters: 4 });
-                ev.push(Event::CompressorEnqueue { q, quarters: 8 });
-            } else {
-                let bins = self.w.bins.as_ref().unwrap();
-                let addr = bins.bin_addr(core, bin) + self.bin_cursors[core][bin as usize];
-                ev.push(Event::stream_store(addr, 8, DataClass::Updates));
-                self.bin_cursors[core][bin as usize] += 8;
-            }
-            self.record_binned(core, bin, update);
+            self.bin_update(core, ev, bin, ((dst as u64) << 32) | *p as u64);
         }
     }
 
-    fn record_binned(&mut self, core: usize, bin: u32, update: u64) {
+    /// Writes one update to `core`'s bin `bin`: under SpZip the core
+    /// enqueues the bin id and the update to its compressor, in software
+    /// it streams the update to the raw bin.
+    fn bin_update(&mut self, core: usize, ev: &mut Vec<Event>, bin: u32, update: u64) {
+        if self.cfg.spzip {
+            let q = self.bin_pipes[core].bin_q;
+            let eng = self.comp_engines[core].as_mut().unwrap();
+            eng.enqueue_value(q, bin as u64, 4);
+            eng.enqueue_value(q, update, 8);
+            ev.push(Event::CompressorEnqueue { q, quarters: 4 });
+            ev.push(Event::CompressorEnqueue { q, quarters: 8 });
+        } else {
+            let cursor = &mut self.bin_cursors[core][bin as usize];
+            let addr = self.w.bins.as_ref().unwrap().bin_addr(core, bin) + *cursor;
+            ev.push(Event::stream_store(addr, 8, DataClass::Updates));
+            *cursor += 8;
+        }
         if let Some(binned) = self.binned.as_deref_mut() {
             binned[core][bin as usize].push(update);
         }
@@ -708,38 +667,30 @@ impl TraversalSource<'_> {
         }
         if self.cfg.spzip {
             let q = self.bin_pipes[core].bin_q;
-            let num_bins = self.w.bins.as_ref().unwrap().num_bins;
-            {
-                let eng = self.comp_engines[core].as_mut().unwrap();
-                for bin in 0..num_bins {
-                    eng.enqueue_marker(q, bin);
-                    ev.push(Event::CompressorEnqueue { q, quarters: 4 });
-                }
+            let eng = self.comp_engines[core].as_mut().unwrap();
+            for bin in 0..self.w.bins.as_ref().unwrap().num_bins {
+                eng.enqueue_marker(q, bin);
+                ev.push(Event::CompressorEnqueue { q, quarters: 4 });
             }
-            self.run_comp_engine(core);
             ev.push(Event::CompressorDrain);
-            let trace = self.comp_engines[core].as_mut().unwrap().take_firings();
             return Some(CoreWork {
                 events: ev,
                 fetcher_trace: None,
-                compressor_trace: Some(trace),
+                compressor_trace: Some(self.comp_firings(core)),
             });
         }
-        if ev.is_empty() {
-            None
-        } else {
-            Some(CoreWork {
-                events: ev,
-                ..Default::default()
-            })
-        }
+        (!ev.is_empty()).then(|| CoreWork {
+            events: ev,
+            ..Default::default()
+        })
     }
 
-    fn run_comp_engine(&mut self, core: usize) {
+    /// Runs `core`'s binning compressor over what it was fed so far and
+    /// takes its firings.
+    fn comp_firings(&mut self, core: usize) -> Vec<Vec<Firing>> {
         let eng = self.comp_engines[core].as_mut().unwrap();
-        // Split borrows: the engine runs against the image.
-        let img: &mut MemoryImage = &mut self.w.img;
-        eng.run(img);
+        eng.run(&mut self.w.img);
+        eng.take_firings()
     }
 
     /// Generates one software-traversal chunk.
@@ -784,7 +735,7 @@ impl TraversalSource<'_> {
                 }
                 ev.push(Event::Compute(self.cost.sw_per_edge));
                 let payload = self.alg.payload(self.w, src, e);
-                self.edge_action(core, &mut ev, src, dst, payload);
+                self.edge_action(core, &mut ev, dst, payload);
             }
         }
         CoreWork {
@@ -795,127 +746,79 @@ impl TraversalSource<'_> {
 
     /// Generates one SpZip-traversal chunk: functional pipeline run +
     /// event stream walking the dequeued data.
-    #[allow(clippy::while_let_loop)] // dequeue loops break mid-body
     fn spzip_chunk(&mut self, core: usize, chunk: Chunk) -> CoreWork {
-        let trav = self.trav.clone().unwrap();
-        let mut eng = FuncEngine::new(trav.pipeline.clone());
-        // Enqueue the chunk's inputs.
+        let trav = self.trav.as_ref().unwrap();
+        let (neigh_q, contrib_q) = (trav.neigh_q, trav.contrib_q);
+        // The chunk's index range, plus the source-data ranges when the
+        // fetcher also streams source values.
+        let mut inputs = Vec::new();
         match chunk {
             Chunk::VertexRange { lo, hi } => {
-                if let Some(cadj) = &self.w.cadj {
-                    let g = cadj.group_rows;
-                    debug_assert_eq!(lo % g, 0);
-                    // Offsets of groups glo..ghi need glo..=ghi entries.
-                    eng.enqueue_value(trav.in_q, (lo / g) as u64, 8);
-                    eng.enqueue_value(trav.in_q, hi.div_ceil(g) as u64 + 1, 8);
-                } else {
-                    eng.enqueue_value(trav.in_q, lo as u64, 8);
-                    eng.enqueue_value(trav.in_q, hi as u64 + 1, 8);
-                }
+                // Offsets of rows (or row groups) glo..ghi need glo..=ghi
+                // entries.
+                let g = self.w.cadj.as_ref().map_or(1, |c| c.group_rows);
+                debug_assert_eq!(lo % g, 0);
+                inputs.extend([
+                    (trav.in_q, (lo / g) as u64),
+                    (trav.in_q, hi.div_ceil(g) as u64 + 1),
+                ]);
                 if let Some(src_in) = trav.src_in_q {
-                    if let Some(csrc) = &self.w.csrc {
-                        let c = csrc.chunk_elems;
-                        for ci in (lo / c)..hi.div_ceil(c) {
-                            let off = csrc.chunk_addr(ci as usize) - csrc.base;
-                            let len = csrc.lens[ci as usize] as u64;
-                            eng.enqueue_value(src_in, off, 8);
-                            eng.enqueue_value(src_in, off + len, 8);
+                    match &self.w.csrc {
+                        Some(csrc) => {
+                            let c = csrc.chunk_elems;
+                            for ci in (lo / c) as usize..hi.div_ceil(c) as usize {
+                                let off = csrc.chunk_addr(ci) - csrc.base;
+                                let len = csrc.lens[ci] as u64;
+                                inputs.extend([(src_in, off), (src_in, off + len)]);
+                            }
                         }
-                    } else {
-                        eng.enqueue_value(src_in, lo as u64, 8);
-                        eng.enqueue_value(src_in, hi as u64, 8);
+                        None => inputs.extend([(src_in, lo as u64), (src_in, hi as u64)]),
                     }
                 }
             }
             Chunk::FrontierRange { lo, hi } => {
-                eng.enqueue_value(trav.in_q, lo as u64, 8);
-                eng.enqueue_value(trav.in_q, hi as u64, 8);
+                inputs.extend([(trav.in_q, lo as u64), (trav.in_q, hi as u64)]);
             }
             Chunk::CFrontier(c) => {
-                eng.enqueue_value(trav.in_q, c.pos, 8);
-                eng.enqueue_value(trav.in_q, c.pos + c.len as u64, 8);
+                inputs.extend([(trav.in_q, c.pos), (trav.in_q, c.pos + c.len as u64)]);
             }
         }
-        eng.run(&mut self.w.img);
+        let (mut eng, mut ev) = fetch_chunk(&trav.pipeline, &inputs, &mut self.w.img);
 
-        let mut ev: Vec<Event> = eng
-            .enqueue_log()
-            .iter()
-            .map(|&(q, quarters)| Event::FetcherEnqueue { q, quarters })
-            .collect();
-
-        let neigh_items = eng.drain_output_costed(trav.neigh_q);
-        let mut neigh_iter = neigh_items.into_iter().peekable();
-        let mut contrib_iter = trav
-            .contrib_q
-            .map(|q| eng.drain_output_costed(q).into_iter().peekable());
-
-        let sources = self.chunk_sources(chunk);
-        for (_, src) in sources {
-            if let Some(ci) = contrib_iter.as_mut() {
+        let mut neighbors = eng.drain_output_costed(neigh_q).into_iter();
+        let mut contribs = contrib_q.map(|q| (q, eng.drain_output_costed(q).into_iter()));
+        for (_, src) in self.chunk_sources(chunk) {
+            if let Some((q, items)) = contribs.as_mut() {
                 // Pop markers until the source's payload value arrives.
-                loop {
-                    let Some(&(item, cost)) = ci.peek() else {
-                        break;
-                    };
-                    ev.push(Event::FetcherDequeue {
-                        q: trav.contrib_q.unwrap(),
-                        quarters: cost as u16,
-                    });
-                    ci.next();
-                    if !item.is_marker() {
-                        break;
-                    }
-                }
+                dequeue_value(&mut ev, *q, items);
             }
             ev.push(Event::Compute(self.cost.spzip_per_src));
             let (elo, ehi) = self.w.g.row_range(src);
             for e in elo..ehi {
-                let expect = self.w.g.neighbors_flat()[e];
-                // Pop queue items until the neighbor value arrives
-                // (markers separate rows / groups).
-                let dst = loop {
-                    let (item, cost) = neigh_iter
-                        .next()
-                        .expect("neighbor stream ended early: pipeline bug");
-                    ev.push(Event::FetcherDequeue {
-                        q: trav.neigh_q,
-                        quarters: cost as u16,
-                    });
-                    match item {
-                        QueueItem::Value(v) => break v as VertexId,
-                        QueueItem::Marker(_) => continue,
-                    }
-                };
-                debug_assert_eq!(dst, expect, "decompressed neighbor mismatch");
+                // Markers separate rows / groups.
+                let dst = dequeue_value(&mut ev, neigh_q, &mut neighbors)
+                    .expect("neighbor stream ended early: pipeline bug")
+                    as VertexId;
+                debug_assert_eq!(
+                    dst,
+                    self.w.g.neighbors_flat()[e],
+                    "decompressed neighbor mismatch"
+                );
                 ev.push(Event::Compute(self.cost.spzip_per_edge));
                 let payload = self.alg.payload(self.w, src, e);
-                self.edge_action(core, &mut ev, src, dst, payload);
+                self.edge_action(core, &mut ev, dst, payload);
             }
         }
         // Trailing markers.
-        for (_, cost) in neigh_iter {
-            ev.push(Event::FetcherDequeue {
-                q: trav.neigh_q,
+        for (q, items) in [(neigh_q, neighbors)].into_iter().chain(contribs) {
+            ev.extend(items.map(|(_, cost)| Event::FetcherDequeue {
+                q,
                 quarters: cost as u16,
-            });
-        }
-        if let Some(ci) = contrib_iter.as_mut() {
-            for (_, cost) in ci {
-                ev.push(Event::FetcherDequeue {
-                    q: trav.contrib_q.unwrap(),
-                    quarters: cost as u16,
-                });
-            }
+            }));
         }
 
         let fetcher_trace = Some(eng.take_firings());
-        let compressor_trace = if self.cfg.spzip && self.mode != TravMode::PushApply {
-            self.run_comp_engine(core);
-            Some(self.comp_engines[core].as_mut().unwrap().take_firings())
-        } else {
-            None
-        };
+        let compressor_trace = (self.mode != TravMode::PushApply).then(|| self.comp_firings(core));
         CoreWork {
             events: ev,
             fetcher_trace,
@@ -943,18 +846,14 @@ impl WorkSource for TraversalSource<'_> {
 // Accumulation phase (UB / PHI)
 // ======================================================================
 
-#[allow(clippy::too_many_arguments)]
 fn run_accumulation(
     machine: &mut Machine,
     w: &mut Workload,
-    alg: &mut dyn Algorithm,
     cfg: &SchemeConfig,
     cost: &CostModel,
     cores: usize,
     binned: &[Vec<Vec<u64>>],
-    _activations: &[VertexId],
 ) {
-    let _ = alg;
     let num_bins = w.bins.as_ref().unwrap().num_bins;
     let accum_pipe = cfg.spzip.then(|| pipelines::accum_fetcher(w, cfg));
     if let Some(p) = &accum_pipe {
@@ -971,7 +870,7 @@ fn run_accumulation(
     }
 
     let slice_vertices = w.bins.as_ref().unwrap().slice_vertices;
-    let sub = crate::layout::DST_SUBCHUNK as usize;
+    let sub = DST_SUBCHUNK as usize;
     let subs_per_bin = (slice_vertices as usize).div_ceil(sub);
     for bin in 0..num_bins {
         // Vertex compression pays a slice decompress + recompress per bin;
@@ -999,51 +898,31 @@ fn run_accumulation(
         pool.reverse(); // pop() hands slices out first
 
         machine.run_phase(&mut |_core: usize| {
-            let item = pool.pop()?;
-            let mut ev = Vec::new();
-            let mut fetcher_trace = None;
-            match item {
+            let (ev, fetcher_trace) = match pool.pop()? {
                 Item::Slice(sc) => {
                     // Fetch + decompress one destination sub-chunk into
                     // staging.
                     let pipe = accum_pipe.as_ref().unwrap();
-                    let mut eng = FuncEngine::new(pipe.pipeline.clone());
+                    let (slice_in, sv) = (pipe.slice_in_q.unwrap(), pipe.slice_val_q.unwrap());
                     let cdst = w.cdst.as_ref().unwrap();
                     let off = cdst.chunk_addr(sc) - cdst.base;
-                    let len = cdst.lens[sc] as u64;
-                    eng.enqueue_value(pipe.slice_in_q.unwrap(), off, 8);
-                    eng.enqueue_value(pipe.slice_in_q.unwrap(), off + len, 8);
-                    eng.run(&mut w.img);
-                    ev.extend(
-                        eng.enqueue_log()
-                            .iter()
-                            .map(|&(q, quarters)| Event::FetcherEnqueue { q, quarters }),
-                    );
-                    let sv = pipe.slice_val_q.unwrap();
-                    let stage_base = w.staging_addr
-                        + (sc - sub_lo) as u64 * crate::layout::DST_SUBCHUNK as u64 * 4;
-                    emit_slice_dequeues(&mut ev, &mut eng, sv, stage_base);
-                    fetcher_trace = Some(eng.take_firings());
+                    let inputs = [(slice_in, off), (slice_in, off + cdst.lens[sc] as u64)];
+                    let (mut eng, mut ev) = fetch_chunk(&pipe.pipeline, &inputs, &mut w.img);
+                    let stage_base = w.staging_addr + (sc - sub_lo) as u64 * sub as u64 * 4;
+                    stage_slice(&mut ev, sv, eng.drain_output_costed(sv), stage_base);
+                    (ev, Some(eng.take_firings()))
                 }
                 Item::Seg(writer) => {
                     let updates = &binned[writer][bin as usize];
+                    let bins = w.bins.as_ref().unwrap();
                     if let Some(pipe) = &accum_pipe {
                         // Fetch + decompress this writer's bin segment.
-                        let mut eng = FuncEngine::new(pipe.pipeline.clone());
-                        let bins = w.bins.as_ref().unwrap();
                         let seg_off = bins.bin_addr(writer, bin) - bins.bins_base;
                         let tail = w.img.read_u64(bins.meta_addr(writer, bin));
-                        eng.enqueue_value(pipe.bin_in_q, seg_off, 8);
-                        eng.enqueue_value(pipe.bin_in_q, seg_off + tail, 8);
-                        eng.run(&mut w.img);
-                        ev.extend(
-                            eng.enqueue_log()
-                                .iter()
-                                .map(|&(q, quarters)| Event::FetcherEnqueue { q, quarters }),
-                        );
-                        let upd_items = eng.drain_output_costed(pipe.upd_q);
+                        let inputs = [(pipe.bin_in_q, seg_off), (pipe.bin_in_q, seg_off + tail)];
+                        let (mut eng, mut ev) = fetch_chunk(&pipe.pipeline, &inputs, &mut w.img);
                         let mut decoded: Vec<u64> = Vec::new();
-                        for (item, qcost) in upd_items {
+                        for (item, qcost) in eng.drain_output_costed(pipe.upd_q) {
                             ev.push(Event::FetcherDequeue {
                                 q: pipe.upd_q,
                                 quarters: qcost as u16,
@@ -1056,19 +935,20 @@ fn run_accumulation(
                         // Sorted chunks permute updates; counts must match.
                         debug_assert_eq!(decoded.len(), updates.len(), "bin decode count");
                         apply_events(&mut ev, w, cost, bin, use_slice, &decoded);
-                        fetcher_trace = Some(eng.take_firings());
+                        (ev, Some(eng.take_firings()))
                     } else {
                         // Software accumulation: stream the raw bin.
-                        let bins = w.bins.as_ref().unwrap();
                         let base = bins.bin_addr(writer, bin);
+                        let mut ev = Vec::new();
                         for (i, &u) in updates.iter().enumerate() {
                             ev.push(Event::load(base + i as u64 * 8, 8, DataClass::Updates));
                             ev.push(Event::Compute(cost.accum_update));
                             apply_events(&mut ev, w, cost, bin, false, &[u]);
                         }
+                        (ev, None)
                     }
                 }
-            }
+            };
             Some(CoreWork {
                 events: ev,
                 fetcher_trace,
@@ -1080,26 +960,17 @@ fn run_accumulation(
         // recompression itself is host-side; the stores model the
         // compressed write traffic, parallel across sub-chunks.
         if use_slice {
-            let mut writes: Vec<(u64, u32)> = Vec::new();
-            for sc in sub_lo..sub_hi {
-                let len = w.recompress_dst_chunk(cfg.vertex_codec, sc);
-                let addr = w.cdst.as_ref().unwrap().chunk_addr(sc);
-                writes.push((addr, len));
-            }
-            writes.reverse();
+            let writes: Vec<(u64, u32)> = (sub_lo..sub_hi)
+                .map(|sc| {
+                    let len = w.recompress_dst_chunk(cfg.vertex_codec, sc);
+                    (w.cdst.as_ref().unwrap().chunk_addr(sc), len)
+                })
+                .collect();
+            let mut writes = writes.into_iter();
             machine.run_phase(&mut |_core: usize| {
-                let (addr, len) = writes.pop()?;
+                let (addr, len) = writes.next()?;
                 let mut ev = vec![Event::Compute(cost.vertex_op)];
-                let mut written = 0u32;
-                while written < len {
-                    let burst = (len - written).min(64);
-                    ev.push(Event::stream_store(
-                        addr + written as u64,
-                        burst,
-                        DataClass::DestinationVertex,
-                    ));
-                    written += burst;
-                }
+                burst_stores(&mut ev, addr, len, DataClass::DestinationVertex);
                 Some(CoreWork {
                     events: ev,
                     ..Default::default()
@@ -1149,162 +1020,48 @@ fn apply_events(
     }
 }
 
-/// Emits dequeue + staging-store events for a decompressed vertex-slice
-/// stream. Dequeues move 8 B (two 4 B values) per instruction and staging
-/// writes are line-batched — the wide-move behaviour of a real core, which
-/// keeps vertex compression's bookkeeping cheaper than its traffic savings.
-fn emit_slice_dequeues(
-    ev: &mut Vec<Event>,
-    eng: &mut FuncEngine,
-    sv: spzip_core::QueueId,
-    stage_base: u64,
-) {
-    let mut pending_vals = 0u64; // values dequeued but not yet "stored"
-    let mut stored = 0u64;
-    let flush = |ev: &mut Vec<Event>, pending: &mut u64, stored: &mut u64| {
-        while *pending > 0 {
-            let burst = (*pending).min(16);
-            ev.push(Event::stream_store(
-                stage_base + *stored * 4,
-                (burst * 4) as u32,
-                DataClass::DestinationVertex,
-            ));
-            *stored += burst;
-            *pending -= burst;
-        }
-    };
-    let mut val_run = 0u16; // values awaiting a paired dequeue
-    for (item, qcost) in eng.drain_output_costed(sv) {
-        if item.is_marker() {
-            if val_run > 0 {
-                ev.push(Event::FetcherDequeue {
-                    q: sv,
-                    quarters: val_run * 4,
-                });
-                val_run = 0;
-            }
-            flush(ev, &mut pending_vals, &mut stored);
-            ev.push(Event::FetcherDequeue {
-                q: sv,
-                quarters: qcost as u16,
-            });
-        } else {
-            val_run += 1;
-            pending_vals += 1;
-            if val_run == 2 {
-                ev.push(Event::FetcherDequeue { q: sv, quarters: 8 });
-                val_run = 0;
-            }
-            if pending_vals == 16 {
-                flush(ev, &mut pending_vals, &mut stored);
-            }
-        }
-    }
-    if val_run > 0 {
-        ev.push(Event::FetcherDequeue {
-            q: sv,
-            quarters: val_run * 4,
-        });
-    }
-    flush(ev, &mut pending_vals, &mut stored);
-}
-
 // ======================================================================
 // Vertex phase (e.g. PR contribution recompute)
 // ======================================================================
 
-fn run_vertex_phase(
-    machine: &mut Machine,
-    w: &mut Workload,
-    cfg: &SchemeConfig,
-    cost: &CostModel,
-    cores: usize,
-) {
-    let n = w.n() as u32;
+fn run_vertex_phase(machine: &mut Machine, w: &mut Workload, cfg: &SchemeConfig, cost: &CostModel) {
     if cfg.compress_vertex && w.cdst.is_some() && w.csrc.is_some() {
         // Compressed: stream scores through the fetcher, write contribs as
         // compressed chunks (recompressed host-side; the stores model the
         // compressed write traffic).
         let pipe = pipelines::accum_fetcher(w, cfg);
         machine.load_fetcher_program(&pipe.pipeline);
-        let nslices = w.cdst.as_ref().unwrap().lens.len();
-        let mut slice = 0usize;
-        let vertex_codec = cfg.vertex_codec;
+        let (slice_in, sv) = (pipe.slice_in_q.unwrap(), pipe.slice_val_q.unwrap());
+        let mut slices = 0..w.cdst.as_ref().unwrap().lens.len();
         // Recompress all source chunks now (end_iteration already updated
         // the raw array).
-        let nsrc_chunks = w.csrc.as_ref().unwrap().lens.len();
-        for i in 0..nsrc_chunks {
-            w.recompress_src_chunk(vertex_codec, i);
+        for i in 0..w.csrc.as_ref().unwrap().lens.len() {
+            w.recompress_src_chunk(cfg.vertex_codec, i);
         }
         machine.run_phase(&mut |_core: usize| {
-            if slice >= nslices {
-                return None;
-            }
-            let b = slice;
-            slice += 1;
+            let b = slices.next()?;
             let cdst = w.cdst.as_ref().unwrap();
-            let mut eng = FuncEngine::new(pipe.pipeline.clone());
             let off = cdst.chunk_addr(b) - cdst.base;
-            let len = cdst.lens[b] as u64;
-            eng.enqueue_value(pipe.slice_in_q.unwrap(), off, 8);
-            eng.enqueue_value(pipe.slice_in_q.unwrap(), off + len, 8);
-            eng.run(&mut w.img);
-            let mut ev: Vec<Event> = eng
-                .enqueue_log()
-                .iter()
-                .map(|&(q, quarters)| Event::FetcherEnqueue { q, quarters })
-                .collect();
-            let sv = pipe.slice_val_q.unwrap();
-            let mut val_run = 0u16;
-            for (item, qcost) in eng.drain_output_costed(sv) {
-                if item.is_marker() {
-                    if val_run > 0 {
-                        ev.push(Event::FetcherDequeue {
-                            q: sv,
-                            quarters: val_run * 4,
-                        });
-                        ev.push(Event::Compute(cost.vertex_op));
-                        val_run = 0;
-                    }
-                    ev.push(Event::FetcherDequeue {
-                        q: sv,
-                        quarters: qcost as u16,
-                    });
-                } else {
-                    val_run += 1;
-                    if val_run == 2 {
-                        ev.push(Event::FetcherDequeue { q: sv, quarters: 8 });
-                        ev.push(Event::Compute(cost.vertex_op));
-                        val_run = 0;
-                    }
+            let inputs = [(slice_in, off), (slice_in, off + cdst.lens[b] as u64)];
+            let (mut eng, mut ev) = fetch_chunk(&pipe.pipeline, &inputs, &mut w.img);
+            dequeue_paired(&mut ev, sv, eng.drain_output_costed(sv), |ev, n| {
+                if n > 0 {
+                    ev.push(Event::Compute(cost.vertex_op));
                 }
-            }
-            if val_run > 0 {
-                ev.push(Event::FetcherDequeue {
-                    q: sv,
-                    quarters: val_run * 4,
-                });
-                ev.push(Event::Compute(cost.vertex_op));
-            }
+            });
             // Compressed contribution writes covering this sub-chunk.
             let csrc = w.csrc.as_ref().unwrap();
             let chunk = csrc.chunk_elems as usize;
-            let sub_v = crate::layout::DST_SUBCHUNK as usize;
+            let sub_v = DST_SUBCHUNK as usize;
             let lo_chunk = b * sub_v / chunk;
             let hi_chunk = (((b + 1) * sub_v).min(w.n())).div_ceil(chunk);
             for ci in lo_chunk..hi_chunk.min(csrc.lens.len()) {
-                let len = csrc.lens[ci];
-                let addr = csrc.chunk_addr(ci);
-                let mut written = 0u32;
-                while written < len {
-                    let burst = (len - written).min(64);
-                    ev.push(Event::stream_store(
-                        addr + written as u64,
-                        burst,
-                        DataClass::SourceVertex,
-                    ));
-                    written += burst;
-                }
+                burst_stores(
+                    &mut ev,
+                    csrc.chunk_addr(ci),
+                    csrc.lens[ci],
+                    DataClass::SourceVertex,
+                );
             }
             Some(CoreWork {
                 events: ev,
@@ -1314,21 +1071,9 @@ fn run_vertex_phase(
         });
     } else {
         // Software: chunked loads + stores over the vertex arrays.
-        let mut lo = 0u32;
-        let mut chunks = Vec::new();
-        while lo < n {
-            let hi = (lo + CHUNK_VERTICES).min(n);
-            chunks.push((lo, hi));
-            lo = hi;
-        }
-        let mut next = 0usize;
-        let _ = cores;
+        let mut chunks = chunk_ranges(w.n() as u32);
         machine.run_phase(&mut |_core: usize| {
-            if next >= chunks.len() {
-                return None;
-            }
-            let (lo, hi) = chunks[next];
-            next += 1;
+            let (lo, hi) = chunks.next()?;
             let mut ev = Vec::new();
             for v in lo..hi {
                 ev.push(Event::load(
@@ -1350,3 +1095,133 @@ fn run_vertex_phase(
         });
     }
 }
+
+// ======================================================================
+// Core-side emitters shared by the phases
+// ======================================================================
+
+/// `0..n` cut into consecutive `CHUNK_VERTICES`-sized ranges, the unit of
+/// work a core takes at a time.
+fn chunk_ranges(n: u32) -> impl Iterator<Item = (u32, u32)> {
+    (0..n)
+        .step_by(CHUNK_VERTICES as usize)
+        .map(move |lo| (lo, (lo + CHUNK_VERTICES).min(n)))
+}
+
+/// Runs one fetcher chunk functionally: a fresh engine over `pipeline` is
+/// fed the chunk's 8-byte `inputs` and run against `img`. Returns the
+/// engine, which holds the chunk's outputs and firings, and the core's
+/// enqueue events.
+fn fetch_chunk(
+    pipeline: &Pipeline,
+    inputs: &[(QueueId, u64)],
+    img: &mut MemoryImage,
+) -> (FuncEngine, Vec<Event>) {
+    let mut eng = FuncEngine::new(pipeline.clone());
+    for &(q, value) in inputs {
+        eng.enqueue_value(q, value, 8);
+    }
+    eng.run(img);
+    let ev = eng
+        .enqueue_log()
+        .iter()
+        .map(|&(q, quarters)| Event::FetcherEnqueue { q, quarters })
+        .collect();
+    (eng, ev)
+}
+
+/// Dequeues fetcher output `items` from queue `q` one by one, up to and
+/// including the next value, which it returns.
+fn dequeue_value(
+    ev: &mut Vec<Event>,
+    q: QueueId,
+    items: &mut impl Iterator<Item = (QueueItem, u8)>,
+) -> Option<u64> {
+    for (item, cost) in items {
+        ev.push(Event::FetcherDequeue {
+            q,
+            quarters: cost as u16,
+        });
+        if let QueueItem::Value(v) = item {
+            return Some(v);
+        }
+    }
+    None
+}
+
+/// Dequeues a decompressed stream of 4-byte values from fetcher queue `q`
+/// as a core moves it: one 8-byte dequeue per pair of values, an odd value
+/// alone before a marker or at the end, and each marker on its own.
+/// `hook(ev, n)` runs after each dequeue of `n` values, and with `n = 0`
+/// before each marker and once at the end of the stream.
+fn dequeue_paired(
+    ev: &mut Vec<Event>,
+    q: QueueId,
+    items: impl IntoIterator<Item = (QueueItem, u8)>,
+    mut hook: impl FnMut(&mut Vec<Event>, u16),
+) {
+    let mut odd = false; // a value awaiting its pair
+    for (item, cost) in items {
+        if item.is_marker() {
+            if odd {
+                ev.push(Event::FetcherDequeue { q, quarters: 4 });
+                hook(ev, 1);
+                odd = false;
+            }
+            hook(ev, 0);
+            ev.push(Event::FetcherDequeue {
+                q,
+                quarters: cost as u16,
+            });
+        } else if odd {
+            ev.push(Event::FetcherDequeue { q, quarters: 8 });
+            hook(ev, 2);
+            odd = false;
+        } else {
+            odd = true;
+        }
+    }
+    if odd {
+        ev.push(Event::FetcherDequeue { q, quarters: 4 });
+        hook(ev, 1);
+    }
+    hook(ev, 0);
+}
+
+/// Dequeues a decompressed destination sub-chunk (see [`dequeue_paired`])
+/// into the staging buffer at `stage_base`. Staging writes are
+/// line-batched: one streaming store per 16 values, and one for the rest
+/// before each marker and at the end. These wide moves keep vertex
+/// compression's bookkeeping cheaper than its traffic savings.
+fn stage_slice(
+    ev: &mut Vec<Event>,
+    q: QueueId,
+    items: impl IntoIterator<Item = (QueueItem, u8)>,
+    stage_base: u64,
+) {
+    let (mut stored, mut pending) = (0u64, 0u64);
+    dequeue_paired(ev, q, items, |ev, n| {
+        pending += n as u64;
+        if n == 0 || pending == 16 {
+            let addr = stage_base + stored * 4;
+            burst_stores(ev, addr, pending as u32 * 4, DataClass::DestinationVertex);
+            stored += pending;
+            pending = 0;
+        }
+    });
+}
+
+/// Streams `len` bytes to `addr` as streaming stores of at most one line
+/// (64 B) each.
+fn burst_stores(ev: &mut Vec<Event>, addr: u64, len: u32, class: DataClass) {
+    for off in (0..len).step_by(64) {
+        ev.push(Event::stream_store(
+            addr + off as u64,
+            (len - off).min(64),
+            class,
+        ));
+    }
+}
+
+#[cfg(test)]
+mod tests;

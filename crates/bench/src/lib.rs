@@ -42,35 +42,11 @@ pub mod suggest_sweep;
 
 use spzip_apps::{RunOutcome, Scheme};
 use spzip_mem::DataClass;
-use spzip_sim::MachineConfig;
 use std::fmt::Write as _;
 
 /// Seed used to randomize vertex ids for the non-preprocessed variants
 /// ("we randomize the vertex ids of the input graph").
 pub const RANDOMIZE_SEED: u64 = 0x5EED;
-
-/// The standard scaled Table II machine.
-pub fn machine_config() -> MachineConfig {
-    MachineConfig::paper_scaled()
-}
-
-/// Speedup table row: per-scheme cycles normalized to the first scheme.
-pub fn speedups_over_first(outcomes: &[(Scheme, &RunOutcome)]) -> Vec<(Scheme, f64)> {
-    let base = outcomes[0].1.report.cycles.max(1) as f64;
-    outcomes
-        .iter()
-        .map(|(s, o)| (*s, base / o.report.cycles.max(1) as f64))
-        .collect()
-}
-
-/// Traffic normalized to the first scheme, broken down by data class.
-pub fn traffic_breakdown(outcomes: &[(Scheme, &RunOutcome)]) -> Vec<(Scheme, [f64; 6])> {
-    let base = outcomes[0].1.report.traffic.total_bytes().max(1);
-    outcomes
-        .iter()
-        .map(|(s, o)| (*s, o.report.breakdown(base)))
-        .collect()
-}
 
 /// Renders a speedup + traffic table in the paper's layout.
 pub fn render_scheme_table(title: &str, outcomes: &[(Scheme, &RunOutcome)]) -> String {
@@ -122,8 +98,7 @@ pub fn class_bytes(o: &RunOutcome) -> [u64; 6] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use driver::{Driver, DriverOptions, InputCache};
-    use spzip_apps::{AppName, RunSpec};
+    use driver::InputCache;
     use spzip_graph::datasets::Scale;
     use spzip_graph::reorder::Preprocessing;
 
@@ -135,33 +110,5 @@ mod tests {
         assert!(std::sync::Arc::ptr_eq(&a, &b));
         let c = cache.get("ukl", Preprocessing::Dfs, Scale::Tiny);
         assert_ne!(*a, *c);
-    }
-
-    #[test]
-    fn speedup_helpers() {
-        let driver = Driver::new(DriverOptions::in_memory());
-        let specs: Vec<RunSpec> = [Scheme::Push, Scheme::PushSpzip]
-            .iter()
-            .map(|&s| {
-                RunSpec::new(
-                    AppName::Dc,
-                    "arb",
-                    s.config(),
-                    Preprocessing::None,
-                    Scale::Tiny,
-                )
-            })
-            .collect();
-        let memo = driver.execute(&specs);
-        let outcomes: Vec<(Scheme, &RunOutcome)> = [Scheme::Push, Scheme::PushSpzip]
-            .iter()
-            .zip(&specs)
-            .map(|(&s, spec)| (s, memo.get(spec)))
-            .collect();
-        assert!(outcomes.iter().all(|(_, o)| o.validated));
-        let sp = speedups_over_first(&outcomes);
-        assert_eq!(sp[0].1, 1.0);
-        let tb = traffic_breakdown(&outcomes);
-        assert_eq!(tb.len(), 2);
     }
 }

@@ -20,7 +20,6 @@
 //! * [`compressed`] — the entropy-compressed CSR variant of Fig. 3, where
 //!   each neighbor set (or chunk of rows) is compressed and `offsets` point
 //!   to compressed rows.
-//! * [`frontier`] — sparse/dense frontiers for non-all-active algorithms.
 //! * [`datasets`] — the named synthetic analogs of Table III.
 //!
 //! The term *compressed* in "Compressed Sparse Row" only means zeros are not
@@ -30,7 +29,6 @@
 pub mod compressed;
 pub mod csr;
 pub mod datasets;
-pub mod frontier;
 pub mod gen;
 pub mod reorder;
 
@@ -39,4 +37,3 @@ pub mod reorder;
 pub type VertexId = u32;
 
 pub use csr::Csr;
-pub use frontier::Frontier;

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use spzip_compress::delta::DeltaCodec;
 use spzip_graph::compressed::{CompressedCsr, RowGrouping};
 use spzip_graph::reorder::{self, Preprocessing};
-use spzip_graph::{Csr, Frontier, VertexId};
+use spzip_graph::{Csr, VertexId};
 
 fn arb_graph() -> impl Strategy<Value = Csr> {
     (
@@ -97,15 +97,6 @@ proptest! {
         let cg = CompressedCsr::build(&g, &codec, RowGrouping::Chunked(group));
         for v in 0..g.num_vertices() as VertexId {
             prop_assert_eq!(cg.decompress_row(&codec, v).unwrap(), g.neighbors(v));
-        }
-    }
-
-    #[test]
-    fn frontier_from_vec_is_sorted_set(ids in proptest::collection::vec(0u32..1000, 0..200)) {
-        let f = Frontier::from_vec(ids.clone());
-        prop_assert!(f.as_slice().windows(2).all(|w| w[0] < w[1]));
-        for &v in &ids {
-            prop_assert!(f.as_slice().binary_search(&v).is_ok());
         }
     }
 }

@@ -43,8 +43,6 @@ pub enum Event {
     /// Block until this core's compressor has drained all in-flight work
     /// (`spzip_comp_drain()` in Listing 5).
     CompressorDrain,
-    /// Block until this core's fetcher has drained all in-flight work.
-    FetcherDrain,
 }
 
 impl Event {

@@ -242,13 +242,6 @@ impl Machine {
         }
     }
 
-    /// Loads a DCL program into every core's compressor.
-    pub fn load_compressor_program(&mut self, pipeline: &Pipeline) {
-        for c in &mut self.compressors {
-            c.load_program(pipeline, self.now);
-        }
-    }
-
     /// Loads a DCL program into one core's fetcher only.
     pub fn load_fetcher_program_for(&mut self, core: usize, pipeline: &Pipeline) {
         self.fetchers[core].load_program(pipeline, self.now);
@@ -567,12 +560,10 @@ fn advance_core(
         let Some(&ev) = core.events.front() else {
             break;
         };
-        match ev {
+        let ready = match ev {
             Event::Compute(n) => {
                 core.t += n as u64;
-                core.events.pop_front();
-                core.retired_events += 1;
-                progressed = true;
+                true
             }
             Event::Mem(acc) => {
                 // Need a free slot in the outstanding-miss window.
@@ -606,33 +597,32 @@ fn advance_core(
                     core.window.push(done);
                     core.t += 1;
                 }
-                core.events.pop_front();
-                core.retired_events += 1;
-                progressed = true;
+                true
             }
-            Event::FetcherEnqueue { q, quarters } => {
-                if fetcher.can_enqueue(q, quarters) {
-                    fetcher.enqueue(q, quarters);
+            Event::FetcherEnqueue { q, quarters } | Event::CompressorEnqueue { q, quarters } => {
+                let (engine, who) = match ev {
+                    Event::FetcherEnqueue { .. } => (&mut *fetcher, Actor::Fetcher(core_id)),
+                    _ => (&mut *compressor, Actor::Compressor(core_id)),
+                };
+                let ready = engine.can_enqueue(q, quarters);
+                if ready {
+                    engine.enqueue(q, quarters);
                     if let Some(tr) = trace.as_mut() {
                         tr.record(TraceEvent::Push {
                             actor: Actor::Core(core_id),
-                            engine: Actor::Fetcher(core_id),
+                            engine: who,
                             q,
                             quarters: quarters as u32,
                             cycle: core.t,
                         });
                     }
                     core.t += cfg.queue_op_cycles as u64;
-                    core.events.pop_front();
-                    core.retired_events += 1;
-                    progressed = true;
-                } else {
-                    core.stall_cycles += deadline - core.t;
-                    core.t = deadline;
                 }
+                ready
             }
             Event::FetcherDequeue { q, quarters } => {
-                if fetcher.can_dequeue(q, quarters) {
+                let ready = fetcher.can_dequeue(q, quarters);
+                if ready {
                     fetcher.dequeue(q, quarters);
                     if let Some(tr) = trace.as_mut() {
                         tr.record(TraceEvent::Pop {
@@ -644,37 +634,12 @@ fn advance_core(
                         });
                     }
                     core.t += cfg.queue_op_cycles as u64;
-                    core.events.pop_front();
-                    core.retired_events += 1;
-                    progressed = true;
-                } else {
-                    core.stall_cycles += deadline - core.t;
-                    core.t = deadline;
                 }
-            }
-            Event::CompressorEnqueue { q, quarters } => {
-                if compressor.can_enqueue(q, quarters) {
-                    compressor.enqueue(q, quarters);
-                    if let Some(tr) = trace.as_mut() {
-                        tr.record(TraceEvent::Push {
-                            actor: Actor::Core(core_id),
-                            engine: Actor::Compressor(core_id),
-                            q,
-                            quarters: quarters as u32,
-                            cycle: core.t,
-                        });
-                    }
-                    core.t += cfg.queue_op_cycles as u64;
-                    core.events.pop_front();
-                    core.retired_events += 1;
-                    progressed = true;
-                } else {
-                    core.stall_cycles += deadline - core.t;
-                    core.t = deadline;
-                }
+                ready
             }
             Event::CompressorDrain => {
-                if compressor.idle() {
+                let ready = compressor.idle();
+                if ready {
                     if let Some(tr) = trace.as_mut() {
                         tr.record(TraceEvent::Drain {
                             actor: Actor::Core(core_id),
@@ -682,32 +647,19 @@ fn advance_core(
                             cycle: core.t,
                         });
                     }
-                    core.events.pop_front();
-                    core.retired_events += 1;
-                    progressed = true;
-                } else {
-                    core.stall_cycles += deadline - core.t;
-                    core.t = deadline;
                 }
+                ready
             }
-            Event::FetcherDrain => {
-                if fetcher.idle() {
-                    if let Some(tr) = trace.as_mut() {
-                        tr.record(TraceEvent::Drain {
-                            actor: Actor::Core(core_id),
-                            engine: Actor::Fetcher(core_id),
-                            cycle: core.t,
-                        });
-                    }
-                    core.events.pop_front();
-                    core.retired_events += 1;
-                    progressed = true;
-                } else {
-                    core.stall_cycles += deadline - core.t;
-                    core.t = deadline;
-                }
-            }
+        };
+        if !ready {
+            // A blocked queue event stalls the core to the deadline.
+            core.stall_cycles += deadline - core.t;
+            core.t = deadline;
+            break;
         }
+        core.events.pop_front();
+        core.retired_events += 1;
+        progressed = true;
     }
     progressed
 }
