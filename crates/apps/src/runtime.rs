@@ -30,7 +30,6 @@ use crate::layout::{self, Workload, CHUNK_VERTICES, DST_SUBCHUNK};
 use crate::pipelines::{self, TraversalOpts};
 use crate::scheme::{SchemeConfig, Strategy};
 use spzip_compress::CodecCtx;
-use spzip_core::dcl::Pipeline;
 use spzip_core::func::{Firing, FuncEngine};
 use spzip_core::memory::MemoryImage;
 use spzip_core::{QueueId, QueueItem};
@@ -458,6 +457,7 @@ fn run_traversal_phase(
 
     let in_next = vec![false; w.n()];
     let num_bins = w.bins.as_ref().map_or(0, |b| b.num_bins as usize);
+    let fetcher = trav.as_ref().map(|t| FuncEngine::new(t.pipeline.clone()));
     let mut source = TraversalSource {
         w,
         alg,
@@ -466,6 +466,7 @@ fn run_traversal_phase(
         frontier,
         mode,
         trav,
+        fetcher,
         bin_pipes,
         comp_engines: &mut comp_engines,
         chunks,
@@ -511,6 +512,8 @@ struct TraversalSource<'a> {
     frontier: &'a [VertexId],
     mode: TravMode,
     trav: Option<pipelines::TraversalPipe>,
+    /// The traversal pipeline's functional engine, reset for every chunk.
+    fetcher: Option<FuncEngine>,
     bin_pipes: Vec<pipelines::BinningCompPipe>,
     comp_engines: &'a mut Vec<Option<FuncEngine>>,
     chunks: Vec<Chunk>,
@@ -783,10 +786,12 @@ impl TraversalSource<'_> {
                 inputs.extend([(trav.in_q, c.pos), (trav.in_q, c.pos + c.len as u64)]);
             }
         }
-        let (mut eng, mut ev) = fetch_chunk(&trav.pipeline, &inputs, &mut self.w.img);
-
+        let eng = self.fetcher.as_mut().unwrap();
+        let mut ev = fetch_chunk(eng, &inputs, &mut self.w.img);
         let mut neighbors = eng.drain_output_costed(neigh_q).into_iter();
         let mut contribs = contrib_q.map(|q| (q, eng.drain_output_costed(q).into_iter()));
+        let fetcher_trace = Some(eng.take_firings());
+
         for (_, src) in self.chunk_sources(chunk) {
             if let Some((q, items)) = contribs.as_mut() {
                 // Pop markers until the source's payload value arrives.
@@ -817,7 +822,6 @@ impl TraversalSource<'_> {
             }));
         }
 
-        let fetcher_trace = Some(eng.take_firings());
         let compressor_trace = (self.mode != TravMode::PushApply).then(|| self.comp_firings(core));
         CoreWork {
             events: ev,
@@ -859,6 +863,9 @@ fn run_accumulation(
     if let Some(p) = &accum_pipe {
         machine.load_fetcher_program(&p.pipeline);
     }
+    let mut fetcher = accum_pipe
+        .as_ref()
+        .map(|p| FuncEngine::new(p.pipeline.clone()));
 
     /// One unit of accumulation work.
     #[derive(Clone, Copy)]
@@ -907,7 +914,8 @@ fn run_accumulation(
                     let cdst = w.cdst.as_ref().unwrap();
                     let off = cdst.chunk_addr(sc) - cdst.base;
                     let inputs = [(slice_in, off), (slice_in, off + cdst.lens[sc] as u64)];
-                    let (mut eng, mut ev) = fetch_chunk(&pipe.pipeline, &inputs, &mut w.img);
+                    let eng = fetcher.as_mut().unwrap();
+                    let mut ev = fetch_chunk(eng, &inputs, &mut w.img);
                     let stage_base = w.staging_addr + (sc - sub_lo) as u64 * sub as u64 * 4;
                     stage_slice(&mut ev, sv, eng.drain_output_costed(sv), stage_base);
                     (ev, Some(eng.take_firings()))
@@ -920,21 +928,27 @@ fn run_accumulation(
                         let seg_off = bins.bin_addr(writer, bin) - bins.bins_base;
                         let tail = w.img.read_u64(bins.meta_addr(writer, bin));
                         let inputs = [(pipe.bin_in_q, seg_off), (pipe.bin_in_q, seg_off + tail)];
-                        let (mut eng, mut ev) = fetch_chunk(&pipe.pipeline, &inputs, &mut w.img);
-                        let mut decoded: Vec<u64> = Vec::new();
-                        for (item, qcost) in eng.drain_output_costed(pipe.upd_q) {
+                        let eng = fetcher.as_mut().unwrap();
+                        let mut ev = fetch_chunk(eng, &inputs, &mut w.img);
+                        let out = eng.drain_output_costed(pipe.upd_q);
+                        for &(_, qcost) in &out {
                             ev.push(Event::FetcherDequeue {
                                 q: pipe.upd_q,
                                 quarters: qcost as u16,
                             });
-                            if let QueueItem::Value(v) = item {
-                                decoded.push(v);
-                            }
                             ev.push(Event::Compute(cost.accum_update));
                         }
+                        let decoded = out.iter().filter_map(|&(item, _)| match item {
+                            QueueItem::Value(v) => Some(v),
+                            QueueItem::Marker(_) => None,
+                        });
                         // Sorted chunks permute updates; counts must match.
-                        debug_assert_eq!(decoded.len(), updates.len(), "bin decode count");
-                        apply_events(&mut ev, w, cost, bin, use_slice, &decoded);
+                        debug_assert_eq!(
+                            decoded.clone().count(),
+                            updates.len(),
+                            "bin decode count"
+                        );
+                        apply_events(&mut ev, w, cost, bin, use_slice, decoded);
                         (ev, Some(eng.take_firings()))
                     } else {
                         // Software accumulation: stream the raw bin.
@@ -943,7 +957,7 @@ fn run_accumulation(
                         for (i, &u) in updates.iter().enumerate() {
                             ev.push(Event::load(base + i as u64 * 8, 8, DataClass::Updates));
                             ev.push(Event::Compute(cost.accum_update));
-                            apply_events(&mut ev, w, cost, bin, false, &[u]);
+                            apply_events(&mut ev, w, cost, bin, false, [u]);
                         }
                         (ev, None)
                     }
@@ -995,11 +1009,11 @@ fn apply_events(
     cost: &CostModel,
     bin: u32,
     use_slice: bool,
-    updates: &[u64],
+    updates: impl IntoIterator<Item = u64>,
 ) {
     let bins = w.bins.as_ref().unwrap();
     let slice_lo = bin as u64 * bins.slice_vertices as u64;
-    for &u in updates {
+    for u in updates {
         let dst = u >> 32;
         ev.push(Event::Compute(cost.apply));
         if use_slice {
@@ -1032,6 +1046,7 @@ fn run_vertex_phase(machine: &mut Machine, w: &mut Workload, cfg: &SchemeConfig,
         let pipe = pipelines::accum_fetcher(w, cfg);
         machine.load_fetcher_program(&pipe.pipeline);
         let (slice_in, sv) = (pipe.slice_in_q.unwrap(), pipe.slice_val_q.unwrap());
+        let mut eng = FuncEngine::new(pipe.pipeline.clone());
         let mut slices = 0..w.cdst.as_ref().unwrap().lens.len();
         // Recompress all source chunks now (end_iteration already updated
         // the raw array).
@@ -1043,7 +1058,7 @@ fn run_vertex_phase(machine: &mut Machine, w: &mut Workload, cfg: &SchemeConfig,
             let cdst = w.cdst.as_ref().unwrap();
             let off = cdst.chunk_addr(b) - cdst.base;
             let inputs = [(slice_in, off), (slice_in, off + cdst.lens[b] as u64)];
-            let (mut eng, mut ev) = fetch_chunk(&pipe.pipeline, &inputs, &mut w.img);
+            let mut ev = fetch_chunk(&mut eng, &inputs, &mut w.img);
             dequeue_paired(&mut ev, sv, eng.drain_output_costed(sv), |ev, n| {
                 if n > 0 {
                     ev.push(Event::Compute(cost.vertex_op));
@@ -1108,26 +1123,23 @@ fn chunk_ranges(n: u32) -> impl Iterator<Item = (u32, u32)> {
         .map(move |lo| (lo, (lo + CHUNK_VERTICES).min(n)))
 }
 
-/// Runs one fetcher chunk functionally: a fresh engine over `pipeline` is
-/// fed the chunk's 8-byte `inputs` and run against `img`. Returns the
-/// engine, which holds the chunk's outputs and firings, and the core's
-/// enqueue events.
+/// Runs one fetcher chunk functionally: `eng` is reset, fed the chunk's
+/// 8-byte `inputs` and run against `img`, and then holds the chunk's
+/// outputs and firings. Returns the core's enqueue events.
 fn fetch_chunk(
-    pipeline: &Pipeline,
+    eng: &mut FuncEngine,
     inputs: &[(QueueId, u64)],
     img: &mut MemoryImage,
-) -> (FuncEngine, Vec<Event>) {
-    let mut eng = FuncEngine::new(pipeline.clone());
+) -> Vec<Event> {
+    eng.reset();
     for &(q, value) in inputs {
         eng.enqueue_value(q, value, 8);
     }
     eng.run(img);
-    let ev = eng
-        .enqueue_log()
+    eng.enqueue_log()
         .iter()
         .map(|&(q, quarters)| Event::FetcherEnqueue { q, quarters })
-        .collect();
-    (eng, ev)
+        .collect()
 }
 
 /// Dequeues fetcher output `items` from queue `q` one by one, up to and

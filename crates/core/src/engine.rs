@@ -240,7 +240,8 @@ impl EngineModel {
     }
 
     /// Appends per-operator firings (from a functional run over newly
-    /// enqueued work).
+    /// enqueued work). An operator whose trace is empty takes its firing
+    /// vector whole, without copying it.
     ///
     /// # Panics
     ///
@@ -252,7 +253,11 @@ impl EngineModel {
             "trace/operator count mismatch"
         );
         for (t, f) in self.traces.iter_mut().zip(firings) {
-            t.extend(f);
+            if t.is_empty() {
+                *t = VecDeque::from(f);
+            } else {
+                t.extend(f);
+            }
         }
         self.wake = 0;
     }

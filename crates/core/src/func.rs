@@ -43,11 +43,11 @@ struct OpState {
     /// RangeFetch: pending start index (Pairs) or previous boundary
     /// (Consecutive).
     carry: Option<u64>,
-    /// Decompress/Compress/MemQueue-Append: accumulated chunk payload.
+    /// Compress: the pending chunk's values.
     chunk: Vec<u64>,
     /// Quarters consumed into the pending chunk so far.
     chunk_in_q: u32,
-    /// StreamWrite: output cursor (bytes written so far).
+    /// StreamWrite/MemQueue-Append: output cursor (bytes written so far).
     cursor: u64,
     /// StreamWrite: recorded chunk lengths.
     lengths: Vec<u64>,
@@ -56,11 +56,27 @@ struct OpState {
     /// Decompress/Compress: cached codec context, rebuilt only when the
     /// operator's codec kind changes (i.e. once per pipeline).
     ctx: Option<CodecCtx>,
-    /// Decompress/Compress: staging for decoded values / emitted byte
-    /// values, reused across markers instead of allocated per chunk.
+    /// Decompress: decoded values, staged between a marker and their
+    /// emission; reused across markers instead of allocated per chunk.
     stage_values: Vec<u64>,
-    /// Decompress/Compress: staging for the encoded byte stream.
+    /// Decompress/MemQueue-Append: the pending chunk's bytes. Compress:
+    /// the encoded chunk, staged between a marker and its emission. Empty
+    /// whenever no chunk is open.
     stage_bytes: Vec<u8>,
+}
+
+impl OpState {
+    /// Forgets all chunk and stream state, keeping buffers and the codec
+    /// context.
+    fn reset(&mut self) {
+        self.carry = None;
+        self.chunk.clear();
+        self.chunk_in_q = 0;
+        self.cursor = 0;
+        self.lengths.clear();
+        self.bin_counts.fill(0);
+        self.stage_bytes.clear();
+    }
 }
 
 /// The functional engine. See the module docs.
@@ -131,6 +147,19 @@ impl FuncEngine {
         }
     }
 
+    /// Returns the engine to its just-constructed state for the next
+    /// chunk: empties every queue, the firing traces and the enqueue log,
+    /// and forgets each operator's chunk and stream state (range carries,
+    /// pending chunks, stream cursors and lengths, bin counts). Buffers
+    /// keep their capacity and codec contexts are kept, so the next chunk
+    /// rebuilds neither.
+    pub fn reset(&mut self) {
+        self.queues.iter_mut().for_each(VecDeque::clear);
+        self.firings.iter_mut().for_each(Vec::clear);
+        self.states.iter_mut().for_each(OpState::reset);
+        self.enqueues.clear();
+    }
+
     /// The pipeline being executed.
     pub fn pipeline(&self) -> &Pipeline {
         &self.pipeline
@@ -165,7 +194,8 @@ impl FuncEngine {
         self.queues[q as usize].drain(..).collect()
     }
 
-    /// The recorded core enqueues (queue, quarters) since construction.
+    /// The recorded core enqueues (queue, quarters) since construction or
+    /// the last [`Self::reset`].
     pub fn enqueue_log(&self) -> &[(QueueId, u16)] {
         &self.enqueues
     }
@@ -202,8 +232,9 @@ impl FuncEngine {
             .iter()
             .enumerate()
             .filter_map(|(i, s)| {
-                let buffered =
-                    s.chunk.len() + s.bin_counts.iter().map(|&c| c as usize).sum::<usize>();
+                let buffered = s.chunk.len()
+                    + s.stage_bytes.len()
+                    + s.bin_counts.iter().map(|&c| c as usize).sum::<usize>();
                 (buffered > 0).then_some((i, buffered))
             })
             .collect()
@@ -254,7 +285,7 @@ impl FuncEngine {
         match kind {
             OperatorKind::RangeFetch {
                 base,
-                idx_bytes,
+                idx_bytes: _,
                 elem_bytes,
                 input: mode,
                 marker,
@@ -281,8 +312,7 @@ impl FuncEngine {
                                 (RangeInput::Pairs, Some(start)) => {
                                     self.states[idx].carry = None;
                                     self.emit_range(
-                                        idx, base, start, v, idx_bytes, elem_bytes, marker, class,
-                                        cost, img,
+                                        idx, base, start, v, elem_bytes, marker, class, cost, img,
                                     );
                                 }
                                 (RangeInput::Consecutive, None) => {
@@ -299,8 +329,7 @@ impl FuncEngine {
                                 (RangeInput::Consecutive, Some(prev)) => {
                                     self.states[idx].carry = Some(v);
                                     self.emit_range(
-                                        idx, base, prev, v, idx_bytes, elem_bytes, marker, class,
-                                        cost, img,
+                                        idx, base, prev, v, elem_bytes, marker, class, cost, img,
                                     );
                                 }
                             }
@@ -365,8 +394,9 @@ impl FuncEngine {
                     progress = true;
                     match item {
                         QueueItem::Value(b) => {
-                            self.states[idx].chunk.push(b);
-                            self.states[idx].chunk_in_q += cost as u32;
+                            let state = &mut self.states[idx];
+                            state.stage_bytes.push(b as u8);
+                            state.chunk_in_q += cost as u32;
                         }
                         QueueItem::Marker(m) => {
                             let state = &mut self.states[idx];
@@ -375,20 +405,16 @@ impl FuncEngine {
                             // Stage in the operator's reusable buffers; the
                             // take/put-back dance frees the borrow on
                             // `self.states` across `emit_transformed`.
-                            let mut bytes = std::mem::take(&mut state.stage_bytes);
-                            bytes.clear();
-                            bytes.extend(state.chunk.drain(..).map(|v| v as u8));
                             let mut values = std::mem::take(&mut state.stage_values);
                             values.clear();
-                            if !bytes.is_empty() {
+                            if !state.stage_bytes.is_empty() {
                                 CodecCtx::ensure(&mut state.ctx, codec)
-                                    .decompress_frames(&bytes, &mut values)
+                                    .decompress_frames(&state.stage_bytes, &mut values)
                                     .expect("fetcher decompressed a corrupt stream");
+                                state.stage_bytes.clear();
                             }
                             self.emit_transformed(idx, &values, elem_bytes, consumed, Some(m));
-                            let state = &mut self.states[idx];
-                            state.stage_bytes = bytes;
-                            state.stage_values = values;
+                            self.states[idx].stage_values = values;
                         }
                     }
                 }
@@ -414,20 +440,16 @@ impl FuncEngine {
                                 values.sort_unstable();
                             }
                             let mut bytes = std::mem::take(&mut state.stage_bytes);
-                            bytes.clear();
                             if !values.is_empty() {
                                 CodecCtx::ensure(&mut state.ctx, codec)
                                     .compress(&values, &mut bytes);
                             }
-                            let mut byte_vals = std::mem::take(&mut state.stage_values);
-                            byte_vals.clear();
-                            byte_vals.extend(bytes.iter().map(|&b| b as u64));
-                            self.emit_transformed(idx, &byte_vals, 1, consumed, Some(m));
-                            // Put the staging buffers (and the chunk's
+                            self.emit_transformed(idx, &bytes, 1, consumed, Some(m));
+                            // Put the staging buffer (and the chunk's
                             // capacity) back for the next marker.
                             let state = &mut self.states[idx];
+                            bytes.clear();
                             state.stage_bytes = bytes;
-                            state.stage_values = byte_vals;
                             values.clear();
                             state.chunk = values;
                         }
@@ -552,30 +574,31 @@ impl FuncEngine {
                             progress = true;
                             match item {
                                 QueueItem::Value(b) => {
-                                    self.states[idx].chunk.push(b);
-                                    self.states[idx].chunk_in_q += cost as u32;
+                                    let state = &mut self.states[idx];
+                                    state.stage_bytes.push(b as u8);
+                                    state.chunk_in_q += cost as u32;
                                 }
                                 QueueItem::Marker(qid) => {
-                                    let bytes: Vec<u8> =
-                                        self.states[idx].chunk.drain(..).map(|v| v as u8).collect();
-                                    let consumed = self.states[idx].chunk_in_q + cost as u32;
-                                    self.states[idx].chunk_in_q = 0;
+                                    let state = &mut self.states[idx];
+                                    let len = state.stage_bytes.len() as u64;
+                                    let consumed = state.chunk_in_q + cost as u32;
+                                    state.chunk_in_q = 0;
                                     let tail_addr = meta_addr + qid as u64 * 8;
                                     let tail = img.read_u64(tail_addr);
                                     assert!(
-                                        tail + bytes.len() as u64 <= stride,
+                                        tail + len <= stride,
                                         "bin {qid} overflow: software must grow the bin (interrupt path)"
                                     );
                                     let dst = data_base + qid as u64 * stride + tail;
-                                    img.write_bytes(dst, &bytes);
-                                    img.write_u64(tail_addr, tail + bytes.len() as u64);
-                                    self.states[idx].cursor += bytes.len() as u64;
+                                    img.write_bytes(dst, &state.stage_bytes);
+                                    img.write_u64(tail_addr, tail + len);
+                                    state.stage_bytes.clear();
+                                    state.cursor += len;
                                     // Write firings per <=32B line segment,
                                     // consuming the input incrementally so a
                                     // whole chunk never has to fit in the
                                     // input queue at once.
-                                    let segs = segments(dst, bytes.len() as u64);
-                                    let n = segs.len() as u32 + 1; // + meta firing
+                                    let n = segments(dst, len).count() as u32 + 1; // + meta firing
                                     let per = consumed / n;
                                     let mut rem = consumed % n;
                                     let take = |rem: &mut u32| {
@@ -583,7 +606,7 @@ impl FuncEngine {
                                         *rem = rem.saturating_sub(1);
                                         c as u16
                                     };
-                                    for (addr, len) in segs {
+                                    for (addr, len) in segments(dst, len) {
                                         self.record(
                                             idx,
                                             Firing {
@@ -680,14 +703,12 @@ impl FuncEngine {
         base: u64,
         start: u64,
         end: u64,
-        idx_bytes: u8,
         elem_bytes: u8,
         marker: Option<u32>,
         class: DataClass,
         end_cost: u8,
         img: &mut MemoryImage,
     ) {
-        let _ = idx_bytes;
         let has_out = !self.pipeline.operators()[idx].outputs.is_empty();
         let start_addr = base + start * elem_bytes as u64;
         let total_bytes = end.saturating_sub(start) * elem_bytes as u64;
@@ -696,7 +717,10 @@ impl FuncEngine {
             let n_elems = len / elem_bytes.max(1) as u64;
             if has_out {
                 if elem_bytes == 1 {
-                    for b in img.read_bytes(addr, len as usize) {
+                    let mut seg = [0u8; FIRE_BYTES as usize];
+                    let seg = &mut seg[..len as usize];
+                    img.read_bytes_into(addr, seg);
+                    for &b in seg.iter() {
                         self.push_all(idx, QueueItem::Value(b as u64), 1);
                     }
                 } else {
@@ -743,10 +767,10 @@ impl FuncEngine {
 
     /// Emits transformed (de/compressed) output values in <=32 B firings,
     /// distributing `consumed` quarters across them, then passes `marker`.
-    fn emit_transformed(
+    fn emit_transformed<T: Copy + Into<u64>>(
         &mut self,
         idx: usize,
-        values: &[u64],
+        values: &[T],
         elem_bytes: u8,
         consumed: u32,
         marker: Option<u32>,
@@ -769,7 +793,7 @@ impl FuncEngine {
             out_left -= this_out;
             let mut produced = 0u64;
             while vi < values.len() && produced + elem_bytes as u64 <= this_out {
-                self.push_all(idx, QueueItem::Value(values[vi]), elem_bytes);
+                self.push_all(idx, QueueItem::Value(values[vi].into()), elem_bytes);
                 produced += elem_bytes as u64;
                 vi += 1;
             }
@@ -802,8 +826,7 @@ impl FuncEngine {
     }
 
     fn push_all(&mut self, op_idx: usize, item: QueueItem, cost: u8) {
-        let outputs = self.pipeline.operators()[op_idx].outputs.clone();
-        for q in outputs {
+        for &q in &self.pipeline.operators()[op_idx].outputs {
             self.queues[q as usize].push_back((item, cost));
         }
     }
@@ -828,19 +851,20 @@ impl FuncEngine {
     }
 }
 
-/// Splits `[start, start+len)` into segments that cross neither a cache
-/// line nor the 32-byte firing width.
-fn segments(start: u64, len: u64) -> Vec<(u64, u64)> {
-    let mut out = Vec::new();
-    let mut addr = start;
+/// Splits `[start, start+len)` into `(addr, len)` segments that cross
+/// neither a cache line nor the 32-byte firing width.
+fn segments(start: u64, len: u64) -> impl Iterator<Item = (u64, u64)> {
     let end = start + len;
-    while addr < end {
-        let line_end = (addr / LINE_BYTES + 1) * LINE_BYTES;
-        let seg_end = end.min(line_end).min(addr + FIRE_BYTES);
-        out.push((addr, seg_end - addr));
-        addr = seg_end;
-    }
-    out
+    let mut addr = start;
+    std::iter::from_fn(move || {
+        (addr < end).then(|| {
+            let line_end = (addr / LINE_BYTES + 1) * LINE_BYTES;
+            let seg_end = end.min(line_end).min(addr + FIRE_BYTES);
+            let seg = (addr, seg_end - addr);
+            addr = seg_end;
+            seg
+        })
+    })
 }
 
 #[cfg(test)]
@@ -852,7 +876,7 @@ mod tests {
     #[test]
     fn segments_respect_lines_and_fire_width() {
         // 100 bytes starting at 40: 24 to line end, then 32+8 (line), ...
-        let segs = segments(40, 100);
+        let segs: Vec<(u64, u64)> = segments(40, 100).collect();
         assert!(segs.iter().all(|&(_, l)| l <= 32));
         let total: u64 = segs.iter().map(|&(_, l)| l).sum();
         assert_eq!(total, 100);

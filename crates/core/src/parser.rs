@@ -173,6 +173,18 @@ pub fn parse(text: &str, symbols: &HashMap<String, u64>) -> Result<Pipeline, Par
                 }
             }
         };
+        // Narrowing fields are range-checked: truncating `elem=260` to 4
+        // would accept a malformed program as a different one.
+        let byte = |key: &str, default: Option<u64>| -> Result<u8, ParseError> {
+            let v = num(key, default)?;
+            u8::try_from(v)
+                .map_err(|_| ParseError::new(lineno, format!("{key}={v} is out of range")))
+        };
+        let word = |key: &str, default: Option<u64>| -> Result<u32, ParseError> {
+            let v = num(key, default)?;
+            u32::try_from(v)
+                .map_err(|_| ParseError::new(lineno, format!("{key}={v} is out of range")))
+        };
         let class = match kv.get("class").copied().unwrap_or("other") {
             "adj" => DataClass::AdjacencyMatrix,
             "src" => DataClass::SourceVertex,
@@ -195,8 +207,8 @@ pub fn parse(text: &str, symbols: &HashMap<String, u64>) -> Result<Pipeline, Par
         let kind = match head {
             "range" => OperatorKind::RangeFetch {
                 base: addr("base")?,
-                idx_bytes: num("idx", Some(8))? as u8,
-                elem_bytes: num("elem", Some(4))? as u8,
+                idx_bytes: byte("idx", Some(8))?,
+                elem_bytes: byte("elem", Some(4))?,
                 input: match kv.get("mode").copied().unwrap_or("pairs") {
                     "pairs" => RangeInput::Pairs,
                     "consecutive" => RangeInput::Consecutive,
@@ -215,17 +227,17 @@ pub fn parse(text: &str, symbols: &HashMap<String, u64>) -> Result<Pipeline, Par
             },
             "indirect" => OperatorKind::Indirect {
                 base: addr("base")?,
-                elem_bytes: num("elem", Some(8))? as u8,
+                elem_bytes: byte("elem", Some(8))?,
                 pair: kv.get("pair").copied() == Some("true"),
                 class,
             },
             "decompress" => OperatorKind::Decompress {
                 codec: codec()?,
-                elem_bytes: num("elem", Some(4))? as u8,
+                elem_bytes: byte("elem", Some(4))?,
             },
             "compress" => OperatorKind::Compress {
                 codec: codec()?,
-                elem_bytes: num("elem", Some(4))? as u8,
+                elem_bytes: byte("elem", Some(4))?,
                 sort_chunks: kv.get("sort").copied() == Some("true"),
             },
             "streamwrite" => OperatorKind::StreamWrite {
@@ -233,12 +245,12 @@ pub fn parse(text: &str, symbols: &HashMap<String, u64>) -> Result<Pipeline, Par
                 class,
             },
             "memqueue" => OperatorKind::MemQueue {
-                num_queues: num("queues", None)? as u32,
+                num_queues: word("queues", None)?,
                 data_base: addr("base")?,
                 stride: num("stride", None)?,
                 meta_addr: addr("meta")?,
-                chunk_elems: num("chunk", Some(32))? as u32,
-                elem_bytes: num("elem", Some(8))? as u8,
+                chunk_elems: word("chunk", Some(32))?,
+                elem_bytes: byte("elem", Some(8))?,
                 mode: match kv.get("mq").copied().unwrap_or("buffer") {
                     "buffer" => MemQueueMode::Buffer,
                     "append" => MemQueueMode::Append,
@@ -482,6 +494,31 @@ mod tests {
         let s = err.to_string();
         assert!(s.contains("[E013]"), "{s}");
         assert!(s.contains("line 2"), "{s}");
+    }
+
+    #[test]
+    fn out_of_range_numbers_are_errors_naming_the_key() {
+        // Each value would truncate to a valid one (elem=4, idx=8,
+        // queues=1, chunk=32) and so parse as a different program.
+        let cases = [
+            ("range a -> b base=0x1000 elem=260", "elem"),
+            ("range a -> b base=0x1000 idx=264", "idx"),
+            (
+                "memqueue a -> b queues=4294967297 base=bins stride=4096 meta=meta",
+                "queues",
+            ),
+            (
+                "memqueue a -> b queues=4 base=bins stride=4096 meta=meta chunk=4294967328",
+                "chunk",
+            ),
+        ];
+        for (op, key) in cases {
+            let text = format!("queue a 8\nqueue b 16\n{op}");
+            let err = parse(&text, &syms()).unwrap_err().to_string();
+            assert!(err.contains("line 3"), "{op}: {err}");
+            assert!(err.contains(&format!("{key}=")), "{op}: {err}");
+            assert!(err.contains("out of range"), "{op}: {err}");
+        }
     }
 
     #[test]

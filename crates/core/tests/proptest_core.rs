@@ -1,10 +1,11 @@
 //! Property-based tests on the DCL: textual round-trips for arbitrary
-//! pipelines, and flow conservation + timing drain for random traversal
-//! programs over random data.
+//! pipelines, flow conservation + timing drain for random traversal
+//! programs over random data, and a reset functional engine behaving as a
+//! fresh one across chunks.
 
 use proptest::prelude::*;
 use spzip_compress::CodecKind;
-use spzip_core::dcl::{OperatorKind, Pipeline, PipelineBuilder, RangeInput};
+use spzip_core::dcl::{MemQueueMode, OperatorKind, Pipeline, PipelineBuilder, RangeInput};
 use spzip_core::engine::{EngineConfig, EngineModel};
 use spzip_core::func::FuncEngine;
 use spzip_core::memory::MemoryImage;
@@ -97,6 +98,237 @@ fn arb_chain() -> impl Strategy<Value = (Pipeline, bool)> {
             }
             (b.build().expect("chain validates"), transform)
         })
+}
+
+/// A pipeline whose operators keep state across core enqueues: the shapes
+/// `FuncEngine::reset` must return to their just-built state.
+#[derive(Debug, Clone)]
+enum Stateful {
+    /// Range fetch (pending range start or boundary), optionally through a
+    /// compressor/decompressor pair, optionally ending in an indirection.
+    Range {
+        mode: RangeInput,
+        codec: CodecKind,
+        transform: bool,
+        indirect: bool,
+    },
+    /// Range fetch into a stream writer (write cursor, chunk lengths).
+    Write { mode: RangeInput, marker: bool },
+    /// Core-fed compressor into a decompressor (open chunk values and
+    /// their quarters).
+    Codec { codec: CodecKind, sort: bool },
+    /// The binning compressor: buffer MemQueue, compressor, append
+    /// MemQueue (per-bin counts, append cursor).
+    Bins {
+        bins: u32,
+        chunk: u32,
+        codec: CodecKind,
+        sort: bool,
+    },
+    /// Core-fed append MemQueue (open chunk bytes, append cursor).
+    Append { bins: u32 },
+}
+
+fn arb_mode() -> impl Strategy<Value = RangeInput> {
+    prop_oneof![Just(RangeInput::Pairs), Just(RangeInput::Consecutive)]
+}
+
+fn arb_stateful() -> impl Strategy<Value = Stateful> {
+    prop_oneof![
+        (arb_mode(), arb_codec(), any::<bool>(), any::<bool>()).prop_map(
+            |(mode, codec, transform, indirect)| Stateful::Range {
+                mode,
+                codec,
+                transform,
+                indirect,
+            }
+        ),
+        (arb_mode(), any::<bool>()).prop_map(|(mode, marker)| Stateful::Write { mode, marker }),
+        (arb_codec(), any::<bool>()).prop_map(|(codec, sort)| Stateful::Codec { codec, sort }),
+        (1u32..5, 1u32..9, arb_codec(), any::<bool>()).prop_map(|(bins, chunk, codec, sort)| {
+            Stateful::Bins {
+                bins,
+                chunk,
+                codec,
+                sort,
+            }
+        }),
+        (1u32..5).prop_map(|bins| Stateful::Append { bins }),
+    ]
+}
+
+/// Elements of the range-fetched array.
+const ARR_LEN: u32 = 48;
+/// Elements of the indirection target (every array value indexes it).
+const IND_LEN: u32 = 256;
+/// Bytes per append-MemQueue bin.
+const APPEND_STRIDE: u64 = 16 << 10;
+
+/// Lays out `shape`'s memory in `img` and builds its pipeline, whose core
+/// input is queue 0. Deterministic: two fresh images get the same layout.
+fn build_stateful(shape: &Stateful, img: &mut MemoryImage) -> Pipeline {
+    let values: Vec<u32> = (0..ARR_LEN).map(|i| (i * 37 + 11) % IND_LEN).collect();
+    let arr = img.alloc_u32s("arr", &values, DataClass::AdjacencyMatrix);
+    let ind = img.alloc_u32s("ind", &[7; IND_LEN as usize], DataClass::DestinationVertex);
+    let out = img.alloc("out", 4 * APPEND_STRIDE, DataClass::Updates);
+    let meta = img.alloc("meta", 4 * 8, DataClass::Updates);
+    let staging = img.alloc("staging", 4 * 64, DataClass::Updates);
+    let mut b = PipelineBuilder::new();
+    let q0 = b.queue(16);
+    let q1 = b.queue(32);
+    let range = |mode, marker| OperatorKind::RangeFetch {
+        base: arr,
+        idx_bytes: 8,
+        elem_bytes: 4,
+        input: mode,
+        marker,
+        class: DataClass::AdjacencyMatrix,
+    };
+    let append = |bins| OperatorKind::MemQueue {
+        num_queues: bins,
+        data_base: out,
+        stride: APPEND_STRIDE,
+        meta_addr: meta,
+        chunk_elems: 32,
+        elem_bytes: 8,
+        mode: MemQueueMode::Append,
+        class: DataClass::Updates,
+    };
+    match *shape {
+        Stateful::Range {
+            mode,
+            codec,
+            transform,
+            indirect,
+        } => {
+            b.operator(range(mode, Some(0)), q0, vec![q1]);
+            let mut last = q1;
+            if transform {
+                let (q2, q3) = (b.queue(32), b.queue(32));
+                b.operator(
+                    OperatorKind::Compress {
+                        codec,
+                        elem_bytes: 4,
+                        sort_chunks: false,
+                    },
+                    q1,
+                    vec![q2],
+                );
+                b.operator(
+                    OperatorKind::Decompress {
+                        codec,
+                        elem_bytes: 4,
+                    },
+                    q2,
+                    vec![q3],
+                );
+                last = q3;
+            }
+            if indirect {
+                let q4 = b.queue(32);
+                b.operator(
+                    OperatorKind::Indirect {
+                        base: ind,
+                        elem_bytes: 4,
+                        pair: false,
+                        class: DataClass::DestinationVertex,
+                    },
+                    last,
+                    vec![q4],
+                );
+            }
+        }
+        Stateful::Write { mode, marker } => {
+            b.operator(range(mode, marker.then_some(0)), q0, vec![q1]);
+            b.operator(
+                OperatorKind::StreamWrite {
+                    base: out,
+                    class: DataClass::Updates,
+                },
+                q1,
+                vec![],
+            );
+        }
+        Stateful::Codec { codec, sort } => {
+            let q2 = b.queue(32);
+            b.operator(
+                OperatorKind::Compress {
+                    codec,
+                    elem_bytes: 4,
+                    sort_chunks: sort,
+                },
+                q0,
+                vec![q1],
+            );
+            b.operator(
+                OperatorKind::Decompress {
+                    codec,
+                    elem_bytes: 4,
+                },
+                q1,
+                vec![q2],
+            );
+        }
+        Stateful::Bins {
+            bins,
+            chunk,
+            codec,
+            sort,
+        } => {
+            let q2 = b.queue(32);
+            b.operator(
+                OperatorKind::MemQueue {
+                    num_queues: bins,
+                    data_base: staging,
+                    stride: 64,
+                    meta_addr: meta,
+                    chunk_elems: chunk,
+                    elem_bytes: 8,
+                    mode: MemQueueMode::Buffer,
+                    class: DataClass::Updates,
+                },
+                q0,
+                vec![q1],
+            );
+            b.operator(
+                OperatorKind::Compress {
+                    codec,
+                    elem_bytes: 8,
+                    sort_chunks: sort,
+                },
+                q1,
+                vec![q2],
+            );
+            b.operator(append(bins), q2, vec![]);
+        }
+        Stateful::Append { bins } => {
+            b.operator(append(bins), q0, vec![]);
+        }
+    }
+    b.build().expect("stateful shape validates")
+}
+
+/// Feeds one core enqueue to `shape`'s input queue: a marker when `sel`
+/// is 6 or 7, else a value (a range index, a value to compress, a bin
+/// update pair or a byte), derived from `x`.
+fn feed(shape: &Stateful, eng: &mut FuncEngine, sel: u8, x: u32) {
+    let marker = sel >= 6;
+    match *shape {
+        Stateful::Range { .. } | Stateful::Write { .. } if marker => eng.enqueue_marker(0, 0),
+        Stateful::Range { .. } | Stateful::Write { .. } => {
+            eng.enqueue_value(0, (x % (ARR_LEN + 1)) as u64, 8)
+        }
+        Stateful::Codec { .. } if marker => eng.enqueue_marker(0, 0),
+        Stateful::Codec { .. } => eng.enqueue_value(0, x as u64, 4),
+        Stateful::Bins { bins, .. } | Stateful::Append { bins } if marker => {
+            eng.enqueue_marker(0, x % bins)
+        }
+        Stateful::Bins { bins, .. } => {
+            eng.enqueue_value(0, (x % bins) as u64, 4);
+            eng.enqueue_value(0, x as u64, 8)
+        }
+        Stateful::Append { .. } => eng.enqueue_value(0, (x & 0xff) as u64, 1),
+    };
 }
 
 proptest! {
@@ -193,5 +425,53 @@ proptest! {
             now += 64;
         }
         prop_assert!(model.idle(), "wedged: {:?}", model.stall_reason(now));
+    }
+
+    #[test]
+    fn reset_engine_matches_fresh_engine(
+        shape in arb_stateful(),
+        chunks in collection::vec(collection::vec((0u8..8, any::<u32>()), 0..24), 1..6),
+    ) {
+        // One engine reset between chunks, against a fresh engine per
+        // chunk, each over its own (identically laid out) image.
+        let mut img_reused = MemoryImage::new();
+        let p = build_stateful(&shape, &mut img_reused);
+        let mut img_fresh = MemoryImage::new();
+        build_stateful(&shape, &mut img_fresh);
+        let mut reused = FuncEngine::new(p.clone());
+        for (i, feeds) in chunks.iter().enumerate() {
+            if i > 0 {
+                reused.reset();
+            }
+            let mut fresh = FuncEngine::new(p.clone());
+            for &(sel, x) in feeds {
+                feed(&shape, &mut reused, sel, x);
+                feed(&shape, &mut fresh, sel, x);
+            }
+            reused.run(&mut img_reused);
+            fresh.run(&mut img_fresh);
+            prop_assert_eq!(reused.open_chunks(), fresh.open_chunks(), "{:?} chunk {}", shape, i);
+            prop_assert_eq!(reused.enqueue_log(), fresh.enqueue_log(), "{:?} chunk {}", shape, i);
+            for op in 0..p.operators().len() {
+                prop_assert_eq!(
+                    reused.stream_cursor(op),
+                    fresh.stream_cursor(op),
+                    "{:?} chunk {} op {}", shape, i, op
+                );
+                prop_assert_eq!(
+                    reused.stream_lengths(op),
+                    fresh.stream_lengths(op),
+                    "{:?} chunk {} op {}", shape, i, op
+                );
+            }
+            for q in 0..p.queues().len() as u8 {
+                prop_assert_eq!(
+                    reused.drain_output_costed(q),
+                    fresh.drain_output_costed(q),
+                    "{:?} chunk {} queue {}", shape, i, q
+                );
+            }
+            prop_assert_eq!(reused.take_firings(), fresh.take_firings(), "{:?} chunk {}", shape, i);
+        }
     }
 }

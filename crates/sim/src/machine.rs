@@ -18,7 +18,6 @@ use spzip_core::func::Firing;
 use spzip_mem::hierarchy::{MemConfig, MemorySystem};
 use spzip_mem::sanitize::Actor;
 use spzip_mem::Port;
-use std::collections::VecDeque;
 
 /// One blocked actor in a wedged machine and what it waits on — an edge
 /// of the wait-for graph at the moment the watchdog tripped.
@@ -143,7 +142,11 @@ impl<F: FnMut(usize) -> Option<CoreWork>> WorkSource for F {
 
 #[derive(Debug, Default)]
 struct CoreState {
-    events: VecDeque<Event>,
+    /// The current batch, taken whole from its [`CoreWork`]; events before
+    /// `next` have retired.
+    events: Vec<Event>,
+    /// Index of the first unretired event in `events`.
+    next: usize,
     /// Completion cycles of outstanding misses.
     window: Vec<u64>,
     /// Core-local time (>= global now; core idles until it).
@@ -152,6 +155,26 @@ struct CoreState {
     exhausted: bool,
     retired_events: u64,
     stall_cycles: u64,
+}
+
+impl CoreState {
+    /// The oldest unretired event.
+    fn front(&self) -> Option<&Event> {
+        self.events.get(self.next)
+    }
+
+    /// Whether every event of the current batch has retired.
+    fn drained(&self) -> bool {
+        self.next == self.events.len()
+    }
+
+    /// Takes `events` as the next batch. A core is refilled only once
+    /// drained, so nothing unretired is dropped.
+    fn refill(&mut self, events: Vec<Event>) {
+        debug_assert!(self.drained());
+        self.events = events;
+        self.next = 0;
+    }
 }
 
 /// The simulated machine. See the module docs.
@@ -290,10 +313,10 @@ impl Machine {
         loop {
             // Refill drained cores.
             for i in 0..self.cores.len() {
-                if self.cores[i].events.is_empty() && !self.cores[i].exhausted {
+                if self.cores[i].drained() && !self.cores[i].exhausted {
                     match source.next(i) {
                         Some(work) => {
-                            self.cores[i].events.extend(work.events);
+                            self.cores[i].refill(work.events);
                             if let Some(t) = work.fetcher_trace {
                                 self.fetchers[i].append_trace(t);
                             }
@@ -379,7 +402,7 @@ impl Machine {
         // a quantum; the phase ends only once global time catches up.
         self.cores
             .iter()
-            .all(|c| c.exhausted && c.events.is_empty() && c.t <= self.now)
+            .all(|c| c.exhausted && c.drained() && c.t <= self.now)
             && self.fetchers.iter().all(|f| f.idle())
             && self.compressors.iter().all(|c| c.idle())
     }
@@ -401,7 +424,7 @@ impl Machine {
         let mut fetcher_occupancy = Vec::new();
         let mut compressor_occupancy = Vec::new();
         for i in 0..self.cores.len() {
-            if let Some(ev) = self.cores[i].events.front() {
+            if let Some(ev) = self.cores[i].front() {
                 edges.push(WaitForEdge {
                     actor: format!("core {i}"),
                     waits_on: format!("{ev:?}"),
@@ -557,7 +580,7 @@ fn advance_core(
     }
     let mut progressed = false;
     while core.t < deadline {
-        let Some(&ev) = core.events.front() else {
+        let Some(&ev) = core.front() else {
             break;
         };
         let ready = match ev {
@@ -657,7 +680,7 @@ fn advance_core(
             core.t = deadline;
             break;
         }
-        core.events.pop_front();
+        core.next += 1;
         core.retired_events += 1;
         progressed = true;
     }
@@ -668,6 +691,7 @@ fn advance_core(
 mod tests {
     use super::*;
     use spzip_mem::DataClass;
+    use std::collections::VecDeque;
 
     fn tiny_config() -> MachineConfig {
         let mut cfg = MachineConfig::paper_scaled();
