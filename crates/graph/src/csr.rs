@@ -41,44 +41,109 @@ impl Csr {
     ///
     /// Panics if any endpoint is `>= num_vertices`.
     pub fn from_edges(num_vertices: usize, edges: &[(VertexId, VertexId)]) -> Self {
-        let pairs: Vec<(VertexId, VertexId, f64)> =
-            edges.iter().map(|&(s, d)| (s, d, 0.0)).collect();
-        Self::build(num_vertices, pairs, false)
+        Self::build(
+            num_vertices,
+            || edges.iter().map(|&(s, d)| (s, d, 0.0)),
+            false,
+        )
     }
 
-    /// Builds a CSR matrix with per-nonzero values.
+    /// Builds a CSR matrix with per-nonzero values, dropping diagonal
+    /// entries like [`Csr::from_edges`] drops self-loops. Of several entries
+    /// with the same coordinates, the first in input order is kept.
     ///
     /// # Panics
     ///
     /// Panics if any coordinate is `>= num_vertices`.
     pub fn from_entries(num_vertices: usize, entries: &[(VertexId, VertexId, f64)]) -> Self {
-        Self::build(num_vertices, entries.to_vec(), true)
+        Self::build(num_vertices, || entries.iter().copied(), true)
     }
 
-    fn build(
-        num_vertices: usize,
-        mut entries: Vec<(VertexId, VertexId, f64)>,
-        keep_values: bool,
-    ) -> Self {
-        for &(s, d, _) in &entries {
+    /// Counting sort by source: counts each row, scatters every entry to
+    /// the next free slot of its row in input order, then sorts and
+    /// deduplicates each row in place while compacting the rows leftwards.
+    /// `entries` is called twice, once per pass; self-loops are skipped in
+    /// both.
+    fn build<I>(num_vertices: usize, entries: impl Fn() -> I, keep_values: bool) -> Self
+    where
+        I: Iterator<Item = (VertexId, VertexId, f64)>,
+    {
+        let mut offsets = vec![0u64; num_vertices + 1];
+        for (s, d, _) in entries() {
             assert!(
                 (s as usize) < num_vertices && (d as usize) < num_vertices,
                 "edge ({s}, {d}) out of range for {num_vertices} vertices"
             );
-        }
-        entries.retain(|&(s, d, _)| s != d);
-        entries.sort_unstable_by_key(|&(s, d, _)| (s, d));
-        entries.dedup_by_key(|&mut (s, d, _)| (s, d));
-
-        let mut offsets = vec![0u64; num_vertices + 1];
-        for &(s, _, _) in &entries {
-            offsets[s as usize + 1] += 1;
+            if s != d {
+                offsets[s as usize + 1] += 1;
+            }
         }
         for i in 0..num_vertices {
             offsets[i + 1] += offsets[i];
         }
-        let neighbors = entries.iter().map(|&(_, d, _)| d).collect();
-        let values = keep_values.then(|| entries.iter().map(|&(_, _, v)| v).collect());
+        let len = offsets[num_vertices] as usize;
+
+        // After the scatter, `next[r]` is row r's end.
+        let mut next = offsets[..num_vertices].to_vec();
+        let mut neighbors = vec![0 as VertexId; len];
+        let mut values = keep_values.then(|| vec![0.0; len]);
+        for (s, d, v) in entries() {
+            if s != d {
+                let slot = &mut next[s as usize];
+                let i = *slot as usize;
+                *slot += 1;
+                neighbors[i] = d;
+                if let Some(values) = &mut values {
+                    values[i] = v;
+                }
+            }
+        }
+
+        // Sort keys of a row with values (column above, position in input
+        // order below) and a copy of the row's values, which compaction
+        // may overwrite before they are read.
+        let mut keys: Vec<u64> = Vec::new();
+        let mut row_values: Vec<f64> = Vec::new();
+        let mut w = 0;
+        for r in 0..num_vertices {
+            let (lo, hi) = (offsets[r] as usize, next[r] as usize);
+            offsets[r] = w as u64;
+            match &mut values {
+                None => {
+                    neighbors[lo..hi].sort_unstable();
+                    for i in lo..hi {
+                        if w == offsets[r] as usize || neighbors[w - 1] != neighbors[i] {
+                            neighbors[w] = neighbors[i];
+                            w += 1;
+                        }
+                    }
+                }
+                Some(values) => {
+                    assert!(hi - lo <= u32::MAX as usize, "row {r} too long");
+                    keys.clear();
+                    keys.extend((lo..hi).map(|i| (neighbors[i] as u64) << 32 | (i - lo) as u64));
+                    keys.sort_unstable();
+                    row_values.clear();
+                    row_values.extend_from_slice(&values[lo..hi]);
+                    // The first key of each run of equal columns is the
+                    // entry that came first in input order.
+                    for (j, &k) in keys.iter().enumerate() {
+                        if j == 0 || keys[j - 1] >> 32 != k >> 32 {
+                            neighbors[w] = (k >> 32) as VertexId;
+                            values[w] = row_values[k as u32 as usize];
+                            w += 1;
+                        }
+                    }
+                }
+            }
+        }
+        offsets[num_vertices] = w as u64;
+        neighbors.truncate(w);
+        neighbors.shrink_to_fit();
+        if let Some(values) = &mut values {
+            values.truncate(w);
+            values.shrink_to_fit();
+        }
         Csr {
             num_vertices,
             offsets,
@@ -172,9 +237,11 @@ impl Csr {
 
     /// The transpose (reversed edges); values follow their nonzeros.
     pub fn transpose(&self) -> Csr {
-        let entries: Vec<(VertexId, VertexId, f64)> =
-            self.iter_edges().map(|(s, d, v)| (d, s, v)).collect();
-        Self::build(self.num_vertices, entries, self.values.is_some())
+        Self::build(
+            self.num_vertices,
+            || self.iter_edges().map(|(s, d, v)| (d, s, v)),
+            self.values.is_some(),
+        )
     }
 
     /// Iterates `(src, dst, value)` over all stored edges (value 0.0 when
@@ -252,6 +319,19 @@ mod tests {
         let t = m.transpose();
         assert_eq!(t.row_values(1), Some(&[2.5][..]));
         assert_eq!(t.row_values(0), Some(&[4.0][..]));
+    }
+
+    #[test]
+    fn from_entries_keeps_the_first_duplicate() {
+        // Long enough that an unstable sort would reorder equal columns.
+        let entries: Vec<(VertexId, VertexId, f64)> =
+            (0..300).map(|i| (0, 1 + (i * 7) % 13, i as f64)).collect();
+        let m = Csr::from_entries(14, &entries);
+        assert_eq!(m.neighbors(0), (1..14).collect::<Vec<_>>());
+        for (&col, &value) in m.neighbors(0).iter().zip(m.row_values(0).unwrap()) {
+            let first = entries.iter().find(|e| e.1 == col).unwrap().2;
+            assert_eq!(value, first, "column {col}");
+        }
     }
 
     #[test]

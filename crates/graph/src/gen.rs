@@ -179,7 +179,7 @@ pub fn community(params: &CommunityParams, seed: u64) -> Csr {
     let degs: Vec<usize> = (0..n)
         .map(|_| {
             let u: f64 = rng.gen_range(1e-4..1.0f64);
-            ((mean_scale / u.powf(params.degree_skew)) as usize).clamp(1, n / 8)
+            ((mean_scale / u.powf(params.degree_skew)) as usize).clamp(1, (n / 8).max(1))
         })
         .collect();
     let mut deg_prefix = Vec::with_capacity(n + 1);
@@ -188,6 +188,7 @@ pub fn community(params: &CommunityParams, seed: u64) -> Csr {
         deg_prefix.push(deg_prefix.last().unwrap() + d as u64);
     }
     let total_weight = *deg_prefix.last().unwrap();
+    let targets = GuideTable::new(&deg_prefix);
 
     let mut edges = Vec::with_capacity(total_weight as usize);
     for v in 0..n {
@@ -198,8 +199,7 @@ pub fn community(params: &CommunityParams, seed: u64) -> Csr {
                 rng.gen_range(lo..hi)
             } else {
                 // Degree-weighted global target.
-                let w = rng.gen_range(0..total_weight);
-                deg_prefix.partition_point(|&p| p <= w) - 1
+                targets.find(rng.gen_range(0..total_weight))
             };
             if dst != v {
                 edges.push((v as VertexId, dst as VertexId));
@@ -207,6 +207,88 @@ pub fn community(params: &CommunityParams, seed: u64) -> Csr {
         }
     }
     Csr::from_edges(n, &edges)
+}
+
+/// Finds which weight a draw falls in, given the weights' running sums.
+///
+/// For a prefix `0 = p[0] <= p[1] <= ... <= p[n]`, [`GuideTable::find`]`(w)`
+/// is the largest `i` with `p[i] <= w`, exactly
+/// `p.partition_point(|&x| x <= w) - 1`. A guide table indexed by the
+/// draw's high bits stores, for each bucket start, the index that start
+/// falls in, so a lookup only searches between two adjacent guide entries
+/// (about one weight for most draws) instead of the whole prefix.
+///
+/// # Examples
+///
+/// ```
+/// use spzip_graph::gen::GuideTable;
+///
+/// let prefix = [0, 3, 4, 10];
+/// let t = GuideTable::new(&prefix);
+/// let found: Vec<usize> = (0..10).map(|w| t.find(w)).collect();
+/// assert_eq!(found, [0, 0, 0, 1, 2, 2, 2, 2, 2, 2]);
+/// ```
+#[derive(Debug, Clone)]
+pub struct GuideTable<'a> {
+    prefix: &'a [u64],
+    /// `guide[k]` is the index that draw `k << shift` falls in, capped at
+    /// the last weight.
+    guide: Vec<u32>,
+    shift: u32,
+}
+
+impl<'a> GuideTable<'a> {
+    /// Builds the table over `prefix`: at most `2n + 2` guide entries for
+    /// `n` weights.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `prefix` starts at 0, never decreases, and holds at
+    /// most `u32::MAX` weights.
+    pub fn new(prefix: &'a [u64]) -> Self {
+        assert_eq!(prefix.first(), Some(&0), "prefix must start at 0");
+        assert!(
+            prefix.windows(2).all(|p| p[0] <= p[1]),
+            "prefix must not decrease"
+        );
+        let n = prefix.len() - 1;
+        let last = u32::try_from(n.saturating_sub(1)).expect("at most u32::MAX weights");
+        let width = |x: u64| u64::BITS - x.leading_zeros();
+        let max_draw = prefix[n].saturating_sub(1);
+        let shift = width(max_draw).saturating_sub(width(n as u64));
+        let mut guide = Vec::with_capacity((max_draw >> shift) as usize + 2);
+        let mut i = 0;
+        for k in 0..=(max_draw >> shift) + 1 {
+            let start = k.saturating_mul(1 << shift);
+            while i < last && prefix[i as usize + 1] <= start {
+                i += 1;
+            }
+            guide.push(i);
+        }
+        GuideTable {
+            prefix,
+            guide,
+            shift,
+        }
+    }
+
+    /// The sum of all weights: draws range over `0..total()`.
+    pub fn total(&self) -> u64 {
+        *self.prefix.last().expect("prefix is non-empty")
+    }
+
+    /// The index `i` with `prefix[i] <= w < prefix[i + 1]`, taking the
+    /// largest such `i` when weights are zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w >= total()`.
+    pub fn find(&self, w: u64) -> usize {
+        assert!(w < self.total(), "draw {w} out of range");
+        let k = (w >> self.shift) as usize;
+        let (lo, hi) = (self.guide[k] as usize, self.guide[k + 1] as usize);
+        lo + self.prefix[lo + 1..=hi].partition_point(|&p| p <= w)
+    }
 }
 
 /// Generates a uniform (Erdős–Rényi style) directed graph with `n` vertices
@@ -350,6 +432,22 @@ mod tests {
         let t = m.transpose();
         assert_eq!(m.offsets(), t.offsets());
         assert_eq!(m.neighbors_flat(), t.neighbors_flat());
+    }
+
+    #[test]
+    fn community_handles_fewer_than_eight_vertices() {
+        // The degree cap `n / 8` is 0 below eight vertices; it must still
+        // admit degree 1 there instead of panicking.
+        for n in 0..=8 {
+            let g = community(&CommunityParams::web_crawl(n, 4), 1);
+            assert_eq!(g.num_vertices(), n);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn guide_table_rejects_draws_past_the_total() {
+        GuideTable::new(&[0, 2, 3]).find(3);
     }
 
     #[test]

@@ -74,6 +74,12 @@ impl std::fmt::Display for Preprocessing {
 
 /// Relabels `g` so that old vertex `v` becomes `perm[v]`.
 ///
+/// Each new row's offset follows from the permuted degrees, so every old
+/// row's relabeled neighbours (and values) are written straight into their
+/// new row, and only that row is sorted. `g`'s rows hold no self-loops or
+/// repeated neighbours (every constructor but [`Csr::from_parts`] ensures
+/// this), so neither do the relabeled rows.
+///
 /// # Panics
 ///
 /// Panics if `perm` is not a permutation of `0..num_vertices`.
@@ -85,16 +91,45 @@ pub fn apply_permutation(g: &Csr, perm: &[VertexId]) -> Csr {
         assert!(!seen[p as usize], "duplicate target id {p}");
         seen[p as usize] = true;
     }
-    let entries: Vec<(VertexId, VertexId, f64)> = g
-        .iter_edges()
-        .map(|(s, d, v)| (perm[s as usize], perm[d as usize], v))
-        .collect();
-    if g.values_flat().is_some() {
-        Csr::from_entries(n, &entries)
-    } else {
-        let edges: Vec<(VertexId, VertexId)> = entries.iter().map(|&(s, d, _)| (s, d)).collect();
-        Csr::from_edges(n, &edges)
+    let mut offsets = vec![0u64; n + 1];
+    for v in 0..n {
+        offsets[perm[v] as usize + 1] = g.out_degree(v as VertexId) as u64;
     }
+    for i in 0..n {
+        offsets[i + 1] += offsets[i];
+    }
+    let mut neighbors = vec![0 as VertexId; g.num_edges()];
+    let mut values = g.values_flat().map(|_| vec![0.0; g.num_edges()]);
+    // Sort keys of a row with values: new id above, old position below.
+    let mut keys: Vec<u64> = Vec::new();
+    for v in 0..n {
+        let new_row = perm[v] as usize;
+        let (lo, hi) = (offsets[new_row] as usize, offsets[new_row + 1] as usize);
+        let old = g.neighbors(v as VertexId);
+        match (&mut values, g.row_values(v as VertexId)) {
+            (Some(values), Some(old_values)) => {
+                keys.clear();
+                keys.extend(
+                    old.iter()
+                        .enumerate()
+                        .map(|(j, &d)| (perm[d as usize] as u64) << 32 | j as u64),
+                );
+                keys.sort_unstable();
+                for (i, &k) in (lo..hi).zip(&keys) {
+                    neighbors[i] = (k >> 32) as VertexId;
+                    values[i] = old_values[k as u32 as usize];
+                }
+            }
+            _ => {
+                let row = &mut neighbors[lo..hi];
+                for (slot, &d) in row.iter_mut().zip(old) {
+                    *slot = perm[d as usize];
+                }
+                row.sort_unstable();
+            }
+        }
+    }
+    Csr::from_parts(n, offsets, neighbors, values)
 }
 
 /// Inverts an order (`order[i]` = the old id placed at position `i`) into a
