@@ -789,7 +789,7 @@ pub fn auto_codecs(
 ) -> (Pipeline, MemorySchema, spzip_core::suggest::SuggestReport) {
     use spzip_core::{shape, suggest};
     let mut input = suggest::SuggestInput::with_schema(pipeline, schema);
-    input.params = params.clone();
+    input.perf.params = params.clone();
     let mut report = suggest::suggest(&input);
     if report.plan.is_empty() {
         return (pipeline.clone(), schema.clone(), report);

@@ -34,10 +34,9 @@ use spzip_core::func::{Firing, FuncEngine};
 use spzip_core::memory::MemoryImage;
 use spzip_core::{QueueId, QueueItem};
 use spzip_graph::VertexId;
-use spzip_mem::phi::{PhiPush, PhiUnit};
+use spzip_mem::phi::{PhiLine, PhiPush, PhiUnit};
 use spzip_mem::DataClass;
 use spzip_sim::{CoreWork, Event, Machine, WorkSource};
-use std::collections::HashMap;
 
 /// Statistics of one algorithm run.
 #[derive(Debug, Clone, Default)]
@@ -476,10 +475,9 @@ fn run_traversal_phase(
         in_next,
         nf_cursor: 0,
         phi,
-        phi_payloads: HashMap::new(),
         bin_cursors: vec![vec![0u64; num_bins]; cores],
         finalized: vec![false; cores],
-        drain_shares: None,
+        phi_drained: None,
         all_active,
     };
     machine.run_phase(&mut source);
@@ -523,11 +521,9 @@ struct TraversalSource<'a> {
     in_next: Vec<bool>,
     nf_cursor: u64,
     phi: &'a mut Option<PhiUnit>,
-    /// Payloads buffered per PHI line (line -> slot -> payload).
-    phi_payloads: HashMap<u64, [Option<u32>; 16]>,
     bin_cursors: Vec<Vec<u64>>,
     finalized: Vec<bool>,
-    drain_shares: Option<Vec<Vec<u64>>>,
+    phi_drained: Option<Vec<PhiLine>>,
     all_active: bool,
 }
 
@@ -565,22 +561,17 @@ impl TraversalSource<'_> {
             }
             TravMode::PhiBin => {
                 ev.push(Event::Compute(self.cost.phi_push));
-                let phi = self.phi.as_mut().unwrap();
-                let line = w_dst_addr / 64;
-                let slot = ((w_dst_addr % 64) / 4) as usize;
-                let outcome = phi.push(w_dst_addr);
-                // Coalesce the payload into the line mirror.
-                let entry = self.phi_payloads.entry(line).or_insert([None; 16]);
-                entry[slot] = Some(match entry[slot] {
-                    Some(prev) => self.alg.combine(prev, payload),
-                    None => payload,
-                });
+                let alg = &*self.alg;
+                let outcome = self
+                    .phi
+                    .as_mut()
+                    .unwrap()
+                    .push(w_dst_addr, payload, |a, b| alg.combine(a, b));
                 if let PhiPush::Allocated {
-                    evicted: Some((victim, _)),
+                    evicted: Some(victim),
                 } = outcome
                 {
-                    let spilled = self.phi_payloads.remove(&victim).unwrap_or([None; 16]);
-                    self.spill_line(core, ev, victim, &spilled);
+                    self.spill_line(core, ev, &victim);
                 }
             }
         }
@@ -601,20 +592,13 @@ impl TraversalSource<'_> {
     }
 
     /// Spills one PHI line's coalesced updates to bins.
-    fn spill_line(
-        &mut self,
-        core: usize,
-        ev: &mut Vec<Event>,
-        line: u64,
-        slots: &[Option<u32>; 16],
-    ) {
-        let base_dst = (line * 64).saturating_sub(self.w.dst_addr) / 4;
-        for (slot, payload) in slots.iter().enumerate() {
-            let Some(p) = payload else { continue };
-            let dst = base_dst as u32 + slot as u32;
+    fn spill_line(&mut self, core: usize, ev: &mut Vec<Event>, line: &PhiLine) {
+        let base_dst = (line.line * 64).saturating_sub(self.w.dst_addr) / 4;
+        for (slot, p) in line.updates() {
+            let dst = base_dst as u32 + slot;
             let bins = self.w.bins.as_ref().unwrap();
             let bin = bins.bin_of(dst.min(self.w.n() as u32 - 1));
-            self.bin_update(core, ev, bin, ((dst as u64) << 32) | *p as u64);
+            self.bin_update(core, ev, bin, ((dst as u64) << 32) | p as u64);
         }
     }
 
@@ -651,22 +635,17 @@ impl TraversalSource<'_> {
             return None;
         }
         let mut ev = Vec::new();
-        // PHI: split the drained lines across cores once.
+        // PHI: drain the buffered lines once; each core spills every
+        // `cores`-th of them.
         if self.mode == TravMode::PhiBin {
-            if self.drain_shares.is_none() {
-                let cores = self.finalized.len();
-                let drained = self.phi.as_mut().unwrap().drain();
-                let mut shares: Vec<Vec<u64>> = vec![Vec::new(); cores];
-                for (i, (line, _)) in drained.into_iter().enumerate() {
-                    shares[i % cores].push(line);
-                }
-                self.drain_shares = Some(shares);
+            let drained = self
+                .phi_drained
+                .take()
+                .unwrap_or_else(|| self.phi.as_mut().unwrap().drain());
+            for line in drained.iter().skip(core).step_by(self.finalized.len()) {
+                self.spill_line(core, &mut ev, line);
             }
-            let lines = self.drain_shares.as_mut().unwrap()[core].clone();
-            for line in lines {
-                let slots = self.phi_payloads.remove(&line).unwrap_or([None; 16]);
-                self.spill_line(core, &mut ev, line, &slots);
-            }
+            self.phi_drained = Some(drained);
         }
         if self.cfg.spzip {
             let q = self.bin_pipes[core].bin_q;

@@ -8,14 +8,13 @@
 //! lints the full enumeration from
 //! [`spzip_apps::pipelines::all_builtin_checked`]: every workload x scheme
 //! pipeline the figures load, each paired with its declared
-//! [`MemorySchema`](spzip_core::shape::MemorySchema). Builtins additionally
-//! run the shape-and-bounds verifier ([`spzip_core::shape::verify`]),
-//! folding its `B0xx` findings into the same report. File mode cannot
-//! shape-check: a `.dcl` text linted against synthetic placeholder
-//! addresses carries no memory schema to verify against. `--dot`
-//! additionally prints each pipeline as Graphviz dot; for builtins the
-//! edges are annotated with the inferred shape domain (region / element
-//! width / codec framing).
+//! [`MemorySchema`]. Builtins additionally run the shape-and-bounds
+//! verifier ([`spzip_core::shape::verify`]), folding its `B0xx` findings
+//! into the same report. File mode cannot shape-check: a `.dcl` text
+//! linted against synthetic placeholder addresses carries no memory
+//! schema to verify against. `--dot` additionally prints each pipeline as
+//! Graphviz dot; for builtins the edges are annotated with the inferred
+//! shape domain (region / element width / codec framing).
 //!
 //! Every input that passes the structural lint is also run through the
 //! liveness model checker ([`spzip_core::liveness::verify`]), folding its
@@ -38,83 +37,40 @@
 //! not do its job (an unreadable file, nothing to lint at all, or an
 //! unknown corpus name).
 
+use crate::batch::{Batch, Entry};
 use crate::cli::CommonArgs;
-use spzip_core::lint::{self, Severity};
-use spzip_core::parser;
+use spzip_core::dcl::Pipeline;
+use spzip_core::lint::{self, Diagnostic};
+use spzip_core::shape::{self, MemorySchema};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt::Write as _;
 
-/// Outcome of linting one batch of pipelines.
-#[derive(Debug, Default)]
-pub struct LintReport {
-    /// Pipelines (or files) examined.
-    pub checked: usize,
-    /// Error-severity diagnostics plus parse failures.
-    pub errors: usize,
-    /// Warning-severity diagnostics.
-    pub warnings: usize,
-    /// Files the tool could not read (exit code 2, not a lint verdict).
-    pub io_errors: usize,
-    /// Human-readable report.
-    pub output: String,
-    /// Per-pipeline diagnostics, kept structured for `--format json`.
-    pub results: Vec<(String, Vec<lint::Diagnostic>)>,
-    /// Parse/read failures with no structured diagnostic (name, error).
-    pub failures: Vec<(String, String)>,
-    /// Rendered liveness counterexamples, by pipeline name (at most one
-    /// per pipeline: the checker reports the earliest wedge).
-    pub counterexamples: Vec<(String, String)>,
-}
-
-impl LintReport {
-    fn absorb(&mut self, name: &str, diags: Vec<lint::Diagnostic>) {
-        self.checked += 1;
-        let errors = diags
-            .iter()
-            .filter(|d| d.severity() == Severity::Error)
-            .count();
-        self.errors += errors;
-        self.warnings += diags.len() - errors;
-        if diags.is_empty() {
-            let _ = writeln!(self.output, "{name}: clean");
-        } else {
-            let _ = writeln!(self.output, "{name}:");
-            self.output.push_str(&lint::render(&diags));
-        }
-        self.results.push((name.to_string(), diags));
-    }
-}
-
-impl LintReport {
-    /// The report's summary counters in the shared tool shape.
-    pub fn counts(&self) -> crate::cli::ToolCounts {
-        crate::cli::ToolCounts {
-            checked: self.checked,
-            errors: self.errors,
-            warnings: self.warnings,
-            io_errors: self.io_errors,
-        }
-    }
-}
-
-/// Renders a report as one JSON object: the shared
-/// [`crate::cli::json_envelope`] summary wrapper around per-pipeline
-/// diagnostic arrays (each element in the same shape as
+/// One pipeline's lint entry: `name: clean` or the rendered diagnostics,
+/// then each rendered liveness counterexample and `dot`; the JSON body
+/// carries the diagnostics (each element in the shape of
 /// [`lint::render_json`], so `dcl-lint` and `dcl-perf` emit identical
-/// diagnostic records).
-pub fn render_json_report(report: &LintReport) -> String {
-    let pipelines: Vec<(String, String)> = report
-        .results
-        .iter()
-        .map(|(name, diags)| {
-            let mut body = format!("\"diagnostics\":{}", lint::render_json(diags).trim_end());
-            if let Some((_, cx)) = report.counterexamples.iter().find(|(n, _)| n == name) {
-                let _ = write!(body, ",\"counterexample\":\"{}\"", lint::json_escape(cx));
-            }
-            (name.clone(), body)
-        })
-        .collect();
-    crate::cli::json_envelope(&report.counts(), &pipelines, &report.failures)
+/// diagnostic records) and the first counterexample.
+fn entry(name: &str, diagnostics: Vec<Diagnostic>, counterexamples: &[String], dot: &str) -> Entry {
+    let mut text = if diagnostics.is_empty() {
+        format!("{name}: clean\n")
+    } else {
+        format!("{name}:\n{}", lint::render(&diagnostics))
+    };
+    text.extend(counterexamples.iter().map(String::as_str));
+    text.push_str(dot);
+    let mut json = format!(
+        "\"diagnostics\":{}",
+        lint::render_json(&diagnostics).trim_end()
+    );
+    if let Some(cx) = counterexamples.first() {
+        let _ = write!(json, ",\"counterexample\":\"{}\"", lint::json_escape(cx));
+    }
+    Entry {
+        name: name.to_string(),
+        diagnostics,
+        text,
+        json,
+    }
 }
 
 /// Builds a placeholder symbol table for a `.dcl` text: every symbolic
@@ -140,80 +96,36 @@ pub fn synthetic_symbols(text: &str) -> HashMap<String, u64> {
         .collect()
 }
 
-/// Runs the liveness model checker on `p`; returns its diagnostics plus
-/// each finding's rendered counterexample schedule.
-fn liveness_diags(p: &spzip_core::dcl::Pipeline) -> (Vec<lint::Diagnostic>, Vec<String>) {
-    let live = spzip_core::liveness::verify(p);
-    let rendered = live
-        .findings
-        .iter()
-        .map(|f| spzip_core::liveness::render_counterexample(&f.counterexample))
-        .collect();
-    (live.diagnostics(), rendered)
-}
-
-/// Lints one `.dcl` program text under `name`. Parsed programs that pass
-/// the structural lint are also model-checked for whole-pipeline liveness
-/// (a counterexample for a program the builder would reject anyway is
-/// noise, so lint errors skip it).
-pub fn lint_text(name: &str, text: &str, dot: bool, report: &mut LintReport) {
-    let symbols = synthetic_symbols(text);
-    match parser::parse(text, &symbols) {
-        Ok(p) => {
-            let mut diags = lint::lint(&p);
-            let mut rendered = Vec::new();
-            if !lint::has_errors(&diags) {
-                let (d, r) = liveness_diags(&p);
-                diags.extend(d);
-                rendered = r;
-            }
-            report.absorb(name, diags);
-            for cx in rendered {
-                report.output.push_str(&cx);
-                report.counterexamples.push((name.to_string(), cx));
-            }
-            if dot {
-                report.output.push_str(&parser::to_dot(&p));
-            }
-        }
-        Err(e) => {
-            report.checked += 1;
-            report.errors += 1;
-            let _ = writeln!(report.output, "{name}: {e}");
-            report.failures.push((name.to_string(), e.to_string()));
-        }
+/// The lint analysis of one pipeline: the structural lint, then for a
+/// builtin the shape verifier against its declared schema (`B0xx`
+/// findings). Pipelines with no error so far are model-checked for
+/// whole-pipeline liveness, folding `D0xx` findings and their rendered
+/// counterexample schedules into the entry (a counterexample for a
+/// program the builder would reject anyway is noise). With `dot`, the
+/// pipeline follows as Graphviz dot, whose edges carry the inferred shape
+/// domain for builtins.
+fn lint_pipeline(name: &str, p: &Pipeline, schema: Option<&MemorySchema>, dot: bool) -> Entry {
+    let mut diags = lint::lint(p);
+    let shape_report = schema.map(|s| shape::verify(p, s));
+    if let Some(r) = &shape_report {
+        diags.extend(r.diagnostics.iter().cloned());
     }
-}
-
-/// Lints every built-in application pipeline (all workloads x schemes).
-/// Each pipeline is also run through the shape verifier against its
-/// constructor-declared schema, and its `B0xx` findings are folded into
-/// the same per-pipeline diagnostic list. Each is also model-checked for
-/// whole-pipeline liveness, folding `D0xx` findings (with rendered
-/// counterexample schedules) the same way.
-/// `--dot` output annotates edges with the inferred shape domain.
-pub fn lint_builtins(dot: bool, report: &mut LintReport) {
-    for (name, p, schema) in spzip_apps::pipelines::all_builtin_checked() {
-        let mut diags = lint::lint(&p);
-        let shape_report = spzip_core::shape::verify(&p, &schema);
-        diags.extend(shape_report.diagnostics.iter().cloned());
-        let mut rendered = Vec::new();
-        if !lint::has_errors(&diags) {
-            let (d, r) = liveness_diags(&p);
-            diags.extend(d);
-            rendered = r;
-        }
-        report.absorb(&name, diags);
-        for cx in rendered {
-            report.output.push_str(&cx);
-            report.counterexamples.push((name.to_string(), cx));
-        }
-        if dot {
-            report
-                .output
-                .push_str(&spzip_core::shape::annotated_dot(&p, &shape_report));
-        }
+    let mut counterexamples = Vec::new();
+    if !lint::has_errors(&diags) {
+        let live = spzip_core::liveness::verify(p);
+        counterexamples = live
+            .findings
+            .iter()
+            .map(|f| spzip_core::liveness::render_counterexample(&f.counterexample))
+            .collect();
+        diags.extend(live.diagnostics());
     }
+    let dot = match (dot, &shape_report) {
+        (false, _) => String::new(),
+        (true, Some(r)) => shape::annotated_dot(p, r),
+        (true, None) => spzip_core::parser::to_dot(p),
+    };
+    entry(name, diags, &counterexamples, &dot)
 }
 
 /// `--equiv` over the builtins: runs the auto-codec selection on every
@@ -222,7 +134,7 @@ pub fn lint_builtins(dot: bool, report: &mut LintReport) {
 /// each against its own schema. Planless builtins certify as identity
 /// rewrites; any `V0xx` finding is folded into the report like a lint
 /// error.
-pub fn equiv_builtins(report: &mut LintReport) {
+fn equiv_builtins(batch: &mut Batch) {
     let params = spzip_core::perf::PerfParams::default();
     for (name, p, schema) in spzip_apps::pipelines::all_builtin_checked() {
         let (auto, auto_schema, suggest) = spzip_apps::pipelines::auto_codecs(&p, &schema, &params);
@@ -237,7 +149,7 @@ pub fn equiv_builtins(report: &mut LintReport) {
         } else {
             format!("{name} (auto: {} swap(s))", suggest.plan.len())
         };
-        report.absorb(&label, verdict.diagnostics());
+        batch.push(entry(&label, verdict.diagnostics(), &[], ""));
     }
 }
 
@@ -248,7 +160,7 @@ pub fn equiv_builtins(report: &mut LintReport) {
 /// reference and vice versa, byte-identical values). A mismatch means
 /// "compress then decompress cancels" is unsound for that codec, so it
 /// is reported as a failure, not a diagnostic.
-pub fn codec_bindings(report: &mut LintReport) {
+fn codec_bindings(batch: &mut Batch) {
     use spzip_compress::{reference::ReferenceCodec, CodecKind};
     // A stream with runs, deltas, and full-width values, so every codec's
     // encoder paths are exercised.
@@ -293,13 +205,8 @@ pub fn codec_bindings(report: &mut LintReport) {
             Ok(())
         };
         match check() {
-            Ok(()) => report.absorb(&name, vec![]),
-            Err(e) => {
-                report.checked += 1;
-                report.errors += 1;
-                let _ = writeln!(report.output, "{name}: {e}");
-                report.failures.push((name, e));
-            }
+            Ok(()) => batch.push(entry(&name, vec![], &[], "")),
+            Err(e) => batch.fail(&name, e, false),
         }
     }
 }
@@ -321,61 +228,15 @@ pub fn run(args: &CommonArgs) -> i32 {
         println!("{USAGE}");
         return 2;
     }
-    let mut report = LintReport::default();
+    let mut batch = Batch::new("dcl-lint");
     if args.equiv {
-        equiv_builtins(&mut report);
-        codec_bindings(&mut report);
+        equiv_builtins(&mut batch);
+        codec_bindings(&mut batch);
     }
-    for path in &args.paths {
-        match std::fs::read_to_string(path) {
-            Ok(text) => lint_text(&path.display().to_string(), &text, args.dot, &mut report),
-            Err(e) => {
-                report.checked += 1;
-                report.io_errors += 1;
-                let _ = writeln!(report.output, "{}: {e}", path.display());
-                report
-                    .failures
-                    .push((path.display().to_string(), e.to_string()));
-            }
-        }
-    }
-    if args.all_builtin {
-        lint_builtins(args.dot, &mut report);
-    }
-    if report.checked == 0 {
-        println!("{USAGE}");
-        return 2;
-    }
-    match args.format {
-        crate::cli::OutputFormat::Json => print!("{}", render_json_report(&report)),
-        crate::cli::OutputFormat::Sarif => print!(
-            "{}",
-            crate::cli::sarif_report("dcl-lint", &report.results, &report.failures)
-        ),
-        crate::cli::OutputFormat::Text => {
-            let _ = writeln!(
-                report.output,
-                "checked {} pipeline(s): {} error(s), {} warning(s){}",
-                report.checked,
-                report.errors,
-                report.warnings,
-                if report.io_errors > 0 {
-                    format!(", {} unreadable", report.io_errors)
-                } else {
-                    String::new()
-                }
-            );
-            print!("{}", report.output);
-        }
-    }
-    exit_code(&report, args.deny_warnings)
-}
-
-/// The process exit code for `report`: the shared
-/// [`crate::cli::tool_exit_code`] ladder (unreadable inputs dominate
-/// with 2, then failing diagnostics 1, then success 0).
-pub fn exit_code(report: &LintReport, deny_warnings: bool) -> i32 {
-    crate::cli::tool_exit_code(&report.counts(), deny_warnings)
+    batch.inputs(args, &mut |name, p, schema| {
+        lint_pipeline(name, p, schema, args.dot)
+    });
+    batch.finish(args, USAGE, &batch.summary())
 }
 
 #[cfg(test)]
@@ -395,6 +256,22 @@ mod tests {
         assert_eq!(addrs.len(), syms.len(), "addresses must be distinct");
     }
 
+    /// Lints one program text the way the tool lints a file.
+    fn lint_text(name: &str, text: &str, dot: bool) -> Batch {
+        let mut b = Batch::new("dcl-lint");
+        b.program(name, text, &mut |n, p, s| lint_pipeline(n, p, s, dot));
+        b
+    }
+
+    /// Lints the inputs `argv` names through the tool's input loop.
+    fn lint_inputs(argv: &[&str]) -> Batch {
+        let argv: Vec<String> = argv.iter().map(|a| a.to_string()).collect();
+        let args = crate::cli::parse_from(&argv, true, &[]).unwrap();
+        let mut b = Batch::new("dcl-lint");
+        b.inputs(&args, &mut |n, p, s| lint_pipeline(n, p, s, args.dot));
+        b
+    }
+
     #[test]
     fn clean_file_reports_no_errors() {
         let text = "
@@ -404,19 +281,18 @@ mod tests {
             range input -> offs base=offsets idx=8 elem=8 mode=pairs class=adj
             range offs -> rows base=rows idx=8 elem=8 mode=consecutive marker=0 class=adj
         ";
-        let mut r = LintReport::default();
-        lint_text("fig2", text, false, &mut r);
-        assert_eq!((r.checked, r.errors, r.warnings), (1, 0, 0), "{}", r.output);
-        assert!(r.output.contains("fig2: clean"));
+        let r = lint_text("fig2", text, false);
+        let c = r.counts();
+        assert_eq!((c.checked, c.errors, c.warnings), (1, 0, 0), "{}", r.text());
+        assert!(r.text().contains("fig2: clean"));
     }
 
     #[test]
     fn undersized_queue_file_reports_error() {
         let text = "queue a 8\nqueue b 4\nrange a -> b base=0x0 elem=8";
-        let mut r = LintReport::default();
-        lint_text("bad", text, false, &mut r);
-        assert_eq!(r.errors, 1, "{}", r.output);
-        assert!(r.output.contains("E013"), "{}", r.output);
+        let r = lint_text("bad", text, false);
+        assert_eq!(r.counts().errors, 1, "{}", r.text());
+        assert!(r.text().contains("E013"), "{}", r.text());
     }
 
     #[test]
@@ -428,80 +304,49 @@ mod tests {
             queue unused 8
             range a -> b base=0x0 elem=8
         ";
-        let mut r = LintReport::default();
-        lint_text("warny", text, false, &mut r);
-        assert_eq!(r.errors, 0, "{}", r.output);
-        assert_eq!(r.warnings, 1, "{}", r.output);
-        assert!(r.output.contains("warning[W001]"), "{}", r.output);
+        let r = lint_text("warny", text, false);
+        assert_eq!(r.counts().errors, 0, "{}", r.text());
+        assert_eq!(r.counts().warnings, 1, "{}", r.text());
+        assert!(r.text().contains("warning[W001]"), "{}", r.text());
     }
 
     #[test]
     fn dot_output_is_appended() {
         let text = "queue a 8\nqueue b 16\nrange a -> b base=0x0 elem=8";
-        let mut r = LintReport::default();
-        lint_text("p", text, true, &mut r);
-        assert!(r.output.contains("digraph dcl {"), "{}", r.output);
-    }
-
-    #[test]
-    fn exit_codes_distinguish_io_from_diagnostics() {
-        let clean = LintReport {
-            checked: 1,
-            ..Default::default()
-        };
-        assert_eq!(exit_code(&clean, false), 0);
-        assert_eq!(exit_code(&clean, true), 0);
-        let warny = LintReport {
-            checked: 1,
-            warnings: 2,
-            ..Default::default()
-        };
-        assert_eq!(exit_code(&warny, false), 0);
-        assert_eq!(exit_code(&warny, true), 1, "--deny-warnings promotes");
-        let bad = LintReport {
-            checked: 1,
-            errors: 1,
-            ..Default::default()
-        };
-        assert_eq!(exit_code(&bad, false), 1);
-        let unreadable = LintReport {
-            checked: 2,
-            errors: 1,
-            io_errors: 1,
-            ..Default::default()
-        };
-        assert_eq!(exit_code(&unreadable, false), 2, "I/O dominates");
+        let r = lint_text("p", text, true);
+        assert!(r.text().contains("digraph dcl {"), "{}", r.text());
     }
 
     #[test]
     fn unreadable_file_is_an_io_error_not_a_diagnostic() {
-        let args = crate::cli::parse_from(
-            &["/nonexistent/definitely-missing.dcl".to_string()],
-            true,
-            &[],
-        )
-        .unwrap();
-        let mut report = LintReport::default();
-        match std::fs::read_to_string(&args.paths[0]) {
-            Ok(_) => panic!("path should not exist"),
-            Err(_) => report.io_errors += 1,
-        }
-        report.checked += 1;
-        assert_eq!(exit_code(&report, false), 2);
-        assert_eq!(report.errors, 0);
+        let r = lint_inputs(&["/nonexistent/definitely-missing.dcl"]);
+        let c = r.counts();
+        assert_eq!(
+            (c.checked, c.io_errors, c.errors),
+            (1, 1, 0),
+            "{}",
+            r.text()
+        );
+        assert!(
+            r.text()
+                .starts_with("/nonexistent/definitely-missing.dcl: "),
+            "{}",
+            r.text()
+        );
+        assert_eq!(crate::cli::tool_exit_code(&c, false), 2);
     }
 
     #[test]
     fn json_report_carries_diagnostics_and_failures() {
-        let mut r = LintReport::default();
-        lint_text(
+        let mut r = lint_text(
             "warny",
             "queue a 8\nqueue b 16\nqueue unused 8\nrange a -> b base=0x0 elem=8",
             false,
-            &mut r,
         );
-        lint_text("broken", "queue a", false, &mut r);
-        let json = render_json_report(&r);
+        r.program("broken", "queue a", &mut |n, p, s| {
+            lint_pipeline(n, p, s, false)
+        });
+        let json = r.render(crate::cli::OutputFormat::Json, "");
         assert!(json.contains("\"checked\":2"), "{json}");
         assert!(json.contains("\"name\":\"warny\""), "{json}");
         assert!(
@@ -513,21 +358,19 @@ mod tests {
 
     #[test]
     fn all_builtins_lint_and_shape_error_free() {
-        let mut r = LintReport::default();
-        lint_builtins(false, &mut r);
-        assert!(r.checked >= 40, "{}", r.checked);
-        assert_eq!(r.errors, 0, "{}", r.output);
+        let r = lint_inputs(&["--all-builtin"]);
+        assert!(r.counts().checked >= 40, "{}", r.counts().checked);
+        assert_eq!(r.counts().errors, 0, "{}", r.text());
     }
 
     #[test]
     fn builtin_dot_is_annotated_with_shape_domains() {
-        let mut r = LintReport::default();
-        lint_builtins(true, &mut r);
-        assert!(r.output.contains("digraph dcl {"), "{}", r.output);
+        let r = lint_inputs(&["--all-builtin", "--dot"]);
+        assert!(r.text().contains("digraph dcl {"), "{}", r.text());
         // Edge labels carry the inferred domain: raw widths and codec
         // framings both appear somewhere across the builtin set.
-        assert!(r.output.contains("raw w"), "domain labels: {}", r.output);
-        assert!(r.output.contains("frames("), "framed labels missing");
+        assert!(r.text().contains("raw w"), "domain labels: {}", r.text());
+        assert!(r.text().contains("frames("), "framed labels missing");
     }
 
     #[test]

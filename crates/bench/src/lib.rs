@@ -19,12 +19,14 @@
 //! files and every built-in pipeline with [`spzip_core::lint`] and the
 //! shape-and-bounds verifier ([`spzip_core::shape`]); the
 //! [`dcl_perf`] module backs `dcl-perf`, the static traffic/throughput
-//! analyzer ([`spzip_core::perf`]), [`crosscheck`] is its
+//! analyzer ([`spzip_core::perf`]); both tools report through one
+//! [`batch`] report. [`crosscheck`] is `dcl-perf`'s
 //! model-vs-simulator gate, [`corpus`] is `dcl-lint --corpus`'s one
 //! seeded-bug differential gate harness over the [`shape_corpus`],
 //! [`liveness_corpus`] and [`equiv_corpus`] seeds, and [`explain`] is
 //! the `--explain CODE` registry spanning every diagnostic family.
 
+pub mod batch;
 pub mod cli;
 pub mod codec_bench;
 pub mod corpus;

@@ -335,19 +335,7 @@ impl Pipeline {
         for q in &mut p.queues {
             q.capacity_words = ((q.capacity_words as f64 * factor) as u16).max(4);
         }
-        let diags = lint::lint_parts(&p.queues, &p.operators, &p.queue_lines, &p.op_lines);
-        if lint::has_errors(&diags) {
-            return Err(ValidateError::new(diags));
-        }
-        let live = crate::liveness::verify(&p);
-        if !live.is_clean() {
-            return Err(ValidateError::new(live.diagnostics()));
-        }
-        let equiv = crate::equiv::validate(&crate::equiv::EquivInput::new(self, &p));
-        if !equiv.is_clean() {
-            return Err(ValidateError::new(equiv.diagnostics()));
-        }
-        Ok(p)
+        self.revalidate(p)
     }
 
     /// Returns a copy with transform operator `op`'s codec replaced (the
@@ -382,6 +370,14 @@ impl Pipeline {
                 other.name()
             ),
         }
+        self.revalidate(p)
+    }
+
+    /// Re-validates `p`, a rewiring of `self`: it must lint error-clean,
+    /// pass the [`crate::liveness`] model check and be certified
+    /// equivalent to `self` by the [`crate::equiv`] translation validator.
+    /// The first stage that fails returns its diagnostics.
+    fn revalidate(&self, p: Pipeline) -> Result<Pipeline, ValidateError> {
         let diags = lint::lint_parts(&p.queues, &p.operators, &p.queue_lines, &p.op_lines);
         if lint::has_errors(&diags) {
             return Err(ValidateError::new(diags));

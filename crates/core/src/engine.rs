@@ -63,6 +63,24 @@ impl EngineConfig {
     }
 }
 
+/// The queue capacities, in quarter-words, an engine with
+/// `scratchpad_bytes` of scratchpad gives `pipeline`: the declared words
+/// rescaled so they fill the scratchpad (as in the Fig. 21 sweep), each
+/// floored at 16 words so a queue holds at least one maximal firing
+/// (32 B + marker). [`EngineModel::load_program`] sizes its queues with
+/// it, and the [`crate::liveness`] checker its model of them.
+pub(crate) fn effective_capacities(
+    pipeline: &Pipeline,
+    scratchpad_bytes: u32,
+) -> impl Iterator<Item = u32> + '_ {
+    let declared: u32 = pipeline.scratchpad_words();
+    let scale = (scratchpad_bytes / 4) as f64 / declared.max(1) as f64;
+    pipeline
+        .queues()
+        .iter()
+        .map(move |q| (((q.capacity_words as f64 * scale) as u32).max(16)) * 4)
+}
+
 #[derive(Debug, Default)]
 struct QState {
     capacity_q: u32,
@@ -208,18 +226,10 @@ impl EngineModel {
                 crate::lint::render(&diags)
             );
         }
-        let declared: u32 = pipeline.scratchpad_words();
-        let budget_words = self.cfg.scratchpad_bytes / 4;
-        let scale = budget_words as f64 / declared.max(1) as f64;
-        self.queues = pipeline
-            .queues()
-            .iter()
-            .map(|q| QState {
-                // Floor of 16 words (64 quarters): a queue must hold at
-                // least one maximal firing (32 B + marker).
-                capacity_q: (((q.capacity_words as f64 * scale) as u32).max(16)) * 4,
-                occupancy_q: 0,
-                reserved_q: 0,
+        self.queues = effective_capacities(pipeline, self.cfg.scratchpad_bytes)
+            .map(|capacity_q| QState {
+                capacity_q,
+                ..QState::default()
             })
             .collect();
         self.outputs = pipeline
@@ -670,6 +680,17 @@ mod tests {
         assert_eq!(model.fired, 0, "nothing fires during configuration");
         model.tick(64, 32, &mut mem);
         assert!(model.fired > 0);
+    }
+
+    #[test]
+    fn effective_capacities_rescale_to_the_scratchpad_and_floor_at_16_words() {
+        // Fig. 2 declares 16 + 32 + 64 = 112 words.
+        let (p, ..) = fig2_setup();
+        // 56 words halve every queue; q0's 8 words floor at 16.
+        let caps = |bytes| effective_capacities(&p, bytes).collect::<Vec<_>>();
+        assert_eq!(caps(224), vec![64, 64, 128]);
+        // 224 words double them.
+        assert_eq!(caps(896), vec![128, 256, 512]);
     }
 
     #[test]

@@ -63,6 +63,7 @@
 //! built-in pipeline settles in a few thousand steps.
 
 use crate::dcl::{MemQueueMode, OperatorKind, Pipeline, RangeInput};
+use crate::engine::{effective_capacities, EngineConfig};
 use crate::lint::{self, Code, Diagnostic, Site};
 use crate::QueueId;
 use std::collections::VecDeque;
@@ -203,7 +204,9 @@ pub fn verify(p: &Pipeline) -> LivenessReport {
 
 /// Checks `p` under an explicit protocol configuration.
 pub fn verify_with(p: &Pipeline, cfg: &LivenessConfig) -> LivenessReport {
-    let caps = effective_capacities(p);
+    // The fetcher's queues, sized as the engine model sizes them.
+    let caps: Vec<u32> =
+        effective_capacities(p, EngineConfig::fetcher().scratchpad_bytes).collect();
     let program = core_program(p, cfg);
     let outcome = simulate(p, cfg, &caps, &program);
     let mut report = LivenessReport {
@@ -261,20 +264,6 @@ pub fn render_counterexample(c: &Counterexample) -> String {
         let _ = writeln!(out, "  wait cycle: {}", c.wait_cycle.join(" -> "));
     }
     out
-}
-
-// ---- effective capacities ---------------------------------------------
-
-/// Mirrors `engine::EngineModel::load_program`: declared words rescaled
-/// to the fetcher scratchpad budget, floored at 16 words, in quarters.
-fn effective_capacities(p: &Pipeline) -> Vec<u32> {
-    let budget_words = crate::engine::EngineConfig::fetcher().scratchpad_bytes / 4;
-    let declared: u32 = p.scratchpad_words();
-    let scale = budget_words as f64 / declared.max(1) as f64;
-    p.queues()
-        .iter()
-        .map(|q| (((q.capacity_words as f64 * scale) as u32).max(16)) * 4)
-        .collect()
 }
 
 // ---- the drive protocol -----------------------------------------------
@@ -1343,6 +1332,8 @@ mod tests {
         let p = b.build().unwrap();
         // Declared total is exactly the 128-word fetcher budget: the
         // scale is 1 and declared words carry through (in quarters).
-        assert_eq!(effective_capacities(&p), vec![64, 448]);
+        let fetcher = EngineConfig::fetcher().scratchpad_bytes;
+        let caps: Vec<u32> = effective_capacities(&p, fetcher).collect();
+        assert_eq!(caps, vec![64, 448]);
     }
 }

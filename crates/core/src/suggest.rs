@@ -24,7 +24,7 @@
 //! machinery — warning severity, never build- or CI-failing:
 //!
 //! * `A001` — a different codec is predicted at least
-//!   [`SuggestInput::min_gain`] faster than the current one,
+//!   [`DEFAULT_MIN_GAIN`] faster than the current one,
 //! * `A002` — compression is predicted net-negative: `None` (identity)
 //!   wins over the current real codec,
 //! * `A003` — a faster candidate exists but the verifier rejects the
@@ -42,54 +42,39 @@
 
 use crate::dcl::{OperatorKind, Pipeline};
 use crate::lint::{Code, Diagnostic, Site};
-use crate::perf::{analyze, PerfInput, PerfParams};
+use crate::perf::{analyze, PerfInput};
 use crate::shape::{self, Framing, MemorySchema};
 use crate::QueueId;
-use spzip_compress::model::{codec_trajectory_name, StreamProfile};
+use spzip_compress::model::codec_trajectory_name;
 use spzip_compress::CodecKind;
-use std::collections::BTreeMap;
 
-/// Default minimum predicted improvement (fractional) before a suggestion
-/// is worth an advisory: re-encoding a region is not free, so near-ties
-/// stay quiet.
+/// Minimum predicted improvement (fractional) before a suggestion is
+/// worth an advisory: re-encoding a region is not free, so near-ties stay
+/// quiet.
 pub const DEFAULT_MIN_GAIN: f64 = 0.05;
 
 /// A pipeline plus everything the selection pass may assume: the perf
 /// model's inputs (machine parameters with a codec [`RateTable`]
-/// calibration, range sizes, stream profiles), an optional declared
-/// memory layout for shape validation, and the advisory threshold.
+/// calibration, range sizes, stream profiles) and an optional declared
+/// memory layout for shape validation.
 ///
 /// [`RateTable`]: spzip_compress::model::RateTable
 #[derive(Debug, Clone)]
 pub struct SuggestInput<'a> {
-    /// The validated program under analysis.
-    pub pipeline: &'a Pipeline,
+    /// The program under analysis and the perf model's assumptions; each
+    /// candidate rewiring is priced under the same assumptions.
+    pub perf: PerfInput<'a>,
     /// Declared memory layout, when one exists (builtins). File-mode
     /// pipelines pass `None` and are validated by lint alone.
     pub schema: Option<&'a MemorySchema>,
-    /// Machine parameters, including the codec rate calibration.
-    pub params: PerfParams,
-    /// Expected elements per range (see [`PerfInput::default_range_elems`]).
-    pub default_range_elems: f64,
-    /// Per-operator override of `default_range_elems`.
-    pub range_elems: BTreeMap<usize, f64>,
-    /// Per-operator value profiles for transform operators.
-    pub profiles: BTreeMap<usize, StreamProfile>,
-    /// Minimum fractional predicted improvement before advising a swap.
-    pub min_gain: f64,
 }
 
 impl<'a> SuggestInput<'a> {
     /// Default assumptions for `pipeline`, no schema.
     pub fn new(pipeline: &'a Pipeline) -> Self {
         SuggestInput {
-            pipeline,
+            perf: PerfInput::new(pipeline),
             schema: None,
-            params: PerfParams::default(),
-            default_range_elems: 32.0,
-            range_elems: BTreeMap::new(),
-            profiles: BTreeMap::new(),
-            min_gain: DEFAULT_MIN_GAIN,
         }
     }
 
@@ -99,16 +84,6 @@ impl<'a> SuggestInput<'a> {
         SuggestInput {
             schema: Some(schema),
             ..Self::new(pipeline)
-        }
-    }
-
-    fn perf_input<'b>(&self, pipeline: &'b Pipeline) -> PerfInput<'b> {
-        PerfInput {
-            pipeline,
-            params: self.params.clone(),
-            default_range_elems: self.default_range_elems,
-            range_elems: self.range_elems.clone(),
-            profiles: self.profiles.clone(),
         }
     }
 }
@@ -197,7 +172,10 @@ fn op_codec(p: &Pipeline, op: usize) -> Option<(CodecKind, bool)> {
 /// write-only ones. Codec-swap invariant in its normalization (the unit
 /// is the core's work, not the stream's encoding).
 fn metric(input: &SuggestInput<'_>, pipeline: &Pipeline) -> f64 {
-    let report = analyze(&input.perf_input(pipeline));
+    let report = analyze(&PerfInput {
+        pipeline,
+        ..input.perf.clone()
+    });
     if report.delivered_elems > 0.0 {
         report.cycles_per_unit() / report.delivered_elems
     } else {
@@ -215,11 +193,12 @@ fn validate_swap(
     codec: CodecKind,
 ) -> Result<Pipeline, &'static str> {
     let rewired = input
+        .perf
         .pipeline
         .with_op_codec(op, codec)
         .map_err(|e| e.first_error().code.as_str())?;
     if let Some(schema) = input.schema {
-        let schema = reframe_for(schema, input.pipeline, op, codec);
+        let schema = reframe_for(schema, input.perf.pipeline, op, codec);
         let report = shape::verify(&rewired, &schema);
         if !report.is_clean() {
             let code = report
@@ -288,7 +267,7 @@ fn reframe_for(schema: &MemorySchema, p: &Pipeline, op: usize, codec: CodecKind)
 /// ([`Pipeline::scale_queues`] with factor ≥ 1): flows and service rates
 /// do not depend on capacities.
 pub fn suggest(input: &SuggestInput<'_>) -> SuggestReport {
-    let p = input.pipeline;
+    let p = input.perf.pipeline;
     let baseline_metric = metric(input, p);
     let mut diagnostics = Vec::new();
     let mut plan = Vec::new();
@@ -327,7 +306,7 @@ pub fn suggest(input: &SuggestInput<'_>) -> SuggestReport {
         let mut chosen: Option<(CodecKind, f64)> = None;
         for &(m, cand) in &priced {
             let gain = (baseline_metric - m) / baseline_metric.max(f64::MIN_POSITIVE);
-            if cand == current || gain < input.min_gain {
+            if cand == current || gain < DEFAULT_MIN_GAIN {
                 break; // nothing ahead beats the threshold either
             }
             match validate_swap(input, i, cand) {
@@ -536,7 +515,7 @@ mod tests {
     use super::*;
     use crate::dcl::{PipelineBuilder, RangeInput};
     use crate::shape::RegionSchema;
-    use spzip_compress::model::{CodecRates, RateTable};
+    use spzip_compress::model::{CodecRates, RateTable, StreamProfile};
     use spzip_mem::DataClass;
 
     /// Compressed-adjacency traversal: byte fetch -> decompress -> core.
@@ -648,7 +627,10 @@ mod tests {
         // codec: storing raw is predicted faster.
         let p = compress_pipeline(CodecKind::Delta);
         let mut input = SuggestInput::new(&p);
-        input.profiles.insert(0, StreamProfile::incompressible(4));
+        input
+            .perf
+            .profiles
+            .insert(0, StreamProfile::incompressible(4));
         let mut rates = RateTable::nominal();
         rates.set(
             CodecKind::None,
@@ -657,7 +639,7 @@ mod tests {
                 encode_gbps: 100.0,
             },
         );
-        input.params.rates = rates;
+        input.perf.params.rates = rates;
         let report = suggest(&input);
         assert!(
             report.diagnostics.iter().any(|d| d.code == Code::A002),
@@ -718,7 +700,7 @@ mod tests {
                 encode_gbps: 10.0,
             },
         );
-        input.params.rates = rates;
+        input.perf.params.rates = rates;
         let report = suggest(&input);
         assert!(
             report.diagnostics.iter().any(|d| d.code == Code::A003),

@@ -8,11 +8,15 @@
 //!
 //! The model keeps a set-associative buffer of update lines keyed by the
 //! destination line (the LLC lines that would hold the updates). Pushing an
-//! update to a buffered destination line coalesces; a miss allocates,
+//! update to a buffered destination line coalesces its value into the
+//! line, as PHI combines update values in the cache; a miss allocates,
 //! possibly evicting a victim line whose distinct updates spill to bins.
 
 use crate::cache::{Cache, CacheConfig, Replacement};
 use crate::{LineMap, LINE_BYTES};
+
+/// Most updates one buffered line holds: 16 four-byte values fill a line.
+const MAX_SLOTS: usize = 16;
 
 /// Outcome of pushing one update into the PHI unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,10 +26,57 @@ pub enum PhiPush {
     /// The update allocated a new buffered line, possibly spilling a
     /// victim line whose distinct updates must be written to bins.
     Allocated {
-        /// The spilled victim: `(line address, distinct update count)`,
-        /// or `None` when the allocation used a free slot.
-        evicted: Option<(u64, u32)>,
+        /// The spilled victim, or `None` when the allocation used a free
+        /// slot.
+        evicted: Option<PhiLine>,
     },
+}
+
+/// One buffered line's coalesced updates: which update slots of the line
+/// are occupied, and each one's combined payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PhiLine {
+    /// Line address (byte address / [`LINE_BYTES`]).
+    pub line: u64,
+    /// One bit per occupied slot.
+    slots: u16,
+    payloads: [u32; MAX_SLOTS],
+}
+
+impl PhiLine {
+    fn new(line: u64) -> Self {
+        PhiLine {
+            line,
+            slots: 0,
+            payloads: [0; MAX_SLOTS],
+        }
+    }
+
+    /// Merges `payload` into `slot`, combining it with the slot's value
+    /// when the slot is occupied; returns whether it was.
+    fn merge(&mut self, slot: usize, payload: u32, combine: impl FnOnce(u32, u32) -> u32) -> bool {
+        let occupied = self.slots >> slot & 1 == 1;
+        self.payloads[slot] = if occupied {
+            combine(self.payloads[slot], payload)
+        } else {
+            payload
+        };
+        self.slots |= 1 << slot;
+        occupied
+    }
+
+    /// Distinct updates the line holds.
+    pub fn count(&self) -> u32 {
+        self.slots.count_ones()
+    }
+
+    /// Each update as `(slot, payload)`, in slot order; slot `s` is the
+    /// update at byte `s * update_bytes` of the line.
+    pub fn updates(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        (0..MAX_SLOTS as u32)
+            .filter(|&s| self.slots >> s & 1 == 1)
+            .map(|s| (s, self.payloads[s as usize]))
+    }
 }
 
 /// The PHI update-coalescing unit.
@@ -35,16 +86,19 @@ pub enum PhiPush {
 /// ```
 /// use spzip_mem::phi::{PhiUnit, PhiPush};
 ///
+/// let add = |a: u32, b: u32| a + b;
 /// let mut phi = PhiUnit::new(64 * 1024, 16, 8);
-/// assert!(matches!(phi.push(100), PhiPush::Allocated { .. }));
-/// assert_eq!(phi.push(100), PhiPush::Coalesced);
-/// assert_eq!(phi.push(101), PhiPush::Coalesced); // same line, 8 B slots
+/// assert!(matches!(phi.push(100, 1, add), PhiPush::Allocated { .. }));
+/// assert_eq!(phi.push(100, 2, add), PhiPush::Coalesced);
+/// assert_eq!(phi.push(101, 4, add), PhiPush::Coalesced); // same line, 8 B slots
+/// let line = phi.drain()[0];
+/// assert_eq!(line.updates().collect::<Vec<_>>(), vec![(4, 7)]);
 /// ```
 pub struct PhiUnit {
     tags: Cache,
-    /// Distinct-slot bitmaps per buffered line (slot = update within line).
-    /// Point lookups only; `drain` sorts what it iterates.
-    slots: LineMap<u64>,
+    /// The buffered lines' updates. Point lookups only; `drain` sorts
+    /// what it iterates.
+    lines: LineMap<PhiLine>,
     update_bytes: u32,
     coalesced: u64,
     spilled: u64,
@@ -53,58 +107,64 @@ pub struct PhiUnit {
 impl PhiUnit {
     /// Creates a PHI unit buffering up to `capacity_bytes` of update lines
     /// with `ways` associativity; each update occupies `update_bytes` in
-    /// its destination line (8 for `{dst, contrib}` per the paper).
+    /// its destination line (8 for `{dst, contrib}` per the paper; at
+    /// least 4, since a line holds at most 16 update values).
     pub fn new(capacity_bytes: u64, ways: u32, update_bytes: u32) -> Self {
-        assert!(update_bytes > 0 && LINE_BYTES.is_multiple_of(update_bytes as u64));
+        assert!(
+            update_bytes >= (LINE_BYTES / MAX_SLOTS as u64) as u32
+                && LINE_BYTES.is_multiple_of(update_bytes as u64)
+        );
         PhiUnit {
             tags: Cache::new(CacheConfig::new(capacity_bytes, ways, Replacement::Lru)),
-            slots: LineMap::default(),
+            lines: LineMap::default(),
             update_bytes,
             coalesced: 0,
             spilled: 0,
         }
     }
 
-    /// Pushes an update destined for byte address `dst_addr`.
-    pub fn push(&mut self, dst_addr: u64) -> PhiPush {
+    /// Pushes an update of `payload` destined for byte address
+    /// `dst_addr`; an update already buffered for the same destination
+    /// becomes `combine(buffered, payload)`.
+    pub fn push(
+        &mut self,
+        dst_addr: u64,
+        payload: u32,
+        combine: impl FnOnce(u32, u32) -> u32,
+    ) -> PhiPush {
         let line = dst_addr / LINE_BYTES;
-        let slot = (dst_addr % LINE_BYTES) / self.update_bytes as u64;
+        let slot = ((dst_addr % LINE_BYTES) / self.update_bytes as u64) as usize;
         if self.tags.access(line, true) {
-            let bits = self.slots.entry(line).or_insert(0);
+            let buffered = self.lines.entry(line).or_insert_with(|| PhiLine::new(line));
             // Only a push that merges into an *occupied* slot coalesces;
             // a new slot in a buffered line is a distinct update that will
             // spill later (so coalesced + spilled == pushes exactly).
-            if *bits >> slot & 1 == 1 {
+            if buffered.merge(slot, payload, combine) {
                 self.coalesced += 1;
             }
-            bits.set_bit(slot);
             return PhiPush::Coalesced;
         }
         let victim = self.tags.fill(line, true, crate::DataClass::Updates);
-        self.slots.entry(line).or_insert(0).set_bit(slot);
-        let evicted = victim.and_then(|ev| {
-            self.slots
-                .remove(&ev.line_addr)
-                .map(|bits| (ev.line_addr, bits.count_ones()))
-        });
-        if let Some((_, count)) = evicted {
-            self.spilled += count as u64;
+        self.lines
+            .entry(line)
+            .or_insert_with(|| PhiLine::new(line))
+            .merge(slot, payload, combine);
+        let evicted = victim.and_then(|ev| self.lines.remove(&ev.line_addr));
+        if let Some(victim) = &evicted {
+            self.spilled += victim.count() as u64;
         }
         PhiPush::Allocated { evicted }
     }
 
-    /// Drains every buffered line, returning the distinct update count per
-    /// line (end of the binning phase: residual updates also spill).
-    pub fn drain(&mut self) -> Vec<(u64, u32)> {
-        let mut out: Vec<(u64, u32)> = self
-            .slots
-            .drain()
-            .map(|(line, bits)| (line, bits.count_ones()))
-            .collect();
-        out.sort_unstable();
-        for (line, count) in &out {
-            self.tags.invalidate(*line);
-            self.spilled += *count as u64;
+    /// Drains every buffered line in line-address order (end of the
+    /// binning phase: residual updates also spill). The line map's memory
+    /// is released until the next phase buffers again.
+    pub fn drain(&mut self) -> Vec<PhiLine> {
+        let mut out: Vec<PhiLine> = std::mem::take(&mut self.lines).into_values().collect();
+        out.sort_unstable_by_key(|l| l.line);
+        for l in &out {
+            self.tags.invalidate(l.line);
+            self.spilled += l.count() as u64;
         }
         out
     }
@@ -118,11 +178,6 @@ impl PhiUnit {
     pub fn spilled(&self) -> u64 {
         self.spilled
     }
-
-    /// Bytes one spilled update occupies in a bin (`{dst, payload}` tuple).
-    pub fn update_bytes(&self) -> u32 {
-        self.update_bytes
-    }
 }
 
 impl std::fmt::Debug for PhiUnit {
@@ -134,40 +189,42 @@ impl std::fmt::Debug for PhiUnit {
     }
 }
 
-trait BitSet {
-    fn set_bit(&mut self, bit: u64);
-}
-
-impl BitSet for u64 {
-    fn set_bit(&mut self, bit: u64) {
-        *self |= 1 << bit;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn add(a: u32, b: u32) -> u32 {
+        a + b
+    }
+
     #[test]
     fn repeated_updates_coalesce() {
         let mut phi = PhiUnit::new(1024, 4, 8);
-        phi.push(0);
+        phi.push(0, 1, add);
         for _ in 0..100 {
-            assert_eq!(phi.push(0), PhiPush::Coalesced);
+            assert_eq!(phi.push(0, 1, add), PhiPush::Coalesced);
         }
         assert_eq!(phi.coalesced(), 100);
         assert_eq!(phi.spilled(), 0);
+        let drained = phi.drain();
+        assert_eq!(
+            drained[0].updates().collect::<Vec<_>>(),
+            vec![(0, 101)],
+            "the payloads combine in the buffered line"
+        );
     }
 
     #[test]
     fn distinct_slots_within_a_line_coalesce_but_count_separately() {
         let mut phi = PhiUnit::new(1024, 4, 8);
         for slot in 0..8 {
-            phi.push(slot * 8);
+            phi.push(slot * 8, slot as u32 * 10, add);
         }
         let drained = phi.drain();
         assert_eq!(drained.len(), 1);
-        assert_eq!(drained[0].1, 8, "8 distinct updates in the line");
+        assert_eq!(drained[0].count(), 8, "8 distinct updates in the line");
+        let updates: Vec<(u32, u32)> = drained[0].updates().collect();
+        assert_eq!(updates, (0..8).map(|s| (s, s * 10)).collect::<Vec<_>>());
     }
 
     #[test]
@@ -177,10 +234,11 @@ mod tests {
         let mut spills = 0;
         for i in 0..100u64 {
             if let PhiPush::Allocated {
-                evicted: Some((_, count)),
-            } = phi.push(i * 64 * 7)
+                evicted: Some(victim),
+            } = phi.push(i * 64 * 7, i as u32, add)
             {
-                spills += count;
+                assert_eq!(victim.updates().count() as u32, victim.count());
+                spills += victim.count();
             }
         }
         assert!(spills > 0);
@@ -190,13 +248,14 @@ mod tests {
     #[test]
     fn drain_empties_unit() {
         let mut phi = PhiUnit::new(1024, 4, 8);
-        phi.push(0);
-        phi.push(64);
+        phi.push(64, 2, add);
+        phi.push(0, 1, add);
         let d = phi.drain();
         assert_eq!(d.len(), 2);
+        assert!(d[0].line < d[1].line, "drained in line order");
         assert!(phi.drain().is_empty());
         // After drain, pushing the same address allocates again.
-        assert!(matches!(phi.push(0), PhiPush::Allocated { .. }));
+        assert!(matches!(phi.push(0, 1, add), PhiPush::Allocated { .. }));
     }
 
     #[test]
@@ -211,7 +270,7 @@ mod tests {
             } else {
                 (i * 1009) % (1 << 20)
             };
-            match phi.push(dst) {
+            match phi.push(dst, 1, add) {
                 PhiPush::Coalesced if i % 4 != 0 => coalesced_hot += 1,
                 _ => {}
             }
