@@ -3,9 +3,10 @@
 //! stdout must equal `tests/golden/tools/<case>.out` (first line
 //! `exit code: N`, then stdout byte for byte). The cases are CI's
 //! invocations in all three `--format`s, `--dot`, an unreadable file, an
-//! unparsable and a warning-only fixture (`tests/fixtures/`), and each
-//! tool with nothing to analyze. Every case takes well under a second in
-//! a debug build.
+//! unparsable and a warning-only fixture (`tests/fixtures/`), each tool
+//! with nothing to analyze, and `dcl-lint --explain` for every code of the
+//! lint and sanitizer registries, one lowercase lookup and an unknown code.
+//! Every case takes well under a second in a debug build.
 //!
 //! `--suggest` reads `BENCH_codecs.json` from the workspace root, so a
 //! re-measured trajectory changes its cases too.
@@ -94,7 +95,14 @@ fn cases() -> Vec<(String, &'static str, Vec<&'static str>)> {
         single("lint-no-args", LINT, &[]),
         single("perf-no-args", PERF, &[]),
         single("suggest-no-args", PERF, &["--suggest"]),
+        single("explain-lowercase-d001", LINT, &["--explain", "d001"]),
+        single("explain-unknown", LINT, &["--explain", "Z999"]),
     ]);
+    let lint_codes = spzip_core::lint::Code::all().iter().map(|c| c.as_str());
+    let sanitizer_codes = spzip_sim::sanitize::Code::all().map(|c| c.as_str());
+    for code in lint_codes.chain(sanitizer_codes) {
+        cases.push((format!("explain-{code}"), LINT, vec!["--explain", code]));
+    }
     cases
 }
 
