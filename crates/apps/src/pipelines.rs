@@ -785,11 +785,11 @@ pub fn all_builtin_checked() -> Vec<(String, Pipeline, MemorySchema)> {
 pub fn auto_codecs(
     pipeline: &Pipeline,
     schema: &MemorySchema,
-    params: &spzip_core::perf::PerfParams,
+    rates: &spzip_compress::model::RateTable,
 ) -> (Pipeline, MemorySchema, spzip_core::suggest::SuggestReport) {
     use spzip_core::{shape, suggest};
     let mut input = suggest::SuggestInput::with_schema(pipeline, schema);
-    input.perf.params = params.clone();
+    input.perf.rates = rates.clone();
     let mut report = suggest::suggest(&input);
     if report.plan.is_empty() {
         return (pipeline.clone(), schema.clone(), report);
@@ -810,20 +810,6 @@ pub fn auto_codecs(
             (pipeline.clone(), schema.clone(), report)
         }
     }
-}
-
-/// [`all_builtin_checked`] through the [`auto_codecs`] builder mode:
-/// every builtin with its codec selection applied under `params`.
-pub fn all_builtin_auto(
-    params: &spzip_core::perf::PerfParams,
-) -> Vec<(String, Pipeline, MemorySchema)> {
-    all_builtin_checked()
-        .into_iter()
-        .map(|(name, p, s)| {
-            let (auto, auto_schema, _) = auto_codecs(&p, &s, params);
-            (name, auto, auto_schema)
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -970,8 +956,14 @@ mod tests {
         // The E/B-clean-by-construction claim of the auto_codecs builder
         // mode, over the full enumeration (auto_codecs itself asserts
         // shape cleanliness; this re-checks both from the outside).
-        let params = spzip_core::perf::PerfParams::default();
-        let all = all_builtin_auto(&params);
+        let rates = spzip_compress::model::RateTable::nominal();
+        let all: Vec<_> = all_builtin_checked()
+            .into_iter()
+            .map(|(name, p, s)| {
+                let (auto, auto_schema, _) = auto_codecs(&p, &s, &rates);
+                (name, auto, auto_schema)
+            })
+            .collect();
         assert!(all.len() >= 40, "got {}", all.len());
         for (name, p, schema) in &all {
             let diags = spzip_core::lint::lint(p);
@@ -992,10 +984,10 @@ mod tests {
         // Whenever the selection pass plans a swap on a builtin, the auto
         // pipeline must actually differ from the original; clean reports
         // must return it untouched.
-        let params = spzip_core::perf::PerfParams::default();
+        let rates = spzip_compress::model::RateTable::nominal();
         let mut planned = 0usize;
         for (name, p, schema) in all_builtin_checked() {
-            let (auto, _, report) = auto_codecs(&p, &schema, &params);
+            let (auto, _, report) = auto_codecs(&p, &schema, &rates);
             if report.plan.is_empty() {
                 assert_eq!(auto, p, "{name}");
             } else {
@@ -1014,9 +1006,9 @@ mod tests {
         // The V-clean-by-construction claim, re-checked from the outside:
         // each auto pipeline must validate as equivalent to the builtin it
         // was rewired from under both schemas.
-        let params = spzip_core::perf::PerfParams::default();
+        let rates = spzip_compress::model::RateTable::nominal();
         for (name, p, schema) in all_builtin_checked() {
-            let (auto, auto_schema, _) = auto_codecs(&p, &schema, &params);
+            let (auto, auto_schema, _) = auto_codecs(&p, &schema, &rates);
             let report = spzip_core::equiv::validate(&spzip_core::equiv::EquivInput::with_schemas(
                 &p,
                 &auto,

@@ -135,9 +135,9 @@ fn lint_pipeline(name: &str, p: &Pipeline, schema: Option<&MemorySchema>, dot: b
 /// rewrites; any `V0xx` finding is folded into the report like a lint
 /// error.
 fn equiv_builtins(batch: &mut Batch) {
-    let params = spzip_core::perf::PerfParams::default();
+    let rates = spzip_compress::model::RateTable::nominal();
     for (name, p, schema) in spzip_apps::pipelines::all_builtin_checked() {
-        let (auto, auto_schema, suggest) = spzip_apps::pipelines::auto_codecs(&p, &schema, &params);
+        let (auto, auto_schema, suggest) = spzip_apps::pipelines::auto_codecs(&p, &schema, &rates);
         let verdict = spzip_core::equiv::validate(&spzip_core::equiv::EquivInput::with_schemas(
             &p,
             &auto,

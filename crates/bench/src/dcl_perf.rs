@@ -31,13 +31,11 @@
 
 use crate::batch::{Batch, Entry};
 use crate::cli::CommonArgs;
+use spzip_compress::model::RateTable;
 use spzip_core::lint::{self, Code};
-use spzip_core::perf::{analyze, BindingResource, PerfInput, PerfParams, PerfReport};
+use spzip_core::perf::{analyze, BindingResource, PerfInput, PerfReport};
 use spzip_core::suggest::{suggest, SuggestInput, SuggestReport};
 use std::path::Path;
-
-/// Short per-class labels, in [`spzip_mem::DataClass::index`] order.
-pub const CLASS_LABELS: [&str; 6] = ["Adj", "Src", "Dst", "Upd", "Fro", "Oth"];
 
 const USAGE: &str = "usage: dcl-perf [--all-builtin] [--deny-warnings] [--format text|json|sarif] \
                      [--crosscheck | --auto-gate [--perturb-ratio X]] \
@@ -162,16 +160,16 @@ pub fn load_rates(path: &Path) -> Result<(spzip_compress::model::RateTable, Stri
 }
 
 /// The codec-selection pass over the inputs `args` names, priced with
-/// `params`: the batch, whose text report opens with the `calibration`
+/// `rates`: the batch, whose text report opens with the `calibration`
 /// line, and its text trailer (advisories, plans and `A003`
 /// suppressions). Advisories are not warnings, so only read and parse
 /// failures fail the run.
-fn suggest_batch(args: &CommonArgs, params: &PerfParams, calibration: &str) -> (Batch, String) {
+fn suggest_batch(args: &CommonArgs, rates: &RateTable, calibration: &str) -> (Batch, String) {
     let mut batch = Batch::advisory("dcl-perf", format!("calibration: {calibration}\n"));
     let (mut advisories, mut plans, mut suppressed) = (0, 0, 0);
     batch.inputs(args, &mut |name, pipeline, schema| {
         let perf = PerfInput {
-            params: params.clone(),
+            rates: rates.clone(),
             ..PerfInput::new(pipeline)
         };
         let r = suggest(&SuggestInput { perf, schema });
@@ -207,11 +205,7 @@ pub fn run(args: &CommonArgs) -> i32 {
                 return 2;
             }
         };
-        let params = PerfParams {
-            rates,
-            ..PerfParams::default()
-        };
-        let (batch, trailer) = suggest_batch(args, &params, &calibration);
+        let (batch, trailer) = suggest_batch(args, &rates, &calibration);
         return batch.finish(args, SUGGEST_USAGE, &trailer);
     }
     let mut batch = Batch::new("dcl-perf");
@@ -325,7 +319,7 @@ mod tests {
         // advisories are reported, and nothing counts as a failure.
         let (r, trailer) = suggest_batch(
             &args(&["--suggest", "--all-builtin"]),
-            &PerfParams::default(),
+            &RateTable::nominal(),
             "nominal",
         );
         assert!(r.counts().checked >= 40, "{}", r.counts().checked);

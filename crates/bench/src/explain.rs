@@ -7,333 +7,42 @@
 //! `A` (codec-selection advisories), `D` (the liveness model checker),
 //! `V` (the translation validator) — all from
 //! [`spzip_core::lint::Code`] — plus `S` (the simulator
-//! sanitizer, [`spzip_sim::sanitize::Code`]). The one-line summaries come
-//! from the owning registries, so `--explain` can never drift from the
-//! rendered diagnostics; this module adds the *why* and *fix* prose.
+//! sanitizer, [`spzip_sim::sanitize::Code`]). Each registry holds its
+//! codes' texts, so `--explain` can never drift from the rendered
+//! diagnostics; this module only formats them.
 
 use spzip_core::lint;
-use std::fmt::Write as _;
+use spzip_sim::sanitize;
 
 /// Renders the registry entry for `code` (case-insensitive), or `None`
 /// for a code no tool emits.
 pub fn explain(code: &str) -> Option<String> {
     let code = code.to_ascii_uppercase();
-    if let Some(c) = lint::Code::all().iter().find(|c| c.as_str() == code) {
-        let (why, fix) = lint_why_fix(*c);
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{} ({}): {}",
-            c.as_str(),
-            match c.severity() {
-                lint::Severity::Error => "error",
-                lint::Severity::Warning => "warning",
-            },
-            c.summary()
-        );
-        let _ = writeln!(out, "  why: {why}");
-        let _ = writeln!(out, "  fix: {fix}");
-        return Some(out);
-    }
-    if let Some(c) = spzip_sim::sanitize::Code::all()
-        .into_iter()
-        .find(|c| c.as_str() == code)
+    let (id, kind, summary, why, fix) = match lint::Code::all().iter().find(|c| c.as_str() == code)
     {
-        let mut out = String::new();
-        let _ = writeln!(out, "{} (sanitizer): {}", c.as_str(), c.summary());
-        let _ = writeln!(out, "  why: {}", sanitize_why(c));
-        let _ = writeln!(out, "  fix: {}", c.hint());
-        return Some(out);
-    }
-    None
-}
-
-/// Why the code matters and how to fix it, per lint-family code.
-fn lint_why_fix(c: lint::Code) -> (&'static str, &'static str) {
-    use lint::Code::*;
-    match c {
-        E001 => (
-            "a pipeline with no queues has no data path; the engine would load an empty program",
-            "declare at least one queue and connect an operator to it",
+        Some(c) => (
+            c.as_str(),
+            c.severity().to_string(),
+            c.summary(),
+            c.why(),
+            c.fix(),
         ),
-        E002 => (
-            "queues without operators never move data; the configuration is inert",
-            "add at least one operator reading a declared queue",
-        ),
-        E003 => (
-            "the engine scratchpad multiplexes a fixed register file of 16 queue contexts",
-            "merge or remove queues until at most 16 remain",
-        ),
-        E004 => (
-            "the engine round-robins over at most 16 operator contexts",
-            "split the pipeline across engines or drop operators",
-        ),
-        E005 => (
-            "an undeclared queue id would index past the scratchpad map at load time",
-            "declare the queue before referencing it",
-        ),
-        E006 => (
-            "an operator feeding its own input livelocks: it can never drain what it grows",
-            "route the output to a distinct downstream queue",
-        ),
-        E007 => (
-            "queues are single-producer in hardware; two writers would interleave corrupt streams",
-            "give each producer its own queue and merge downstream",
-        ),
-        E008 => (
-            "queues are single-consumer; two readers would steal items from each other",
-            "fan out explicitly with separate output queues",
-        ),
-        E009 => (
-            "the DCL graph must be acyclic: a cycle of queues deadlocks as soon as one fills",
-            "break the cycle; feed loops back through the core instead",
-        ),
-        E010 => (
-            "a MemQueue with zero bins can accept no marker and would divide by zero on binning",
-            "declare num_queues >= 1",
-        ),
-        E011 => (
-            "bins are strided in memory; a stride under one chunk makes neighbours overwrite",
-            "raise the stride to at least chunk_elems x elem_bytes",
-        ),
-        E012 => (
-            "widths outside 1..=8 bytes cannot be packed into the 32-bit queue words",
-            "use a supported element/index width (1, 2, 4, or 8)",
-        ),
-        E013 => (
-            "a producer's atomic burst larger than the queue can never be placed: instant wedge",
-            "grow the queue past the burst (granule + marker) size",
-        ),
-        E014 => (
-            "a consumer demanding more than the queue holds can never fire",
-            "grow the queue past the consumer's per-firing demand",
-        ),
-        E015 => (
-            "chunk-delimited consumers block forever on streams that never carry a marker",
-            "tag the upstream range with marker= or insert a marker source",
-        ),
-        E016 => (
-            "a bin id outside 0..num_queues would write through the wrong tail pointer",
-            "clamp marker values to the declared bin range",
-        ),
-        E017 => (
-            "width disagreement across an edge silently splits or merges values",
-            "make producer elem_bytes match the consumer's expectation",
-        ),
-        E018 => (
-            "sink operators (stream writers, append MemQueues) emit nothing; outputs would starve",
-            "remove the output queues or use a non-sink operator",
-        ),
-        E019 => (
-            "a core-fed chain re-entering the core can fill end-to-end and stall the in-order core",
-            "bound the chain's amplification or grow its queues",
-        ),
-        W001 => (
-            "an unconnected queue still reserves scratchpad words other queues could use",
-            "remove the declaration to reclaim scratchpad",
-        ),
-        W002 => (
-            "a transform with no consumer does work whose result is dropped",
-            "route the output somewhere, or delete the operator",
-        ),
-        W003 => (
-            "declared words beyond the scratchpad are rescaled down at load; capacities shrink",
-            "keep total declared words within the engine budget",
-        ),
-        W004 => (
-            "one address range under two traffic classes double-counts bytes in the model",
-            "give each base address a single consistent class",
-        ),
-        P001 => (
-            "with no slack over burst + demand, the queue ping-pongs between full and empty",
-            "add headroom so the producer can run ahead",
-        ),
-        P002 => (
-            "a codec predicted to inflate its stream costs bandwidth twice for negative gain",
-            "pick a different codec or store the stream raw",
-        ),
-        P003 => (
-            "if the pipeline beats software by nothing, the engine is pure overhead",
-            "restructure the traversal or keep the software path",
-        ),
-        P004 => (
-            "an engine slower than DRAM turns a bandwidth-bound loop into a compute-bound one",
-            "reduce per-item operator work or split across engines",
-        ),
-        P005 => (
-            "tiny chunks spend their bandwidth on markers instead of payload",
-            "batch more elements per chunk",
-        ),
-        P006 => (
-            "chunks far below a cache line make every bin append a partial-line write",
-            "raise chunk_elems toward a line-sized chunk",
-        ),
-        B001 => (
-            "a base outside every declared region reads memory the layout does not own",
-            "declare the region or fix the base address",
-        ),
-        B002 => (
-            "an index stream that can exceed the target extent is an out-of-bounds access in wait",
-            "bound the index stream or grow the declared extent",
-        ),
-        B003 => (
-            "width disagreement with the region reinterprets element boundaries",
-            "match operator elem_bytes to the region's declared width",
-        ),
-        B004 => (
-            "framing disagreement decodes one codec's frames with another's decoder",
-            "align the stream codec with the region's declared framing",
-        ),
-        B005 => (
-            "a framed stream into a raw consumer (or vice versa) misparses lengths as data",
-            "insert or remove the (de)compression stage",
-        ),
-        B006 => (
-            "decoded widths must agree across an edge or downstream elements shear",
-            "reconcile decoder output width with the consumer",
-        ),
-        B007 => (
-            "an undeclared shape leaves the verifier blind where bugs are most likely",
-            "declare the stream's region and element width in the schema",
-        ),
-        B008 => (
-            "a MemQueue whose bins outgrow the region tramples whatever follows it",
-            "grow the region or shrink bins x stride",
-        ),
-        A001 => (
-            "the rate model predicts another codec measurably faster on this queue's data",
-            "apply the suggested rewiring (dcl-perf --suggest prints it)",
-        ),
-        A002 => (
-            "compression on this queue is predicted net-negative: codec time exceeds bytes saved",
-            "drop the compression stage on this stream",
-        ),
-        A003 => (
-            "the winning rewiring fails lint/shape verification, so the advisory is withheld",
-            "fix the cited verifier errors to unlock the suggestion",
-        ),
-        D001 => (
-            "every queue passes its local capacity lint, yet a cycle of full queues across \
-             multiple operators and the core's in-order stream wedges the whole pipeline; only \
-             the whole-pipeline model check sees it",
-            "grow the queues on the cited cycle, shorten per-chunk input runs, or drain core \
-             outputs more often (the counterexample schedule shows the exact wedge)",
-        ),
-        D002 => (
-            "the core's enqueues and dequeues retire in program order, so one operator's \
-             backpressure can block the very dequeue that would relieve it",
-            "drain the operator's output before enqueueing the next batch, or grow the two \
-             queues in the cycle",
-        ),
-        D003 => (
-            "a chunk consumer buffers state it can only release on a marker; a stream that \
-             never carries one starves it forever even though data keeps flowing",
-            "route a marker-bearing stream into the operator (marker= on the upstream range, \
-             or close bins from the core)",
-        ),
-        D004 => (
-            "fan-out firings are push-all atomic: one full output blocks emission to every \
-             sibling, so an unbalanced branch wedges all branches",
-            "drain the branches at similar rates or grow the slow branch's queue",
-        ),
-        D005 => (
-            "a marker-delimited flush is emitted atomically; if the accumulated chunk exceeds \
-             a downstream capacity it can never be placed, regardless of scheduling",
-            "shrink the chunk (chunk_elems, values per marker) or grow the downstream queue \
-             past the flush size",
-        ),
-        D006 => (
-            "if the drive protocol's first enqueue already exceeds its queue, nothing ever \
-             fires; buildable pipelines avoid this via the capacity lints, so D006 guards \
-             model-level capacity overrides",
-            "raise the first core-input queue's capacity above one input item",
-        ),
-        V001 => (
-            "the translation validator's symbolic chains for this sink disagree after the \
-             rewrite in a way no certified codec roundtrip explains: the pipeline computes \
-             a different value stream",
-            "compare the two witness chains in the message; restore the dropped or altered \
-             stage, or re-certify the codec roundtrip that no longer cancels",
-        ),
-        V002 => (
-            "a decode must be the formal inverse of the encode (or declared framing) that \
-             produced its bytes; pairing different codecs decodes garbage — the exact \
-             wrong-answer failure transparent compression must exclude",
-            "swap both sides of an internal compress/decompress pair together, or re-encode \
-             the stored region so its framing matches the transform",
-        ),
-        V003 => (
-            "the rewritten sink consumes a different core-input stream (or a stream is \
-             dropped or duplicated), so the sink observes values from the wrong source",
-            "reconnect the operator to the queue it consumed before the rewrite; rewrites \
-             may change transforms, never the stream wiring",
-        ),
-        V004 => (
-            "the chains match shape-for-shape but an element width changed, so the sink \
-             reinterprets the same bytes at a different granularity",
-            "keep element widths fixed across the rewrite, or change producer and consumer \
-             widths together",
-        ),
-        V005 => (
-            "the same fetch/transform atoms appear in a different order; indirections are \
-             uninterpreted functions and A[B[i]] is not B[A[i]]",
-            "restore the original operator order — reordering is only sound for stages the \
-             validator can prove commute, which indirection chains never do",
-        ),
-        V006 => (
-            "an observable sink (memory writer or terminal queue) exists on one side only, \
-             so the rewrite silently drops or invents output",
-            "preserve the full sink set: every memory-writing operator and core-dequeued \
-             queue of the original must survive the rewrite",
-        ),
-    }
-}
-
-/// Why each sanitizer code matters (the fix text is
-/// [`spzip_sim::sanitize::Code::hint`]).
-fn sanitize_why(c: spzip_sim::sanitize::Code) -> &'static str {
-    use spzip_sim::sanitize::Code::*;
-    match c {
-        WriteWriteRace => {
-            "unordered writes mean the run's outcome depends on engine/core interleaving, \
-             so figures stop being reproducible"
+        None => {
+            let c = sanitize::Code::all()
+                .into_iter()
+                .find(|c| c.as_str() == code)?;
+            (
+                c.as_str(),
+                "sanitizer".to_string(),
+                c.summary(),
+                c.why(),
+                c.hint(),
+            )
         }
-        ReadWriteRace => {
-            "a read racing a write can observe half-updated state the real hardware would \
-             also expose"
-        }
-        PopBeforePush => {
-            "popping more than was pushed means the model consumed data that never existed"
-        }
-        UnterminatedChunk => {
-            "chunk state open at a drain point is silent data loss: the tail elements are \
-             never flushed"
-        }
-        QueueSlotLeak => {
-            "items left in a queue at end of run were produced but never consumed — dropped \
-             work the statistics still counted"
-        }
-        WindowLeak => {
-            "over-subscribing the miss window models more memory parallelism than the \
-             hardware has, inflating performance"
-        }
-        LineAccounting => {
-            "unattributed DRAM traffic makes the per-class byte breakdowns (the paper's \
-             figures) silently wrong"
-        }
-        RoundtripMismatch => {
-            "if decompress(compress(x)) != x the simulated application computed on corrupt \
-             data"
-        }
-        FramedLength => {
-            "framed lengths that disagree with actual frame bytes desynchronize every \
-             later reader of the stream"
-        }
-        TraceIntegrity => {
-            "a corrupt or reordered compressed trace replays a different execution than \
-             was recorded"
-        }
-    }
+    };
+    Some(format!(
+        "{id} ({kind}): {summary}\n  why: {why}\n  fix: {fix}\n"
+    ))
 }
 
 /// Runs `--explain CODE`: prints the entry, or an error listing the
@@ -365,14 +74,16 @@ mod tests {
             assert!(text.contains(c.as_str()), "{text}");
             assert!(text.contains(c.summary()), "{text}");
             assert!(text.contains("why: ") && text.contains("fix: "), "{text}");
-            let (why, fix) = lint_why_fix(*c);
-            assert!(!why.trim().is_empty() && !fix.trim().is_empty(), "{c}");
+            assert!(
+                !c.why().trim().is_empty() && !c.fix().trim().is_empty(),
+                "{c}"
+            );
         }
     }
 
     #[test]
     fn every_sanitizer_code_has_a_nonempty_entry() {
-        for c in spzip_sim::sanitize::Code::all() {
+        for c in sanitize::Code::all() {
             let text = explain(c.as_str()).unwrap_or_else(|| panic!("{} missing", c.as_str()));
             assert!(text.contains("(sanitizer)"), "{text}");
             assert!(text.contains("why: ") && text.contains("fix: "), "{text}");

@@ -12,7 +12,6 @@
 //! Push+SpZip cuts adjacency traffic ~2.3x.
 
 use super::{SweepOpts, GRAPH_INPUTS};
-use crate::class_bytes;
 use crate::driver::Memo;
 use spzip_apps::{AppName, RunSpec, Scheme};
 use spzip_compress::stats::{arithmetic_mean, geometric_mean};
@@ -80,24 +79,20 @@ pub fn render(opts: &SweepOpts, memo: &Memo) -> String {
             if !opts.input_selected(input) {
                 continue;
             }
-            let mut base_cycles = 0u64;
-            let mut base_traffic = 0u64;
+            let mut base = None;
             let mut row = format!("    {input:<5}");
             for (si, scheme) in Scheme::all().into_iter().enumerate() {
                 let spec = RunSpec::new(app, input, scheme.config(), prep, opts.scale);
                 let o = memo.get(&spec);
                 assert!(o.validated, "{app}/{input}/{scheme} failed validation");
-                if si == 0 {
-                    base_cycles = o.report.cycles;
-                    base_traffic = o.report.traffic.total_bytes();
-                }
-                let sp = base_cycles as f64 / o.report.cycles.max(1) as f64;
-                let tr = o.report.traffic.total_bytes() as f64 / base_traffic.max(1) as f64;
+                let base = *base.get_or_insert(&o.report);
+                let sp = o.report.speedup_over(base);
+                let tr = o.report.traffic_vs(base);
                 speedups[si].push(sp);
                 traffics[si].push(tr);
-                let cb = class_bytes(o);
+                let b = o.report.breakdown(base.traffic.total_bytes());
                 for k in 0..6 {
-                    breakdowns[si][k] += cb[k] as f64 / base_traffic.max(1) as f64;
+                    breakdowns[si][k] += b[k];
                 }
                 row.push_str(&format!(" {}:{:>5.2}x/{:<5.2}", scheme.code(), sp, tr));
             }

@@ -53,20 +53,16 @@ pub fn render(opts: &SweepOpts, memo: &Memo) -> String {
         .unwrap();
         for input in GRAPH_INPUTS {
             let mut row = format!("  {input:<6} ");
-            let mut base_cycles = 0u64;
-            let mut base_traffic = 0u64;
-            for (si, scheme) in Scheme::all().into_iter().enumerate() {
+            let mut base = None;
+            for scheme in Scheme::all() {
                 let spec = RunSpec::new(app, input, scheme.config(), prep, opts.scale);
                 let o = memo.get(&spec);
                 assert!(o.validated, "{app}/{input}/{scheme}");
-                if si == 0 {
-                    base_cycles = o.report.cycles;
-                    base_traffic = o.report.traffic.total_bytes();
-                }
+                let base = *base.get_or_insert(&o.report);
                 row.push_str(&format!(
                     "{:>6.2}x/{:<6.2} ",
-                    base_cycles as f64 / o.report.cycles.max(1) as f64,
-                    o.report.traffic.total_bytes() as f64 / base_traffic.max(1) as f64,
+                    o.report.speedup_over(base),
+                    o.report.traffic_vs(base),
                 ));
             }
             writeln!(out, "{row}").unwrap();

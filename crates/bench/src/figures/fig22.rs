@@ -59,22 +59,21 @@ pub fn render(opts: &SweepOpts, memo: &Memo) -> String {
         let ub = memo.get(&spec(app, Scheme::Ub, false, opts));
         let ub_cmh = memo.get(&spec(app, Scheme::Ub, true, opts));
         assert!(push.validated && push_cmh.validated && ub.validated && ub_cmh.validated);
-        let base_c = push.report.cycles as f64;
-        let base_t = push.report.traffic.total_bytes() as f64;
+        let base = &push.report;
         writeln!(
             out,
             "{:<6} {:>8.2}x {:>9.2}x {:>7.2}x {:>8.2}x {:>8.2}x {:>8.2}x",
             app.to_string(),
-            base_c / push_cmh.report.cycles as f64,
-            push_cmh.report.traffic.total_bytes() as f64 / base_t,
-            base_c / ub.report.cycles as f64,
-            ub.report.traffic.total_bytes() as f64 / base_t,
-            base_c / ub_cmh.report.cycles as f64,
-            ub_cmh.report.traffic.total_bytes() as f64 / base_t,
+            push_cmh.report.speedup_over(base),
+            push_cmh.report.traffic_vs(base),
+            ub.report.speedup_over(base),
+            ub.report.traffic_vs(base),
+            ub_cmh.report.speedup_over(base),
+            ub_cmh.report.traffic_vs(base),
         )
         .unwrap();
-        sp_push_cmh.push(base_c / push_cmh.report.cycles as f64);
-        sp_ub_cmh.push(ub.report.cycles as f64 / ub_cmh.report.cycles as f64);
+        sp_push_cmh.push(push_cmh.report.speedup_over(base));
+        sp_ub_cmh.push(ub_cmh.report.speedup_over(&ub.report));
     }
     writeln!(
         out,

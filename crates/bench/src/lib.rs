@@ -60,17 +60,16 @@ pub fn render_scheme_table(title: &str, outcomes: &[(Scheme, &RunOutcome)]) -> S
         "scheme", "cycles", "speedup", "traffic", "Adj", "Src", "Dst", "Upd", "Fro", "Oth"
     )
     .unwrap();
-    let base_cycles = outcomes[0].1.report.cycles.max(1) as f64;
-    let base_traffic = outcomes[0].1.report.traffic.total_bytes().max(1);
+    let base = &outcomes[0].1.report;
     for (s, o) in outcomes {
-        let b = o.report.breakdown(base_traffic);
+        let b = o.report.breakdown(base.traffic.total_bytes());
         writeln!(
             out,
             "{:<12} {:>9} {:>8.2}x {:>7.2}x | {:>6.3} {:>6.3} {:>6.3} {:>6.3} {:>6.3} {:>6.3}{}",
             s.to_string(),
             o.report.cycles,
-            base_cycles / o.report.cycles.max(1) as f64,
-            o.report.traffic.total_bytes() as f64 / base_traffic as f64,
+            o.report.speedup_over(base),
+            o.report.traffic_vs(base),
             b[0],
             b[1],
             b[2],

@@ -17,7 +17,7 @@ use spzip_compress::model::{
 };
 use spzip_compress::CodecKind;
 use spzip_core::dcl::{OperatorKind, Pipeline, PipelineBuilder, RangeInput};
-use spzip_core::perf::{analyze, PerfInput, PerfParams};
+use spzip_core::perf::{analyze, PerfInput};
 use spzip_graph::gen::{community, grid3d, CommunityParams};
 use spzip_mem::DataClass;
 use std::fmt::Write as _;
@@ -123,10 +123,6 @@ fn pricing_pipeline(codec: CodecKind, elem_bytes: u8) -> Pipeline {
 
 /// Runs the sweep: every stream × every codec, priced under `rates`.
 pub fn sweep(rates: &RateTable) -> Vec<SweepRow> {
-    let params = PerfParams {
-        rates: rates.clone(),
-        ..PerfParams::default()
-    };
     sweep_streams()
         .into_iter()
         .map(|s| {
@@ -136,7 +132,7 @@ pub fn sweep(rates: &RateTable) -> Vec<SweepRow> {
                 .map(|codec| {
                     let p = pricing_pipeline(codec, s.elem_bytes);
                     let mut input = PerfInput::new(&p);
-                    input.params = params.clone();
+                    input.rates = rates.clone();
                     input.profiles.insert(1, profile);
                     let report = analyze(&input);
                     SweepCell {

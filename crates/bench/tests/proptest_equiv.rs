@@ -21,8 +21,8 @@
 
 use proptest::prelude::*;
 use spzip_apps::pipelines::{all_builtin_checked, auto_codecs};
+use spzip_compress::model::RateTable;
 use spzip_core::equiv::{self, EquivInput, EquivReport};
-use spzip_core::perf::PerfParams;
 
 /// Renders everything a verdict surfaces, for byte-identity comparison.
 fn rendered(report: &EquivReport) -> String {
@@ -44,7 +44,7 @@ proptest! {
         let (name, pipeline, schema) = &builtins[idx % builtins.len()];
 
         let (auto, auto_schema, _) =
-            auto_codecs(pipeline, schema, &PerfParams::default());
+            auto_codecs(pipeline, schema, &RateTable::nominal());
         let report = equiv::validate(&EquivInput::with_schemas(
             pipeline,
             &auto,
@@ -114,7 +114,7 @@ proptest! {
 
         // ...and scaling both sides of a certified pair keeps the verdict.
         let (auto, auto_schema, _) =
-            auto_codecs(pipeline, schema, &PerfParams::default());
+            auto_codecs(pipeline, schema, &RateTable::nominal());
         let auto_scaled = auto
             .scale_queues(factor)
             .expect("upscaling a certified rewrite stays valid");

@@ -72,7 +72,7 @@ proptest! {
         let (name, pipeline, schema) = &builtins[idx % builtins.len()];
 
         let mut input = SuggestInput::with_schema(pipeline, schema);
-        input.perf.params.rates = rates.clone();
+        input.perf.rates = rates.clone();
         let first = rendered(&suggest(&input));
         let second = rendered(&suggest(&input));
         prop_assert_eq!(&first, &second, "rerun differs for {}", name);
@@ -82,7 +82,7 @@ proptest! {
         // of a particular Pipeline instance.
         let cloned = pipeline.clone();
         let mut clone_input = SuggestInput::with_schema(&cloned, schema);
-        clone_input.perf.params.rates = rates;
+        clone_input.perf.rates = rates;
         let third = rendered(&suggest(&clone_input));
         prop_assert_eq!(&first, &third, "clone differs for {}", name);
     }
@@ -102,11 +102,11 @@ proptest! {
             .expect("upscaling queues keeps builtins valid");
 
         let mut base_input = SuggestInput::with_schema(pipeline, schema);
-        base_input.perf.params.rates = rates.clone();
+        base_input.perf.rates = rates.clone();
         let base = suggest(&base_input);
 
         let mut scaled_input = SuggestInput::with_schema(&scaled, schema);
-        scaled_input.perf.params.rates = rates;
+        scaled_input.perf.rates = rates;
         let after = suggest(&scaled_input);
 
         prop_assert_eq!(

@@ -1,84 +1,5 @@
-//! Compression-ratio and throughput accounting shared by the engines,
-//! benchmarks, and figure renderers.
-
-use std::fmt;
-
-/// Accumulates uncompressed/compressed byte totals and reports the ratio.
-///
-/// # Examples
-///
-/// ```
-/// use spzip_compress::stats::CompressionStats;
-///
-/// let mut stats = CompressionStats::new();
-/// stats.record(1000, 400);
-/// stats.record(1000, 600);
-/// assert_eq!(stats.ratio(), 2.0);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct CompressionStats {
-    uncompressed_bytes: u64,
-    compressed_bytes: u64,
-    chunks: u64,
-}
-
-impl CompressionStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one compressed chunk.
-    pub fn record(&mut self, uncompressed_bytes: u64, compressed_bytes: u64) {
-        self.uncompressed_bytes += uncompressed_bytes;
-        self.compressed_bytes += compressed_bytes;
-        self.chunks += 1;
-    }
-
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &CompressionStats) {
-        self.uncompressed_bytes += other.uncompressed_bytes;
-        self.compressed_bytes += other.compressed_bytes;
-        self.chunks += other.chunks;
-    }
-
-    /// Total uncompressed bytes recorded.
-    pub fn uncompressed_bytes(&self) -> u64 {
-        self.uncompressed_bytes
-    }
-
-    /// Total compressed bytes recorded.
-    pub fn compressed_bytes(&self) -> u64 {
-        self.compressed_bytes
-    }
-
-    /// Number of chunks recorded.
-    pub fn chunks(&self) -> u64 {
-        self.chunks
-    }
-
-    /// Compression ratio (uncompressed / compressed); 1.0 when empty.
-    pub fn ratio(&self) -> f64 {
-        if self.compressed_bytes == 0 {
-            1.0
-        } else {
-            self.uncompressed_bytes as f64 / self.compressed_bytes as f64
-        }
-    }
-}
-
-impl fmt::Display for CompressionStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} -> {} bytes ({:.2}x over {} chunks)",
-            self.uncompressed_bytes,
-            self.compressed_bytes,
-            self.ratio(),
-            self.chunks
-        )
-    }
-}
+//! Throughput accounting for the codec benchmark, and the means the
+//! figure renderers summarize with.
 
 /// Accumulates bytes moved and time spent, reporting throughput in GB/s.
 ///
@@ -154,31 +75,6 @@ pub fn arithmetic_mean(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn empty_stats_ratio_is_one() {
-        assert_eq!(CompressionStats::new().ratio(), 1.0);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = CompressionStats::new();
-        a.record(100, 50);
-        let mut b = CompressionStats::new();
-        b.record(300, 150);
-        a.merge(&b);
-        assert_eq!(a.ratio(), 2.0);
-        assert_eq!(a.chunks(), 2);
-        assert_eq!(a.uncompressed_bytes(), 400);
-        assert_eq!(a.compressed_bytes(), 200);
-    }
-
-    #[test]
-    fn display_mentions_ratio() {
-        let mut s = CompressionStats::new();
-        s.record(200, 100);
-        assert!(s.to_string().contains("2.00x"));
-    }
 
     #[test]
     fn throughput_gbps() {

@@ -81,137 +81,243 @@ impl fmt::Display for Severity {
     }
 }
 
-/// Stable diagnostic codes. `E0xx` are hard errors, `W0xx` warnings,
-/// `P0xx` performance predictions, `B0xx` shape-and-bounds violations,
-/// `A0xx` codec-selection advisories, `D0xx` liveness (whole-pipeline
-/// deadlock) violations, `V0xx` translation-validation (rewrite
-/// equivalence) violations; codes are never renumbered so tools can
-/// match on them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[allow(missing_docs)] // each code is documented via `summary()` and DESIGN.md
-pub enum Code {
-    E001,
-    E002,
-    E003,
-    E004,
-    E005,
-    E006,
-    E007,
-    E008,
-    E009,
-    E010,
-    E011,
-    E012,
-    E013,
-    E014,
-    E015,
-    E016,
-    E017,
-    E018,
-    E019,
-    W001,
-    W002,
-    W003,
-    W004,
-    P001,
-    P002,
-    P003,
-    P004,
-    P005,
-    P006,
-    B001,
-    B002,
-    B003,
-    B004,
-    B005,
-    B006,
-    B007,
-    B008,
-    A001,
-    A002,
-    A003,
-    D001,
-    D002,
-    D003,
-    D004,
-    D005,
-    D006,
-    V001,
-    V002,
-    V003,
-    V004,
-    V005,
-    V006,
+/// Declares the lint-family registry, one row per code in numeric order:
+/// `CODE: "summary", why: "...", fix: "...";`. [`Code`] (each variant
+/// documented with its summary), [`Code::all`] and the text accessors all
+/// come from these rows, so a new code is one row here plus its row in
+/// DESIGN.md's registry tables, which a drift test holds to `summary()`.
+macro_rules! registry {
+    ($($code:ident: $summary:literal, why: $why:literal, fix: $fix:literal;)+) => {
+        /// Stable diagnostic codes. `E0xx` are hard errors, `W0xx` warnings,
+        /// `P0xx` performance predictions, `B0xx` shape-and-bounds violations,
+        /// `A0xx` codec-selection advisories, `D0xx` liveness (whole-pipeline
+        /// deadlock) violations, `V0xx` translation-validation (rewrite
+        /// equivalence) violations; codes are never renumbered so tools can
+        /// match on them.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        pub enum Code {
+            $(#[doc = $summary] $code,)+
+        }
+
+        impl Code {
+            /// Every code in the registry, in numeric order.
+            pub fn all() -> &'static [Code] {
+                &[$(Code::$code),+]
+            }
+        }
+
+        /// The registry rows, indexed by `Code as usize`.
+        const ROWS: &[Row] = &[$(Row {
+            id: stringify!($code),
+            summary: $summary,
+            why: $why,
+            fix: $fix,
+        }),+];
+    };
+}
+
+/// One registry row: a code's stable id and its three texts.
+struct Row {
+    id: &'static str,
+    summary: &'static str,
+    why: &'static str,
+    fix: &'static str,
+}
+
+registry! {
+    E001: "program declares no queues",
+        why: "a pipeline with no queues has no data path; the engine would load an empty program",
+        fix: "declare at least one queue and connect an operator to it";
+    E002: "program declares no operators",
+        why: "queues without operators never move data; the configuration is inert",
+        fix: "add at least one operator reading a declared queue";
+    E003: "queue count exceeds the hardware limit",
+        why: "the engine scratchpad multiplexes a fixed register file of 16 queue contexts",
+        fix: "merge or remove queues until at most 16 remain";
+    E004: "operator count exceeds the hardware limit",
+        why: "the engine round-robins over at most 16 operator contexts",
+        fix: "split the pipeline across engines or drop operators";
+    E005: "operator references an undeclared queue",
+        why: "an undeclared queue id would index past the scratchpad map at load time",
+        fix: "declare the queue before referencing it";
+    E006: "operator writes its own input queue",
+        why: "an operator feeding its own input livelocks: it can never drain what it grows",
+        fix: "route the output to a distinct downstream queue";
+    E007: "queue has multiple producers",
+        why: "queues are single-producer in hardware; two writers would interleave corrupt streams",
+        fix: "give each producer its own queue and merge downstream";
+    E008: "queue has multiple consumers",
+        why: "queues are single-consumer; two readers would steal items from each other",
+        fix: "fan out explicitly with separate output queues";
+    E009: "operator graph contains a cycle",
+        why: "the DCL graph must be acyclic: a cycle of queues deadlocks as soon as one fills",
+        fix: "break the cycle; feed loops back through the core instead";
+    E010: "MemQueue declares zero in-memory queues",
+        why: "a MemQueue with zero bins can accept no marker and would divide by zero on binning",
+        fix: "declare num_queues >= 1";
+    E011: "MemQueue stride smaller than one chunk",
+        why: "bins are strided in memory; a stride under one chunk makes neighbours overwrite",
+        fix: "raise the stride to at least chunk_elems x elem_bytes";
+    E012: "invalid element or index width",
+        why: "widths outside 1..=8 bytes cannot be packed into the 32-bit queue words",
+        fix: "use a supported element/index width (1, 2, 4, or 8)";
+    E013: "queue cannot hold its producer's largest burst",
+        why: "a producer's atomic burst larger than the queue can never be placed: instant wedge",
+        fix: "grow the queue past the burst (granule + marker) size";
+    E014: "queue cannot hold its consumer's per-firing demand",
+        why: "a consumer demanding more than the queue holds can never fire",
+        fix: "grow the queue past the consumer's per-firing demand";
+    E015: "marker-less stream feeds a chunk-delimited consumer",
+        why: "chunk-delimited consumers block forever on streams that never carry a marker",
+        fix: "tag the upstream range with marker= or insert a marker source";
+    E016: "marker value outside the MemQueue bin range",
+        why: "a bin id outside 0..num_queues would write through the wrong tail pointer",
+        fix: "clamp marker values to the declared bin range";
+    E017: "element width disagrees across a queue edge",
+        why: "width disagreement across an edge silently splits or merges values",
+        fix: "make producer elem_bytes match the consumer's expectation";
+    E018: "sink operator declares output queues",
+        why: "sink operators (stream writers, append MemQueues) emit nothing; outputs would starve",
+        fix: "remove the output queues or use a non-sink operator";
+    E019: "core-input to core-output path can wedge",
+        why: "a core-fed chain re-entering the core can fill end-to-end and stall the \
+             in-order core",
+        fix: "bound the chain's amplification or grow its queues";
+    W001: "queue has no producer and no consumer",
+        why: "an unconnected queue still reserves scratchpad words other queues could use",
+        fix: "remove the declaration to reclaim scratchpad";
+    W002: "transform discards its output",
+        why: "a transform with no consumer does work whose result is dropped",
+        fix: "route the output somewhere, or delete the operator";
+    W003: "declared queue words exceed the engine scratchpad",
+        why: "declared words beyond the scratchpad are rescaled down at load; capacities shrink",
+        fix: "keep total declared words within the engine budget";
+    W004: "one base address used with different traffic classes",
+        why: "one address range under two traffic classes double-counts bytes in the model",
+        fix: "give each base address a single consistent class";
+    P001: "queue leaves no slack over producer burst plus consumer demand",
+        why: "with no slack over burst + demand, the queue ping-pongs between full and empty",
+        fix: "add headroom so the producer can run ahead";
+    P002: "compression scheme predicted to inflate its stream",
+        why: "a codec predicted to inflate its stream costs bandwidth twice for negative gain",
+        fix: "pick a different codec or store the stream raw";
+    P003: "pipeline predicted no faster than software traversal",
+        why: "if the pipeline beats software by nothing, the engine is pure overhead",
+        fix: "restructure the traversal or keep the software path";
+    P004: "engine service rate predicted to bottleneck a DRAM-bound pipeline",
+        why: "an engine slower than DRAM turns a bandwidth-bound loop into a compute-bound one",
+        fix: "reduce per-item operator work or split across engines";
+    P005: "chunk-marker overhead dominates a queue's bandwidth",
+        why: "tiny chunks spend their bandwidth on markers instead of payload",
+        fix: "batch more elements per chunk";
+    P006: "MemQueue chunks predicted far below a cache line",
+        why: "chunks far below a cache line make every bin append a partial-line write",
+        fix: "raise chunk_elems toward a line-sized chunk";
+    B001: "operator base address lies outside every declared region",
+        why: "a base outside every declared region reads memory the layout does not own",
+        fix: "declare the region or fix the base address";
+    B002: "index or bin stream can exceed its target's declared extent",
+        why: "an index stream that can exceed the target extent is an out-of-bounds access in wait",
+        fix: "bound the index stream or grow the declared extent";
+    B003: "operator element width disagrees with the region's declared width",
+        why: "width disagreement with the region reinterprets element boundaries",
+        fix: "match operator elem_bytes to the region's declared width";
+    B004: "codec framing disagrees between stream and region",
+        why: "framing disagreement decodes one codec's frames with another's decoder",
+        fix: "align the stream codec with the region's declared framing";
+    B005: "framed/raw stream kind mismatches its consumer",
+        why: "a framed stream into a raw consumer (or vice versa) misparses lengths as data",
+        fix: "insert or remove the (de)compression stage";
+    B006: "decoded element width disagrees across a queue edge",
+        why: "decoded widths must agree across an edge or downstream elements shear",
+        fix: "reconcile decoder output width with the consumer";
+    B007: "core input or index stream has no declared shape",
+        why: "an undeclared shape leaves the verifier blind where bugs are most likely",
+        fix: "declare the stream's region and element width in the schema";
+    B008: "MemQueue footprint exceeds its region's extent",
+        why: "a MemQueue whose bins outgrow the region tramples whatever follows it",
+        fix: "grow the region or shrink bins x stride";
+    A001: "a different codec is predicted measurably faster on this queue",
+        why: "the rate model predicts another codec measurably faster on this queue's data",
+        fix: "apply the suggested rewiring (dcl-perf --suggest prints it)";
+    A002: "compression predicted net-negative on this queue",
+        why: "compression on this queue is predicted net-negative: codec time exceeds bytes saved",
+        fix: "drop the compression stage on this stream";
+    A003: "suggestion suppressed: verifier rejects the rewired pipeline",
+        why: "the winning rewiring fails lint/shape verification, so the advisory is withheld",
+        fix: "fix the cited verifier errors to unlock the suggestion";
+    D001: "cyclic wait among engine operators: a capacity cycle wedges",
+        why: "every queue passes its local capacity lint, yet a cycle of full queues across \
+             multiple operators and the core's in-order stream wedges the whole pipeline; only \
+             the whole-pipeline model check sees it",
+        fix: "grow the queues on the cited cycle, shorten per-chunk input runs, or drain core \
+             outputs more often (the counterexample schedule shows the exact wedge)";
+    D002: "cyclic wait through the core's coupled enqueue/dequeue",
+        why: "the core's enqueues and dequeues retire in program order, so one operator's \
+             backpressure can block the very dequeue that would relieve it",
+        fix: "drain the operator's output before enqueueing the next batch, or grow the two \
+             queues in the cycle";
+    D003: "chunk consumer starves waiting for a marker that never arrives",
+        why: "a chunk consumer buffers state it can only release on a marker; a stream that \
+             never carries one starves it forever even though data keeps flowing",
+        fix: "route a marker-bearing stream into the operator (marker= on the upstream range, \
+             or close bins from the core)";
+    D004: "fan-out imbalance: one full output blocks the others forever",
+        why: "fan-out firings are push-all atomic: one full output blocks emission to every \
+             sibling, so an unbalanced branch wedges all branches",
+        fix: "drain the branches at similar rates or grow the slow branch's queue";
+    D005: "chunk in flight exceeds downstream capacity mid-stream",
+        why: "a marker-delimited flush is emitted atomically; if the accumulated chunk exceeds \
+             a downstream capacity it can never be placed, regardless of scheduling",
+        fix: "shrink the chunk (chunk_elems, values per marker) or grow the downstream queue \
+             past the flush size";
+    D006: "pipeline admits no initial firing from its start state",
+        why: "if the drive protocol's first enqueue already exceeds its queue, nothing ever \
+             fires; buildable pipelines avoid this via the capacity lints, so D006 guards \
+             model-level capacity overrides",
+        fix: "raise the first core-input queue's capacity above one input item";
+    V001: "observable sink carries a different value stream after the rewrite",
+        why: "the translation validator's symbolic chains for this sink disagree after the \
+             rewrite in a way no certified codec roundtrip explains: the pipeline computes \
+             a different value stream",
+        fix: "compare the two witness chains in the message; restore the dropped or altered \
+             stage, or re-certify the codec roundtrip that no longer cancels";
+    V002: "rewrite pairs a codec with a transform that is not its inverse",
+        why: "a decode must be the formal inverse of the encode (or declared framing) that \
+             produced its bytes; pairing different codecs decodes garbage — the exact \
+             wrong-answer failure transparent compression must exclude",
+        fix: "swap both sides of an internal compress/decompress pair together, or re-encode \
+             the stored region so its framing matches the transform";
+    V003: "rewrite drops or duplicates a value stream",
+        why: "the rewritten sink consumes a different core-input stream (or a stream is \
+             dropped or duplicated), so the sink observes values from the wrong source",
+        fix: "reconnect the operator to the queue it consumed before the rewrite; rewrites \
+             may change transforms, never the stream wiring";
+    V004: "rewrite changes an observable element width",
+        why: "the chains match shape-for-shape but an element width changed, so the sink \
+             reinterprets the same bytes at a different granularity",
+        fix: "keep element widths fixed across the rewrite, or change producer and consumer \
+             widths together";
+    V005: "rewrite reorders an indirection chain",
+        why: "the same fetch/transform atoms appear in a different order; indirections are \
+             uninterpreted functions and A[B[i]] is not B[A[i]]",
+        fix: "restore the original operator order — reordering is only sound for stages the \
+             validator can prove commute, which indirection chains never do";
+    V006: "rewrite changes the set of observable sinks",
+        why: "an observable sink (memory writer or terminal queue) exists on one side only, \
+             so the rewrite silently drops or invents output",
+        fix: "preserve the full sink set: every memory-writing operator and core-dequeued \
+             queue of the original must survive the rewrite";
 }
 
 impl Code {
-    /// Every code in the registry, in numeric order.
-    pub fn all() -> &'static [Code] {
-        use Code::*;
-        &[
-            E001, E002, E003, E004, E005, E006, E007, E008, E009, E010, E011, E012, E013, E014,
-            E015, E016, E017, E018, E019, W001, W002, W003, W004, P001, P002, P003, P004, P005,
-            P006, B001, B002, B003, B004, B005, B006, B007, B008, A001, A002, A003, D001, D002,
-            D003, D004, D005, D006, V001, V002, V003, V004, V005, V006,
-        ]
+    fn row(self) -> &'static Row {
+        &ROWS[self as usize]
     }
 
     /// The stable textual form, e.g. `"E013"`.
     pub fn as_str(&self) -> &'static str {
-        match self {
-            Code::E001 => "E001",
-            Code::E002 => "E002",
-            Code::E003 => "E003",
-            Code::E004 => "E004",
-            Code::E005 => "E005",
-            Code::E006 => "E006",
-            Code::E007 => "E007",
-            Code::E008 => "E008",
-            Code::E009 => "E009",
-            Code::E010 => "E010",
-            Code::E011 => "E011",
-            Code::E012 => "E012",
-            Code::E013 => "E013",
-            Code::E014 => "E014",
-            Code::E015 => "E015",
-            Code::E016 => "E016",
-            Code::E017 => "E017",
-            Code::E018 => "E018",
-            Code::E019 => "E019",
-            Code::W001 => "W001",
-            Code::W002 => "W002",
-            Code::W003 => "W003",
-            Code::W004 => "W004",
-            Code::P001 => "P001",
-            Code::P002 => "P002",
-            Code::P003 => "P003",
-            Code::P004 => "P004",
-            Code::P005 => "P005",
-            Code::P006 => "P006",
-            Code::B001 => "B001",
-            Code::B002 => "B002",
-            Code::B003 => "B003",
-            Code::B004 => "B004",
-            Code::B005 => "B005",
-            Code::B006 => "B006",
-            Code::B007 => "B007",
-            Code::B008 => "B008",
-            Code::A001 => "A001",
-            Code::A002 => "A002",
-            Code::A003 => "A003",
-            Code::D001 => "D001",
-            Code::D002 => "D002",
-            Code::D003 => "D003",
-            Code::D004 => "D004",
-            Code::D005 => "D005",
-            Code::D006 => "D006",
-            Code::V001 => "V001",
-            Code::V002 => "V002",
-            Code::V003 => "V003",
-            Code::V004 => "V004",
-            Code::V005 => "V005",
-            Code::V006 => "V006",
-        }
+        self.row().id
     }
 
     /// Errors deny `build()`; warnings pass through. `P0xx` performance
@@ -242,60 +348,17 @@ impl Code {
 
     /// One-line description of what the code means (the registry entry).
     pub fn summary(&self) -> &'static str {
-        match self {
-            Code::E001 => "program declares no queues",
-            Code::E002 => "program declares no operators",
-            Code::E003 => "queue count exceeds the hardware limit",
-            Code::E004 => "operator count exceeds the hardware limit",
-            Code::E005 => "operator references an undeclared queue",
-            Code::E006 => "operator writes its own input queue",
-            Code::E007 => "queue has multiple producers",
-            Code::E008 => "queue has multiple consumers",
-            Code::E009 => "operator graph contains a cycle",
-            Code::E010 => "MemQueue declares zero in-memory queues",
-            Code::E011 => "MemQueue stride smaller than one chunk",
-            Code::E012 => "invalid element or index width",
-            Code::E013 => "queue cannot hold its producer's largest burst",
-            Code::E014 => "queue cannot hold its consumer's per-firing demand",
-            Code::E015 => "marker-less stream feeds a chunk-delimited consumer",
-            Code::E016 => "marker value outside the MemQueue bin range",
-            Code::E017 => "element width disagrees across a queue edge",
-            Code::E018 => "sink operator declares output queues",
-            Code::E019 => "core-input to core-output path can wedge",
-            Code::W001 => "queue has no producer and no consumer",
-            Code::W002 => "transform discards its output",
-            Code::W003 => "declared queue words exceed the engine scratchpad",
-            Code::W004 => "one base address used with different traffic classes",
-            Code::P001 => "queue leaves no slack over producer burst plus consumer demand",
-            Code::P002 => "compression scheme predicted to inflate its stream",
-            Code::P003 => "pipeline predicted no faster than software traversal",
-            Code::P004 => "engine service rate predicted to bottleneck a DRAM-bound pipeline",
-            Code::P005 => "chunk-marker overhead dominates a queue's bandwidth",
-            Code::P006 => "MemQueue chunks predicted far below a cache line",
-            Code::B001 => "operator base address lies outside every declared region",
-            Code::B002 => "index or bin stream can exceed its target's declared extent",
-            Code::B003 => "operator element width disagrees with the region's declared width",
-            Code::B004 => "codec framing disagrees between stream and region",
-            Code::B005 => "framed/raw stream kind mismatches its consumer",
-            Code::B006 => "decoded element width disagrees across a queue edge",
-            Code::B007 => "core input or index stream has no declared shape",
-            Code::B008 => "MemQueue footprint exceeds its region's extent",
-            Code::A001 => "a different codec is predicted measurably faster on this queue",
-            Code::A002 => "compression predicted net-negative on this queue",
-            Code::A003 => "suggestion suppressed: verifier rejects the rewired pipeline",
-            Code::D001 => "cyclic wait among engine operators: a capacity cycle wedges",
-            Code::D002 => "cyclic wait through the core's coupled enqueue/dequeue",
-            Code::D003 => "chunk consumer starves waiting for a marker that never arrives",
-            Code::D004 => "fan-out imbalance: one full output blocks the others forever",
-            Code::D005 => "chunk in flight exceeds downstream capacity mid-stream",
-            Code::D006 => "pipeline admits no initial firing from its start state",
-            Code::V001 => "observable sink carries a different value stream after the rewrite",
-            Code::V002 => "rewrite pairs a codec with a transform that is not its inverse",
-            Code::V003 => "rewrite drops or duplicates a value stream",
-            Code::V004 => "rewrite changes an observable element width",
-            Code::V005 => "rewrite reorders an indirection chain",
-            Code::V006 => "rewrite changes the set of observable sinks",
-        }
+        self.row().summary
+    }
+
+    /// Why the code matters: the `--explain` prose.
+    pub fn why(&self) -> &'static str {
+        self.row().why
+    }
+
+    /// How to fix it, in one line.
+    pub fn fix(&self) -> &'static str {
+        self.row().fix
     }
 }
 
@@ -1315,9 +1378,23 @@ mod tests {
 
     #[test]
     fn registry_is_consistent() {
-        for c in Code::all() {
-            assert_eq!(c.as_str().len(), 4);
-            assert!(!c.summary().is_empty());
+        let mut last: Option<Code> = None;
+        for (i, c) in Code::all().iter().enumerate() {
+            // The row a variant reads is the row that declared it.
+            assert_eq!(*c as usize, i);
+            assert_eq!(format!("{c:?}"), c.as_str());
+            // Within a family the numbers run 001, 002, ... with no gap.
+            let (family, number) = c.as_str().split_at(1);
+            let number: u32 = number.parse().expect("three digits");
+            let expected = match last {
+                Some(p) if p.as_str().starts_with(family) => {
+                    p.as_str()[1..].parse::<u32>().unwrap() + 1
+                }
+                _ => 1,
+            };
+            assert_eq!(number, expected, "{c}");
+            last = Some(*c);
+            assert!(!c.summary().is_empty() && !c.why().is_empty() && !c.fix().is_empty());
             match c.as_str().as_bytes()[0] {
                 b'E' | b'B' | b'D' | b'V' => assert_eq!(c.severity(), Severity::Error),
                 b'W' | b'P' | b'A' => assert_eq!(c.severity(), Severity::Warning),

@@ -38,16 +38,9 @@
 //! finds are schedule-independent because the core's event order is
 //! fixed and operator firing order only permutes which actor blocks
 //! first. A stuck state is classified by walking the blocking wait-for
-//! graph:
-//!
-//! | code | stuck shape |
-//! |------|-------------|
-//! | D001 | cyclic wait through ≥ 2 engine operators and the core |
-//! | D002 | cyclic wait coupling one operator to the core's in-order stream |
-//! | D003 | chunk state starves: a marker that can never arrive |
-//! | D004 | fan-out imbalance: one full output blocks the sibling outputs |
-//! | D005 | a marker-delimited flush larger than a downstream capacity |
-//! | D006 | no initial firing is possible from the start state |
+//! graph into one of the `D0xx` codes of the registry
+//! ([`Code::D001`] through [`Code::D006`], whose `summary()` and `why()`
+//! say what each stuck shape is).
 //!
 //! Every finding carries a **counterexample**: the minimal drive
 //! schedule that reproduces the wedge (the checker shrinks the work

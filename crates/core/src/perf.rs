@@ -31,67 +31,43 @@ use std::collections::BTreeMap;
 /// Quarter-words a chunk marker occupies in a queue (engine encoding).
 const MARKER_QUARTERS: f64 = 4.0;
 
-/// Machine parameters and P-rule thresholds for the analyzer.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PerfParams {
-    /// DRAM bandwidth in bytes per core cycle (paper machine: 12.8 GB/s
-    /// per channel-slice at 3.5 GHz).
-    pub dram_bytes_per_cycle: f64,
-    /// Cache line size in bytes; partial-line accesses round up to this.
-    pub line_bytes: f64,
-    /// Expected extra DRAM bytes per `indirect` gather, as a fraction of a
-    /// line. Gathers index vertex-sized arrays that stay largely
-    /// cache-resident (that is the point of prefetching them), so only a
-    /// fraction of each touched line is charged to memory.
-    pub gather_line_fraction: f64,
-    /// Engine scratchpad budget the queues are scaled into.
-    pub scratchpad_bytes: u32,
-    /// Extra cycles a (de)compression firing spends in the transform unit.
-    pub transform_latency: f64,
-    /// Software-traversal cost a fetcher must beat (cycles per delivered
-    /// element) before `P003` fires.
-    pub sw_cycles_per_elem: f64,
-    /// A compressor whose predicted output exceeds `inflation_margin ×
-    /// elem_bytes` per element triggers `P002`.
-    pub inflation_margin: f64,
-    /// `P004` fires when predicted service cycles exceed this multiple of
-    /// the DRAM cycles on a memory-touching pipeline.
-    pub service_dram_margin: f64,
-    /// `P005` fires when markers exceed this share of a queue's quarters.
-    pub marker_overhead_threshold: f64,
+/// DRAM bandwidth in bytes per core cycle (paper machine: 12.8 GB/s per
+/// channel-slice at 3.5 GHz).
+const DRAM_BYTES_PER_CYCLE: f64 = 12.8e9 / 3.5e9;
+/// Cache line size in bytes; partial-line accesses round up to this.
+const LINE_BYTES: f64 = 64.0;
+/// Expected extra DRAM bytes per `indirect` gather, as a fraction of a
+/// line. Gathers index vertex-sized arrays that stay largely cache-resident
+/// (that is the point of prefetching them), so only a fraction of each
+/// touched line is charged to memory.
+const GATHER_LINE_FRACTION: f64 = 0.125;
+/// Extra cycles a (de)compression firing spends in the transform unit.
+const TRANSFORM_LATENCY: f64 = 2.0;
+/// Software-traversal cost a fetcher must beat (cycles per delivered
+/// element) before `P003` fires.
+const SW_CYCLES_PER_ELEM: f64 = 5.0;
+/// A compressor whose predicted output exceeds `INFLATION_MARGIN ×
+/// elem_bytes` per element triggers `P002`.
+const INFLATION_MARGIN: f64 = 1.05;
+/// `P004` fires when predicted service cycles exceed this multiple of the
+/// DRAM cycles on a memory-touching pipeline.
+const SERVICE_DRAM_MARGIN: f64 = 2.0;
+/// `P005` fires when markers exceed this share of a queue's quarters.
+const MARKER_OVERHEAD_THRESHOLD: f64 = 0.5;
+
+/// A pipeline plus everything the analyzer is allowed to assume about its
+/// inputs: codec rates, expected elements per fetched range, and
+/// value-distribution profiles for codec operators. The machine parameters
+/// and rule thresholds are the module's constants.
+#[derive(Debug, Clone)]
+pub struct PerfInput<'a> {
+    /// The validated program under analysis.
+    pub pipeline: &'a Pipeline,
     /// Per-codec transform throughput calibration. The nominal table
     /// scales every codec by 1.0, leaving the model exactly as
     /// uncalibrated; `dcl-perf --suggest` loads measured kernel rates
     /// from `BENCH_codecs.json` here.
     pub rates: RateTable,
-}
-
-impl Default for PerfParams {
-    fn default() -> Self {
-        PerfParams {
-            dram_bytes_per_cycle: 12.8e9 / 3.5e9,
-            line_bytes: 64.0,
-            gather_line_fraction: 0.125,
-            scratchpad_bytes: DEFAULT_SCRATCHPAD_BYTES,
-            transform_latency: 2.0,
-            sw_cycles_per_elem: 5.0,
-            inflation_margin: 1.05,
-            service_dram_margin: 2.0,
-            marker_overhead_threshold: 0.5,
-            rates: RateTable::nominal(),
-        }
-    }
-}
-
-/// A pipeline plus everything the analyzer is allowed to assume about its
-/// inputs: machine parameters, expected elements per fetched range, and
-/// value-distribution profiles for codec operators.
-#[derive(Debug, Clone)]
-pub struct PerfInput<'a> {
-    /// The validated program under analysis.
-    pub pipeline: &'a Pipeline,
-    /// Machine parameters and rule thresholds.
-    pub params: PerfParams,
     /// Expected elements per range for `range`/`indirect` operators with
     /// no per-operator override (graph workloads: average group size).
     pub default_range_elems: f64,
@@ -103,12 +79,12 @@ pub struct PerfInput<'a> {
 }
 
 impl<'a> PerfInput<'a> {
-    /// Default assumptions for `pipeline`: paper machine parameters,
-    /// 32-element ranges, and graph-typical value profiles.
+    /// Default assumptions for `pipeline`: nominal codec rates, 32-element
+    /// ranges, and graph-typical value profiles.
     pub fn new(pipeline: &'a Pipeline) -> Self {
         PerfInput {
             pipeline,
-            params: PerfParams::default(),
+            rates: RateTable::nominal(),
             default_range_elems: 32.0,
             range_elems: BTreeMap::new(),
             profiles: BTreeMap::new(),
@@ -223,7 +199,6 @@ impl PerfReport {
 /// for those.
 pub fn analyze(input: &PerfInput<'_>) -> PerfReport {
     let p = input.pipeline;
-    let params = &input.params;
     let nq = p.queues().len();
     let ops = p.operators();
 
@@ -322,7 +297,7 @@ pub fn analyze(input: &PerfInput<'_>) -> PerfReport {
     }
     let service_cycles: f64 = op_perf.iter().map(|o| o.service_cycles).sum();
     let total_bytes: f64 = read_bytes.iter().sum::<f64>() + write_bytes.iter().sum::<f64>();
-    let dram_cycles = total_bytes / params.dram_bytes_per_cycle;
+    let dram_cycles = total_bytes / DRAM_BYTES_PER_CYCLE;
     let delivered_elems: f64 = p
         .core_output_queues()
         .iter()
@@ -399,7 +374,6 @@ fn ranges_in(input: RangeInput, inflow: Flow) -> f64 {
 
 /// Evaluates one operator: output flow, memory footprint, service demand.
 fn eval_op(input: &PerfInput<'_>, index: usize, kind: &OperatorKind, inflow: Flow) -> OpPerf {
-    let params = &input.params;
     let fire = FIRE_BYTES as f64;
     let mut perf = OpPerf {
         index,
@@ -428,7 +402,7 @@ fn eval_op(input: &PerfInput<'_>, index: usize, kind: &OperatorKind, inflow: Flo
             // of rounding per boundary pair.
             perf.items_out = elems;
             perf.bytes_out = useful;
-            perf.mem_read = useful + ranges * params.line_bytes / 2.0;
+            perf.mem_read = useful + ranges * LINE_BYTES / 2.0;
             perf.class = Some(*class);
             perf.firings = useful / fire + ranges;
             perf.service_cycles = perf.firings;
@@ -447,7 +421,7 @@ fn eval_op(input: &PerfInput<'_>, index: usize, kind: &OperatorKind, inflow: Flo
             // of a line per access.
             perf.items_out = accesses * per;
             perf.bytes_out = useful;
-            perf.mem_read = useful + accesses * params.line_bytes * params.gather_line_fraction;
+            perf.mem_read = useful + accesses * LINE_BYTES * GATHER_LINE_FRACTION;
             perf.class = Some(*class);
             perf.firings = accesses;
             perf.service_cycles = perf.firings;
@@ -461,8 +435,8 @@ fn eval_op(input: &PerfInput<'_>, index: usize, kind: &OperatorKind, inflow: Flo
             perf.firings = inflow.bytes.max(perf.bytes_out) / fire + inflow.markers;
             // A slower-than-nominal codec (measured, relative to the
             // fastest in the rate table) stretches each firing.
-            perf.service_cycles = perf.firings / params.rates.decode_scale(*codec)
-                + inflow.markers * params.transform_latency;
+            perf.service_cycles = perf.firings / input.rates.decode_scale(*codec)
+                + inflow.markers * TRANSFORM_LATENCY;
         }
         OperatorKind::Compress {
             codec, elem_bytes, ..
@@ -473,8 +447,8 @@ fn eval_op(input: &PerfInput<'_>, index: usize, kind: &OperatorKind, inflow: Flo
             perf.items_out = out; // a byte stream: one item per byte
             perf.bytes_out = out;
             perf.firings = inflow.bytes.max(out) / fire + inflow.markers;
-            perf.service_cycles = perf.firings / params.rates.encode_scale(*codec)
-                + inflow.markers * params.transform_latency;
+            perf.service_cycles = perf.firings / input.rates.encode_scale(*codec)
+                + inflow.markers * TRANSFORM_LATENCY;
         }
         OperatorKind::StreamWrite { class, .. } => {
             perf.mem_write = inflow.bytes;
@@ -524,9 +498,8 @@ fn check_queues(
     diagnostics: &mut Vec<Diagnostic>,
 ) -> Option<QueueId> {
     let p = input.pipeline;
-    let params = &input.params;
     let declared: u32 = p.scratchpad_words();
-    let budget_words = f64::from(params.scratchpad_bytes / 4);
+    let budget_words = f64::from(DEFAULT_SCRATCHPAD_BYTES / 4);
     let scale = budget_words / f64::from(declared.max(1));
     let mut worst: Option<(f64, QueueId)> = None;
 
@@ -555,7 +528,7 @@ fn check_queues(
                         "queue q{qid} scales to {scaled_q:.0} quarters in a \
                          {} B scratchpad, below its producer burst ({burst:.0}) \
                          plus consumer demand ({demand:.0})",
-                        params.scratchpad_bytes
+                        DEFAULT_SCRATCHPAD_BYTES
                     ),
                 )
                 .hint(format!(
@@ -569,7 +542,7 @@ fn check_queues(
         if let Some(flow) = flows[qi] {
             let marker_q = flow.markers * MARKER_QUARTERS;
             let total_q = marker_q + flow.bytes;
-            if total_q > 0.0 && marker_q / total_q > params.marker_overhead_threshold {
+            if total_q > 0.0 && marker_q / total_q > MARKER_OVERHEAD_THRESHOLD {
                 diagnostics.push(
                     Diagnostic::new(
                         Code::P005,
@@ -653,7 +626,6 @@ fn consumer_demand_quarters(p: &Pipeline, q: QueueId) -> f64 {
 /// MemQueue chunks).
 fn check_operators(input: &PerfInput<'_>, op_perf: &[OpPerf], diagnostics: &mut Vec<Diagnostic>) {
     let p = input.pipeline;
-    let params = &input.params;
     for (i, op) in p.operators().iter().enumerate() {
         let line = p.operator_lines()[i];
         match &op.kind {
@@ -662,7 +634,7 @@ fn check_operators(input: &PerfInput<'_>, op_perf: &[OpPerf], diagnostics: &mut 
             } => {
                 let profile = input.profile_for(i, *elem_bytes);
                 let bpe = predicted_bytes_per_elem(*codec, &profile);
-                if bpe > params.inflation_margin * f64::from(*elem_bytes) {
+                if bpe > INFLATION_MARGIN * f64::from(*elem_bytes) {
                     diagnostics.push(
                         Diagnostic::new(
                             Code::P002,
@@ -706,7 +678,7 @@ fn check_operators(input: &PerfInput<'_>, op_perf: &[OpPerf], diagnostics: &mut 
                         }
                     }
                 };
-                if chunk_bytes < params.line_bytes / 2.0 {
+                if chunk_bytes < LINE_BYTES / 2.0 {
                     diagnostics.push(
                         Diagnostic::new(
                             Code::P006,
@@ -716,7 +688,7 @@ fn check_operators(input: &PerfInput<'_>, op_perf: &[OpPerf], diagnostics: &mut 
                                 "memqueue chunks average {chunk_bytes:.1} B, \
                                  under half a {:.0} B cache line: every chunk \
                                  store wastes most of its line",
-                                params.line_bytes
+                                LINE_BYTES
                             ),
                         )
                         .hint("raise chunk_elems so chunks fill cache lines"),
@@ -780,13 +752,12 @@ fn check_pipeline(
     dram_cycles: f64,
     diagnostics: &mut Vec<Diagnostic>,
 ) {
-    let params = &input.params;
     // P003 only applies to pipelines that deliver elements to the core
     // (traversal-style); write-only compressors have no software analogue
     // with the same interface.
     if delivered_elems > 0.0 {
         let cpe = service_cycles.max(dram_cycles) / delivered_elems;
-        if cpe >= params.sw_cycles_per_elem {
+        if cpe >= SW_CYCLES_PER_ELEM {
             diagnostics.push(
                 Diagnostic::new(
                     Code::P003,
@@ -795,7 +766,7 @@ fn check_pipeline(
                     format!(
                         "predicted {cpe:.1} cycles per delivered element, no \
                          faster than the {:.1}-cycle software traversal bound",
-                        params.sw_cycles_per_elem
+                        SW_CYCLES_PER_ELEM
                     ),
                 )
                 .hint(
@@ -808,7 +779,7 @@ fn check_pipeline(
     // P004: a pipeline that moves real memory traffic should be
     // DRAM-bound; service dominating by a wide margin means the engine
     // itself is the bottleneck.
-    if dram_cycles > 0.0 && service_cycles > params.service_dram_margin * dram_cycles {
+    if dram_cycles > 0.0 && service_cycles > SERVICE_DRAM_MARGIN * dram_cycles {
         let max_op = op_perf
             .iter()
             .max_by(|a, b| a.service_cycles.total_cmp(&b.service_cycles))
@@ -1004,7 +975,7 @@ mod tests {
                 encode_gbps: 8.0,
             },
         );
-        calibrated.params.rates = rates;
+        calibrated.rates = rates;
         let scaled = analyze(&calibrated);
 
         let nom_svc = nominal.ops[1].service_cycles;

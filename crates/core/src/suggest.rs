@@ -54,8 +54,8 @@ use spzip_compress::CodecKind;
 pub const DEFAULT_MIN_GAIN: f64 = 0.05;
 
 /// A pipeline plus everything the selection pass may assume: the perf
-/// model's inputs (machine parameters with a codec [`RateTable`]
-/// calibration, range sizes, stream profiles) and an optional declared
+/// model's inputs (a codec [`RateTable`] calibration, range sizes, stream
+/// profiles) and an optional declared
 /// memory layout for shape validation.
 ///
 /// [`RateTable`]: spzip_compress::model::RateTable
@@ -639,7 +639,7 @@ mod tests {
                 encode_gbps: 100.0,
             },
         );
-        input.perf.params.rates = rates;
+        input.perf.rates = rates;
         let report = suggest(&input);
         assert!(
             report.diagnostics.iter().any(|d| d.code == Code::A002),
@@ -700,7 +700,7 @@ mod tests {
                 encode_gbps: 10.0,
             },
         );
-        input.perf.params.rates = rates;
+        input.perf.rates = rates;
         let report = suggest(&input);
         assert!(
             report.diagnostics.iter().any(|d| d.code == Code::A003),

@@ -17,16 +17,12 @@
 //!   random relabeling (the paper's *non*-preprocessed variant), degree
 //!   sorting, BFS and DFS topological orders, and a GOrder-like greedy
 //!   neighbour-affinity order.
-//! * [`compressed`] — the entropy-compressed CSR variant of Fig. 3, where
-//!   each neighbor set (or chunk of rows) is compressed and `offsets` point
-//!   to compressed rows.
 //! * [`datasets`] — the named synthetic analogs of Table III.
 //!
 //! The term *compressed* in "Compressed Sparse Row" only means zeros are not
 //! stored; following the paper, *compression* in this codebase always refers
 //! to entropy compression of the stored data.
 
-pub mod compressed;
 pub mod csr;
 pub mod datasets;
 pub mod gen;

@@ -3,8 +3,6 @@
 //! sort-based construction it replaced.
 
 use proptest::prelude::*;
-use spzip_compress::delta::DeltaCodec;
-use spzip_graph::compressed::{CompressedCsr, RowGrouping};
 use spzip_graph::gen::GuideTable;
 use spzip_graph::reorder::{self, Preprocessing};
 use spzip_graph::{Csr, VertexId};
@@ -229,17 +227,5 @@ proptest! {
         let there = reorder::apply_permutation(&g, &perm);
         let back = reorder::apply_permutation(&there, &inv);
         prop_assert_eq!(back, g);
-    }
-
-    #[test]
-    fn compressed_csr_roundtrips_under_any_grouping(
-        g in arb_graph(),
-        group in 1u32..40,
-    ) {
-        let codec = DeltaCodec::new();
-        let cg = CompressedCsr::build(&g, &codec, RowGrouping::Chunked(group));
-        for v in 0..g.num_vertices() as VertexId {
-            prop_assert_eq!(cg.decompress_row(&codec, v).unwrap(), g.neighbors(v));
-        }
     }
 }

@@ -105,60 +105,108 @@ impl Code {
         ]
     }
 
+    fn row(self) -> Row {
+        match self {
+            Code::WriteWriteRace => Row {
+                id: "S001",
+                summary: "unordered writes to a shared word",
+                hint: "order the accesses with a queue edge, an engine drain, or a phase barrier",
+                why: "unordered writes mean the run's outcome depends on engine/core \
+                      interleaving, so figures stop being reproducible",
+            },
+            Code::ReadWriteRace => Row {
+                id: "S002",
+                summary: "unordered read/write of a shared word",
+                hint: "order the accesses with a queue edge, an engine drain, or a phase barrier",
+                why: "a read racing a write can observe half-updated state the real hardware \
+                      would also expose",
+            },
+            Code::PopBeforePush => Row {
+                id: "S003",
+                summary: "queue pop exceeds occupancy",
+                hint: "the consumer ran ahead of the producer; check enqueue/dequeue placement",
+                why: "popping more than was pushed means the model consumed data that never \
+                      existed",
+            },
+            Code::UnterminatedChunk => Row {
+                id: "S004",
+                summary: "chunk open at drain",
+                hint: "close every chunk with its length/marker before draining",
+                why: "chunk state open at a drain point is silent data loss: the tail elements \
+                      are never flushed",
+            },
+            Code::QueueSlotLeak => Row {
+                id: "S005",
+                summary: "queue not drained by end of run",
+                hint: "drain engines before ending the phase that feeds them",
+                why: "items left in a queue at end of run were produced but never consumed — \
+                      dropped work the statistics still counted",
+            },
+            Code::WindowLeak => Row {
+                id: "S006",
+                summary: "miss window over-subscribed",
+                hint: "the MLP window accounting leaked a slot; check retire paths",
+                why: "over-subscribing the miss window models more memory parallelism than the \
+                      hardware has, inflating performance",
+            },
+            Code::LineAccounting => Row {
+                id: "S007",
+                summary: "DRAM lines not attributed to a class",
+                hint: "a hierarchy path moved a line without recording its traffic class",
+                why: "unattributed DRAM traffic makes the per-class byte breakdowns (the \
+                      paper's figures) silently wrong",
+            },
+            Code::RoundtripMismatch => Row {
+                id: "S008",
+                summary: "codec round-trip not identity",
+                hint: "the codec or the region it was framed into is corrupt",
+                why: "if decompress(compress(x)) != x the simulated application computed on \
+                      corrupt data",
+            },
+            Code::FramedLength => Row {
+                id: "S009",
+                summary: "framed length mismatch",
+                hint: "recompute the region's framed length after the last append",
+                why: "framed lengths that disagree with actual frame bytes desynchronize every \
+                      later reader of the stream",
+            },
+            Code::TraceIntegrity => Row {
+                id: "S010",
+                summary: "compressed trace chunk corrupt or out of order",
+                hint: "regenerate the trace; a damaged trace cannot vouch for the run it records",
+                why: "a corrupt or reordered compressed trace replays a different execution \
+                      than was recorded",
+            },
+        }
+    }
+
     /// The stable code string.
     pub fn as_str(self) -> &'static str {
-        match self {
-            Code::WriteWriteRace => "S001",
-            Code::ReadWriteRace => "S002",
-            Code::PopBeforePush => "S003",
-            Code::UnterminatedChunk => "S004",
-            Code::QueueSlotLeak => "S005",
-            Code::WindowLeak => "S006",
-            Code::LineAccounting => "S007",
-            Code::RoundtripMismatch => "S008",
-            Code::FramedLength => "S009",
-            Code::TraceIntegrity => "S010",
-        }
+        self.row().id
     }
 
     /// One-line description of the invariant the code guards.
     pub fn summary(self) -> &'static str {
-        match self {
-            Code::WriteWriteRace => "unordered writes to a shared word",
-            Code::ReadWriteRace => "unordered read/write of a shared word",
-            Code::PopBeforePush => "queue pop exceeds occupancy",
-            Code::UnterminatedChunk => "chunk open at drain",
-            Code::QueueSlotLeak => "queue not drained by end of run",
-            Code::WindowLeak => "miss window over-subscribed",
-            Code::LineAccounting => "DRAM lines not attributed to a class",
-            Code::RoundtripMismatch => "codec round-trip not identity",
-            Code::FramedLength => "framed length mismatch",
-            Code::TraceIntegrity => "compressed trace chunk corrupt or out of order",
-        }
+        self.row().summary
     }
 
     /// Generic remediation hint.
     pub fn hint(self) -> &'static str {
-        match self {
-            Code::WriteWriteRace | Code::ReadWriteRace => {
-                "order the accesses with a queue edge, an engine drain, or a phase barrier"
-            }
-            Code::PopBeforePush => {
-                "the consumer ran ahead of the producer; check enqueue/dequeue placement"
-            }
-            Code::UnterminatedChunk => "close every chunk with its length/marker before draining",
-            Code::QueueSlotLeak => "drain engines before ending the phase that feeds them",
-            Code::WindowLeak => "the MLP window accounting leaked a slot; check retire paths",
-            Code::LineAccounting => {
-                "a hierarchy path moved a line without recording its traffic class"
-            }
-            Code::RoundtripMismatch => "the codec or the region it was framed into is corrupt",
-            Code::FramedLength => "recompute the region's framed length after the last append",
-            Code::TraceIntegrity => {
-                "regenerate the trace; a damaged trace cannot vouch for the run it records"
-            }
-        }
+        self.row().hint
     }
+
+    /// Why a violation matters: the `--explain` prose.
+    pub fn why(self) -> &'static str {
+        self.row().why
+    }
+}
+
+/// One registry row: a code's stable id and its texts.
+struct Row {
+    id: &'static str,
+    summary: &'static str,
+    hint: &'static str,
+    why: &'static str,
 }
 
 impl fmt::Display for Code {
@@ -952,6 +1000,7 @@ mod tests {
             assert!(c.as_str().starts_with('S'));
             assert!(!c.summary().is_empty());
             assert!(!c.hint().is_empty());
+            assert!(!c.why().is_empty());
         }
         assert_eq!(seen.len(), 10);
     }
