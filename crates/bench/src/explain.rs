@@ -1,6 +1,6 @@
-//! The `dcl-lint --explain CODE` registry: a long-form entry — summary,
-//! why it matters, how to fix — for every stable diagnostic code the
-//! toolchain can emit.
+//! `dcl-lint --explain CODE`: a long-form entry — summary, why it
+//! matters, how to fix — for every stable diagnostic code the toolchain
+//! can emit.
 //!
 //! One lookup spans all eight families: `E`/`W` (the structural linter),
 //! `B` (the shape-and-bounds verifier), `P` (the performance analyzer),

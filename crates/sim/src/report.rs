@@ -34,8 +34,9 @@ pub const REPORT_FORMAT: &str = "spzip-report-v1";
 /// [`RunReport::traffic_vs`] when the baseline contributes a zero
 /// denominator (zero cycles, zero traffic): the ratio is undefined, and
 /// NaN poisons any downstream arithmetic instead of a clamped division
-/// silently producing a plausible-looking number. Callers that render
-/// tables test with `f64::is_nan` and print `n/a`.
+/// silently producing a plausible-looking number. The scheme tables of
+/// Figs. 7, 8, 15, 16 and 22 take their ratios from these two methods and
+/// print it as `NaN`.
 pub const UNDEFINED_RATIO: f64 = f64::NAN;
 
 impl RunReport {
