@@ -1,15 +1,17 @@
-//! Golden output of the analysis tools: `dcl-lint` and `dcl-perf` run as
-//! processes from the workspace root, and each case's exit code and
-//! stdout must equal `tests/golden/tools/<case>.out` (first line
-//! `exit code: N`, then stdout byte for byte). The cases are CI's
-//! invocations in all three `--format`s, `--dot`, an unreadable file, an
-//! unparsable and a warning-only fixture (`tests/fixtures/`), each tool
-//! with nothing to analyze, and `dcl-lint --explain` for every code of the
-//! lint and sanitizer registries, one lowercase lookup and an unknown code.
-//! Every case takes well under a second in a debug build.
+//! Golden output of the analysis tools: `dcl-lint`, `dcl-perf` and
+//! `codec-sweep` run as processes from the workspace root, and each case's
+//! exit code and stdout must equal `tests/golden/tools/<case>.out` (first
+//! line `exit code: N`, then stdout byte for byte). The cases are the
+//! builtin and file analyses in all three `--format`s, `--dot`, an
+//! unreadable file, an unparsable and a warning-only fixture
+//! (`tests/fixtures/`), each tool with nothing to analyze, the seeded-bug
+//! corpus gates (`--corpus all`) and the codec characterization sweep in
+//! text and JSON, and `dcl-lint --explain` for every code of the lint and
+//! sanitizer registries, one lowercase lookup and an unknown code. Every
+//! case takes well under a second in a debug build.
 //!
-//! `--suggest` reads `BENCH_codecs.json` from the workspace root, so a
-//! re-measured trajectory changes its cases too.
+//! `--suggest` and `codec-sweep` read `BENCH_codecs.json` from the
+//! workspace root, so a re-measured trajectory changes their cases too.
 //!
 //! Regenerate the golden after an intentional output change with
 //! `BLESS=1 cargo test -p spzip-bench --test tool_golden`.
@@ -19,6 +21,7 @@ use std::process::Command;
 
 const LINT: &str = env!("CARGO_BIN_EXE_dcl-lint");
 const PERF: &str = env!("CARGO_BIN_EXE_dcl-perf");
+const SWEEP: &str = env!("CARGO_BIN_EXE_codec-sweep");
 
 const EXAMPLES: [&str; 3] = [
     "examples/dcl/compress.dcl",
@@ -98,6 +101,14 @@ fn cases() -> Vec<(String, &'static str, Vec<&'static str>)> {
         single("explain-lowercase-d001", LINT, &["--explain", "d001"]),
         single("explain-unknown", LINT, &["--explain", "Z999"]),
     ]);
+    for format in ["text", "json"] {
+        cases.push((
+            format!("corpus-all.{format}"),
+            LINT,
+            vec!["--corpus", "all", "--format", format],
+        ));
+        cases.push((format!("codec-sweep.{format}"), SWEEP, vec!["--format", format]));
+    }
     let lint_codes = spzip_core::lint::Code::all().iter().map(|c| c.as_str());
     let sanitizer_codes = spzip_sim::sanitize::Code::all().map(|c| c.as_str());
     for code in lint_codes.chain(sanitizer_codes) {
