@@ -5,7 +5,7 @@
 //! dcl-perf --all-builtin               # analyze every built-in pipeline
 //! dcl-perf --all-builtin --format json # machine-readable report
 //! dcl-perf --crosscheck                # model-vs-simulator traffic gate
-//! dcl-perf --crosscheck --perturb-ratio 1.5  # gate must catch this
+//! dcl-perf --auto-gate                 # auto-selected vs default codecs
 //! ```
 //!
 //! Exits 0 when every pipeline is clean (warnings allowed unless

@@ -12,8 +12,6 @@
 //!                                            # must keep its ≥4x residency win
 //! sanitize-bench --format json --check BENCH_sanitize.json
 //!                                            # same gate, shared JSON envelope
-//! sanitize-bench --perturb-ratio 0.4 --check BENCH_sanitize.json
-//!                                            # sanity check that the gate fires
 //! ```
 //!
 //! Exit codes follow the shared ladder: 0 pass, 1 failed gate, 2
@@ -41,17 +39,7 @@ fn run(args: &CommonArgs) -> i32 {
             SanitizeBenchReport::from_json,
             |checked_in| {
                 eprintln!("sanitize-bench: measuring ({measure_ms} ms analysis window/cell)...");
-                let mut fresh = measure(measure_ms);
-                if let Some(p) = args.perturb_ratio {
-                    // Deliberately mis-scale the fresh footprint wins so CI
-                    // can prove the gate still fires on a regression.
-                    eprintln!("sanitize-bench: perturbing fresh ratios by {p} (gate sanity check)");
-                    for cell in &mut fresh.records {
-                        cell.ratio *= p;
-                        cell.residency_ratio *= p;
-                    }
-                }
-                check_against(&fresh, checked_in)
+                check_against(&measure(measure_ms), checked_in)
             },
         )
     } else {

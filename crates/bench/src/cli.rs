@@ -39,12 +39,6 @@
 //!   `json`.
 //! * `--crosscheck` — `dcl-perf`: run the model-vs-simulator traffic
 //!   gate over the built-in cell matrix.
-//! * `--perturb-ratio X` — `dcl-perf --crosscheck`/`--auto-gate`: scale
-//!   every codec-derived byte prediction by `X` (sanity check that the
-//!   gates catch a mis-modeled codec; `1.0` is the honest model). For
-//!   `dcl-lint --corpus`, any `X` other than 1 instead selects each
-//!   corpus's weakened checker (which must fail the gate), and for
-//!   `sanitize-bench --check` it scales the fresh footprint ratios.
 //! * `--suggest` — `dcl-perf`: run the static codec-selection pass
 //!   ([`spzip_core::suggest`]) instead of the perf report; emits `A0xx`
 //!   advisories plus a machine-readable rewiring plan. Advisories never
@@ -126,10 +120,6 @@ pub struct CommonArgs {
     pub format: OutputFormat,
     /// Run the model-vs-simulator gate (`--crosscheck`, `dcl-perf`).
     pub crosscheck: bool,
-    /// Perturb codec-derived predictions (`dcl-perf`), select the
-    /// weakened corpus checkers (`dcl-lint --corpus`) or scale fresh
-    /// footprint ratios (`sanitize-bench`) (`--perturb-ratio`).
-    pub perturb_ratio: Option<f64>,
     /// Run the codec-selection pass (`--suggest`, `dcl-perf`).
     pub suggest: bool,
     /// Trajectory file calibrating `--suggest` (`--rates`, `dcl-perf`,
@@ -198,7 +188,6 @@ pub fn parse_from(
         deny_warnings: false,
         format: OutputFormat::Text,
         crosscheck: false,
-        perturb_ratio: None,
         suggest: false,
         rates: PathBuf::from("BENCH_codecs.json"),
         auto_gate: false,
@@ -255,7 +244,6 @@ pub fn parse_from(
             }
             "--jobs" => parsed.jobs = number::<usize>(flag, value()?)?.max(1),
             "--measure-ms" => parsed.measure_ms = Some(number::<u64>(flag, value()?)?.max(1)),
-            "--perturb-ratio" => parsed.perturb_ratio = Some(number(flag, value()?)?),
             "--apps" => parsed.apps = list(value()?),
             "--inputs" => parsed.inputs = list(value()?),
             "--only" => parsed.only = list(value()?),
@@ -614,18 +602,11 @@ mod tests {
 
     #[test]
     fn parses_format_and_crosscheck_flags() {
-        let a = parse_from(
-            &argv("--format json --crosscheck --perturb-ratio 1.5"),
-            true,
-            &[],
-        )
-        .unwrap();
+        let a = parse_from(&argv("--format json --crosscheck"), true, &[]).unwrap();
         assert_eq!(a.format, OutputFormat::Json);
         assert!(a.crosscheck);
-        assert_eq!(a.perturb_ratio, Some(1.5));
         let b = parse_from(&argv("--format text"), true, &[]).unwrap();
         assert_eq!(b.format, OutputFormat::Text);
-        assert_eq!(b.perturb_ratio, None);
         assert!(!b.crosscheck);
         let c = parse_from(&argv("--format sarif"), true, &[]).unwrap();
         assert_eq!(c.format, OutputFormat::Sarif);
@@ -643,16 +624,11 @@ mod tests {
     }
 
     #[test]
-    fn format_and_perturb_values_are_not_paths() {
-        let a = parse_from(
-            &argv("--format json pipe.dcl --perturb-ratio 2.0"),
-            true,
-            &[],
-        )
-        .unwrap();
+    fn format_and_measure_values_are_not_paths() {
+        let a = parse_from(&argv("--format json pipe.dcl --measure-ms 2"), true, &[]).unwrap();
         assert_eq!(a.paths, vec![PathBuf::from("pipe.dcl")]);
         assert_eq!(a.format, OutputFormat::Json);
-        assert_eq!(a.perturb_ratio, Some(2.0));
+        assert_eq!(a.measure_ms, Some(2));
     }
 
     #[test]
@@ -675,9 +651,8 @@ mod tests {
 
     #[test]
     fn parses_shape_flags() {
-        let a = parse_from(&argv("--corpus shape --perturb-ratio 0.1"), true, &[]).unwrap();
+        let a = parse_from(&argv("--corpus shape"), true, &[]).unwrap();
         assert_eq!(a.corpus.as_deref(), Some("shape"));
-        assert_eq!(a.perturb_ratio, Some(0.1));
         assert!(a.paths.is_empty(), "flag values are not paths");
     }
 

@@ -16,9 +16,9 @@
 //! | [`equiv`](crate::equiv_corpus) | translation validator (V-codes) | semantics-breaking rewrites | the two pipelines' outputs diverge |
 //!
 //! `dcl-lint --corpus shape|liveness|equiv|all` runs the gate. Each
-//! corpus also has a *weakened checker*, selected by any
-//! `--perturb-ratio X` other than 1 (CI's must-fail leg): a gate that
-//! still passes with it would prove nothing.
+//! corpus also has a *weakened checker*, its rows under `weakened =
+//! true`: a gate that still passed with it would prove nothing, so the
+//! tests below require every weakened arm to fail.
 
 use crate::cli::{json_envelope, OutputFormat, ToolCounts};
 use spzip_apps::layout::Workload;
@@ -61,9 +61,9 @@ impl GateRow {
     }
 }
 
-/// A corpus's rows: `None` checks under the honest pass, `Some(ratio)`
-/// under the corpus's weakened checker.
-pub type Rows = fn(Option<f64>) -> Vec<GateRow>;
+/// A corpus's rows: `false` checks under the honest pass, `true` under
+/// the corpus's weakened checker.
+pub type Rows = fn(bool) -> Vec<GateRow>;
 
 /// Every corpus by name, in `--corpus all` order.
 pub const CORPORA: [(&str, Rows); 3] = [
@@ -75,7 +75,7 @@ pub const CORPORA: [(&str, Rows); 3] = [
 /// Runs one corpus. Expected panics are part of the contract, so the
 /// default panic hook is silenced meanwhile to keep their backtraces out
 /// of the gate's output.
-pub fn run(rows: Rows, weakened: Option<f64>) -> Vec<GateRow> {
+pub fn run(rows: Rows, weakened: bool) -> Vec<GateRow> {
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let rows = rows(weakened);
@@ -145,10 +145,9 @@ pub fn render_json(rows: &[GateRow]) -> String {
 
 /// `dcl-lint --corpus NAME`: runs the named corpus (or `all` of them),
 /// prints the report, and returns the exit code — 0 iff every seed is
-/// caught twice and every control is clean twice, 1 otherwise. Any
-/// `perturb` other than 1 selects the weakened checkers. Returns `None`
-/// when `NAME` names no corpus.
-pub fn run_gate(name: &str, format: OutputFormat, perturb: Option<f64>) -> Option<i32> {
+/// caught twice and every control is clean twice, 1 otherwise. Returns
+/// `None` when `NAME` names no corpus.
+pub fn run_gate(name: &str, format: OutputFormat) -> Option<i32> {
     let selected: Vec<(&str, Rows)> = CORPORA
         .into_iter()
         .filter(|(n, _)| name == "all" || name == *n)
@@ -156,10 +155,9 @@ pub fn run_gate(name: &str, format: OutputFormat, perturb: Option<f64>) -> Optio
     if selected.is_empty() {
         return None;
     }
-    let weakened = perturb.filter(|x| (x - 1.0).abs() > f64::EPSILON);
     let mut all = Vec::new();
     for (corpus, rows) in selected {
-        let rows = run(rows, weakened);
+        let rows = run(rows, false);
         // Gate rows carry no per-diagnostic records; SARIF falls back to text.
         if format != OutputFormat::Json {
             print!("{}", render_text(corpus, &rows));
@@ -218,7 +216,7 @@ pub(crate) fn keep_only(mut rows: Vec<GateRow>, code: Code) -> Vec<GateRow> {
 /// pass and asserts every row upholds the gate.
 #[cfg(test)]
 pub(crate) fn assert_gate_passes(name: &str) {
-    for r in run(corpus_rows(name), None) {
+    for r in run(corpus_rows(name), false) {
         assert!(
             r.passes(),
             "{name}/{}: expected {:?}, static {:?}, dynamic confirmed: {} ({})",
@@ -235,7 +233,7 @@ pub(crate) fn assert_gate_passes(name: &str) {
 /// `seed` shows in the text and its `code` in the JSON, next to controls.
 #[cfg(test)]
 pub(crate) fn assert_reports_render(name: &str, seed: &str, code: &str) {
-    let rows = run(corpus_rows(name), None);
+    let rows = run(corpus_rows(name), false);
     let text = render_text(name, &rows);
     assert!(text.contains(seed), "{text}");
     assert!(text.contains(&format!("{name} corpus:")), "{text}");
@@ -266,7 +264,7 @@ mod tests {
     #[test]
     fn every_weakened_arm_fails_the_gate_and_every_control_stays_clean() {
         for (corpus, rows) in CORPORA {
-            let rows = run(rows, Some(0.1));
+            let rows = run(rows, true);
             assert!(
                 rows.iter().any(|r| !r.passes()),
                 "{corpus}: the weakened checker must fail at least one seed"

@@ -11,14 +11,14 @@
 //! twelve cells spanning software streaming, compressed-adjacency
 //! fetching, and compressed update binning, on two graph shapes (a
 //! power-law community graph and a 27-point stencil matrix). A cell
-//! *fails* when any checked class misses its tolerance — and the gate is
-//! proven non-vacuous by re-evaluating the same measurements under a
-//! deliberately mis-modeled codec ratio (`--perturb-ratio`), which must
-//! fail.
+//! *fails* when any checked class misses its tolerance. The release test
+//! `tests/crosscheck_gate.rs` proves both gates non-vacuous: re-evaluated
+//! under a deliberately mis-modeled codec ratio
+//! ([`ModelScale::codec_ratio_scale`]), the same measurements must fail.
 //!
 //! Simulation is the expensive half, so measurements are taken once and
-//! re-used across evaluations (the honest and perturbed scales share one
-//! simulated matrix).
+//! re-used across evaluations: [`evaluate`] and [`auto_cells`] read the
+//! same [`measure_matrix`], at any model scale.
 
 use crate::cli::OutputFormat;
 use spzip_apps::perf::{predict_cell, supports, ModelScale};
@@ -267,16 +267,13 @@ pub fn evaluate(
     report
 }
 
-/// Runs the full gate: simulate the matrix, evaluate at the honest (or
-/// `--perturb-ratio`) scale, print the table, and return the process
-/// exit code (0 iff every check passes).
-pub fn run_gate(perturb_ratio: Option<f64>, format: OutputFormat) -> i32 {
+/// Runs the full gate: simulate the matrix, evaluate the honest model,
+/// print the table, and return the process exit code (0 iff every check
+/// passes).
+pub fn run_gate(format: OutputFormat) -> i32 {
     let (g, m) = gate_graphs();
     let measured = measure_matrix(&g, &m);
-    let scale = ModelScale {
-        codec_ratio_scale: perturb_ratio.unwrap_or(1.0),
-    };
-    let report = evaluate(&measured, &g, &m, scale);
+    let report = evaluate(&measured, &g, &m, ModelScale::default());
     match format {
         OutputFormat::Json => print!("{}", report.render_json()),
         // Gate cells carry no per-diagnostic records; SARIF falls back to text.
@@ -463,61 +460,56 @@ pub fn render_auto_json(cells: &[AutoCell]) -> String {
     out
 }
 
-/// Total DRAM bytes of one simulated run, all classes and directions.
-pub fn simulated_total(traffic: &spzip_mem::stats::TrafficStats) -> u64 {
-    DataClass::all()
-        .iter()
-        .map(|&c| traffic.read_bytes(c) + traffic.write_bytes(c))
-        .sum()
-}
-
-/// Runs the auto-vs-default gate: statically select codecs for every
-/// matrix cell (at the honest or `--perturb-ratio` model scale), simulate
-/// both configurations, and fail unless auto wins or ties every cell
-/// within [`AUTO_TOLERANCE`]. A perturbed selection picking worse codecs
-/// shows up as a measured regression — which is what proves the honest
-/// model is load-bearing.
-pub fn run_auto_gate(perturb_ratio: Option<f64>, format: OutputFormat) -> i32 {
-    let (g, m) = gate_graphs();
+/// Statically selects codecs for every measured cell at `scale` and
+/// compares the simulated traffic of the choice with the cell's measured
+/// paper-default traffic. Only a choice that deviates from the default
+/// is simulated. A selection picking worse codecs shows up as a
+/// measured regression — which is what makes the model load-bearing.
+pub fn auto_cells(
+    measured: &[MeasuredCell],
+    g: &Arc<Csr>,
+    m: &Arc<Csr>,
+    scale: ModelScale,
+) -> Vec<AutoCell> {
     let machine = gate_machine();
-    let scale = ModelScale {
-        codec_ratio_scale: perturb_ratio.unwrap_or(1.0),
-    };
-    let mut cells = Vec::new();
-    for app in MATRIX_APPS {
-        let input = input_for(app, &g, &m);
-        for scheme in MATRIX_SCHEMES {
-            let default_cfg = scheme.config();
+    measured
+        .iter()
+        .map(|cell| {
+            let input = input_for(cell.app, g, m);
             let (choice, auto_cfg) = auto_config(
-                app,
+                cell.app,
                 input,
-                scheme,
+                cell.scheme,
                 machine.mem.cores,
                 machine.mem.llc.size_bytes,
                 scale,
             );
-            let default_total = simulated_total(
-                &run_app(app, input, &default_cfg, gate_machine())
-                    .report
-                    .traffic,
-            );
-            let auto_total = if auto_cfg == default_cfg {
+            let default_total = cell.read.iter().chain(&cell.write).sum();
+            let auto_total = if auto_cfg == cell.scheme.config() {
                 default_total
             } else {
-                simulated_total(
-                    &run_app(app, input, &auto_cfg, gate_machine())
-                        .report
-                        .traffic,
-                )
+                run_app(cell.app, input, &auto_cfg, gate_machine())
+                    .report
+                    .traffic
+                    .total_bytes()
             };
-            cells.push(AutoCell {
-                name: format!("{app} x {scheme}"),
+            AutoCell {
+                name: cell.name.clone(),
                 choice,
                 default_total,
                 auto_total,
-            });
-        }
-    }
+            }
+        })
+        .collect()
+}
+
+/// Runs the auto-vs-default gate: simulate the matrix, select codecs
+/// with the honest model, and fail unless auto wins or ties every cell
+/// within [`AUTO_TOLERANCE`].
+pub fn run_auto_gate(format: OutputFormat) -> i32 {
+    let (g, m) = gate_graphs();
+    let measured = measure_matrix(&g, &m);
+    let cells = auto_cells(&measured, &g, &m, ModelScale::default());
     match format {
         OutputFormat::Json => print!("{}", render_auto_json(&cells)),
         // Gate cells carry no per-diagnostic records; SARIF falls back to text.

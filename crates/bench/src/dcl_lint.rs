@@ -211,8 +211,8 @@ fn codec_bindings(batch: &mut Batch) {
     }
 }
 
-const USAGE: &str = "usage: dcl-lint [--all-builtin] [--corpus shape|liveness|equiv|all \
-                     [--perturb-ratio X]] [--equiv] [--explain CODE] [--dot] [--deny-warnings] \
+const USAGE: &str = "usage: dcl-lint [--all-builtin] [--corpus shape|liveness|equiv|all] \
+                     [--equiv] [--explain CODE] [--dot] [--deny-warnings] \
                      [--format text|json|sarif] [file.dcl ...]";
 
 /// Runs the tool over parsed arguments; returns the process exit code
@@ -222,7 +222,7 @@ pub fn run(args: &CommonArgs) -> i32 {
         return crate::explain::run(code);
     }
     if let Some(name) = &args.corpus {
-        if let Some(code) = crate::corpus::run_gate(name, args.format, args.perturb_ratio) {
+        if let Some(code) = crate::corpus::run_gate(name, args.format) {
             return code;
         }
         println!("{USAGE}");

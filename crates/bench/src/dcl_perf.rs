@@ -38,7 +38,7 @@ use spzip_core::suggest::{suggest, SuggestInput, SuggestReport};
 use std::path::Path;
 
 const USAGE: &str = "usage: dcl-perf [--all-builtin] [--deny-warnings] [--format text|json|sarif] \
-                     [--crosscheck | --auto-gate [--perturb-ratio X]] \
+                     [--crosscheck | --auto-gate] \
                      [--suggest [--rates FILE]] [file.dcl ...]";
 
 const SUGGEST_USAGE: &str = "usage: dcl-perf --suggest [--all-builtin] [--rates FILE] \
@@ -192,10 +192,10 @@ fn suggest_batch(args: &CommonArgs, rates: &RateTable, calibration: &str) -> (Ba
 /// Runs the tool over parsed arguments; returns the process exit code.
 pub fn run(args: &CommonArgs) -> i32 {
     if args.crosscheck {
-        return crate::crosscheck::run_gate(args.perturb_ratio, args.format);
+        return crate::crosscheck::run_gate(args.format);
     }
     if args.auto_gate {
-        return crate::crosscheck::run_auto_gate(args.perturb_ratio, args.format);
+        return crate::crosscheck::run_auto_gate(args.format);
     }
     if args.suggest {
         let (rates, calibration) = match load_rates(&args.rates) {

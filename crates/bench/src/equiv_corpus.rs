@@ -618,10 +618,10 @@ fn control_builtin_identity() -> GateRow {
     }
 }
 
-/// The equiv corpus: every seeded rewrite, then every control. `Some(_)`
-/// swaps in the shallow sink-set comparator, under which only `V006`
-/// survives.
-pub fn rows(weakened: Option<f64>) -> Vec<GateRow> {
+/// The equiv corpus: every seeded rewrite, then every control.
+/// `weakened` swaps in the shallow sink-set comparator, under which only
+/// `V006` survives.
+pub fn rows(weakened: bool) -> Vec<GateRow> {
     let rows = vec![
         mismatched_codec_pair(),
         width_changing_indirect(),
@@ -635,9 +635,10 @@ pub fn rows(weakened: Option<f64>) -> Vec<GateRow> {
         control_scale_queues(),
         control_builtin_identity(),
     ];
-    match weakened {
-        Some(_) => keep_only(rows, Code::V006),
-        None => rows,
+    if weakened {
+        keep_only(rows, Code::V006)
+    } else {
+        rows
     }
 }
 
@@ -657,7 +658,7 @@ mod tests {
 
     #[test]
     fn corpus_covers_the_whole_v_family() {
-        let rows = crate::corpus::run(rows, None);
+        let rows = crate::corpus::run(rows, false);
         let seeded: Vec<&GateRow> = rows.iter().filter(|r| r.expected.is_some()).collect();
         assert!(seeded.len() >= 8, "{} seeded entries", seeded.len());
         let mut codes: Vec<Code> = seeded.iter().filter_map(|r| r.expected).collect();
@@ -677,7 +678,7 @@ mod tests {
 
     #[test]
     fn shallow_comparator_lets_deep_seeds_escape() {
-        let rows = crate::corpus::run(rows, Some(0.5));
+        let rows = crate::corpus::run(rows, true);
         let v002 = rows
             .iter()
             .find(|r| r.name == "mismatched-codec-pair")

@@ -8,10 +8,10 @@
 //! matrix's value locality (2.3-2.4x ratio vs 1.4x for DegreeSort).
 
 use super::SweepOpts;
-use crate::class_bytes;
 use crate::driver::Memo;
 use spzip_apps::{AppName, RunSpec, Scheme};
 use spzip_graph::reorder::Preprocessing;
+use spzip_sim::RunReport;
 use std::fmt::Write as _;
 
 /// PHI and PHI+SpZip on `ukl` under every preprocessing, per graph app.
@@ -67,24 +67,26 @@ pub fn render(opts: &SweepOpts, memo: &Memo) -> String {
     )
     .unwrap();
     // Baseline: PHI, no preprocessing, per app.
-    let mut base: Vec<u64> = Vec::new();
-    for app in AppName::graph_apps() {
-        let spec = RunSpec::new(
-            app,
-            "ukl",
-            Scheme::Phi.config(),
-            Preprocessing::None,
-            opts.scale,
-        );
-        base.push(memo.get(&spec).report.traffic.total_bytes());
-    }
+    let base: Vec<&RunReport> = AppName::graph_apps()
+        .into_iter()
+        .map(|app| {
+            let spec = RunSpec::new(
+                app,
+                "ukl",
+                Scheme::Phi.config(),
+                Preprocessing::None,
+                opts.scale,
+            );
+            &memo.get(&spec).report
+        })
+        .collect();
     for prep in Preprocessing::all() {
         let mut h_sum = 0.0;
         let mut z_sum = 0.0;
         let mut ratio_sum = 0.0;
         let mut h_break = [0.0f64; 6];
         let mut z_break = [0.0f64; 6];
-        for (ai, app) in AppName::graph_apps().into_iter().enumerate() {
+        for (app, base) in AppName::graph_apps().into_iter().zip(&base) {
             let h = memo.get(&RunSpec::new(
                 app,
                 "ukl",
@@ -100,13 +102,15 @@ pub fn render(opts: &SweepOpts, memo: &Memo) -> String {
                 opts.scale,
             ));
             assert!(h.validated && z.validated, "{app}/{prep}");
-            let b = base[ai].max(1) as f64;
-            h_sum += h.report.traffic.total_bytes() as f64 / b;
-            z_sum += z.report.traffic.total_bytes() as f64 / b;
+            h_sum += h.report.traffic_vs(base);
+            z_sum += z.report.traffic_vs(base);
             ratio_sum += z.adjacency_ratio.unwrap_or(1.0);
-            for k in 0..6 {
-                h_break[k] += class_bytes(h)[k] as f64 / b;
-                z_break[k] += class_bytes(z)[k] as f64 / b;
+            let base_bytes = base.traffic.total_bytes();
+            for (sum, share) in h_break.iter_mut().zip(h.report.breakdown(base_bytes)) {
+                *sum += share;
+            }
+            for (sum, share) in z_break.iter_mut().zip(z.report.breakdown(base_bytes)) {
+                *sum += share;
             }
         }
         let n = AppName::graph_apps().len() as f64;

@@ -65,16 +65,15 @@ pub fn render(opts: &SweepOpts, memo: &Memo) -> String {
     .unwrap();
     let mut per_variant: Vec<Vec<f64>> = vec![Vec::new(); 4];
     for app in AppName::graph_apps() {
-        let mut cycles = Vec::new();
+        let mut reports = Vec::new();
         for (name, cfg) in &variants {
             let o = memo.get(&RunSpec::new(app, "ukl", *cfg, prep, opts.scale));
             assert!(o.validated, "{app}/{name}");
-            cycles.push(o.report.cycles);
+            reports.push(&o.report);
         }
-        let base = cycles[0] as f64;
         write!(out, "{:<8}", app.to_string()).unwrap();
-        for (i, c) in cycles.iter().enumerate() {
-            let sp = base / *c as f64;
+        for (i, r) in reports.iter().enumerate() {
+            let sp = r.speedup_over(reports[0]);
             per_variant[i].push(sp);
             write!(out, " {:>7.2}x", sp).unwrap();
             if i == 1 {

@@ -49,14 +49,14 @@ pub fn render(opts: &SweepOpts, memo: &Memo) -> String {
     let mut per_variant: Vec<Vec<f64>> = vec![Vec::new(); 3];
     for app in AppName::graph_apps() {
         for input in INPUTS {
-            let mut cycles = Vec::new();
+            let mut reports = Vec::new();
             for (name, cfg) in &variants {
                 let o = memo.get(&RunSpec::new(app, input, *cfg, prep, opts.scale));
                 assert!(o.validated, "{app}/{input}/{name}");
-                cycles.push(o.report.cycles);
+                reports.push(&o.report);
             }
-            for (i, c) in cycles.iter().enumerate() {
-                per_variant[i].push(cycles[0] as f64 / *c as f64);
+            for (i, r) in reports.iter().enumerate() {
+                per_variant[i].push(r.speedup_over(reports[0]));
             }
         }
     }

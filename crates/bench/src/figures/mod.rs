@@ -9,7 +9,6 @@
 //! Fig. 15 cell — are simulated once per `bench_all` process.
 
 pub mod fig07;
-pub mod fig08;
 pub mod fig15;
 pub mod fig16;
 pub mod fig18;
@@ -124,9 +123,9 @@ pub fn all_outputs() -> Vec<FigureOutput> {
         },
         FigureOutput {
             name: "fig08",
-            preprocess: false,
-            cells: fig08::cells,
-            render: fig08::render,
+            preprocess: true,
+            cells: fig07::cells,
+            render: fig07::render,
         },
         FigureOutput {
             name: "fig15ab",

@@ -43,7 +43,6 @@ pub mod shape_corpus;
 pub mod suggest_sweep;
 
 use spzip_apps::{RunOutcome, Scheme};
-use spzip_mem::DataClass;
 use std::fmt::Write as _;
 
 /// Seed used to randomize vertex ids for the non-preprocessed variants
@@ -83,15 +82,6 @@ pub fn render_scheme_table(title: &str, outcomes: &[(Scheme, &RunOutcome)]) -> S
             }
         )
         .unwrap();
-    }
-    out
-}
-
-/// Per-class byte totals, for breakdowns across runs.
-pub fn class_bytes(o: &RunOutcome) -> [u64; 6] {
-    let mut out = [0u64; 6];
-    for (i, c) in DataClass::all().into_iter().enumerate() {
-        out[i] = o.report.traffic.class_bytes(c);
     }
     out
 }

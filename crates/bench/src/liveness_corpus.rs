@@ -20,9 +20,10 @@
 //! Control entries (the honest capacity-balanced wirings of the same
 //! shapes) must be clean on both sides: liveness-clean statically, and
 //! the default drive program must run to completion on the machine
-//! without tripping the watchdog. The weakened checker scales the drive
-//! protocol's per-group budgets (see [`drive_config`]). `dcl-lint --corpus
-//! liveness` runs the gate through the shared [`crate::corpus`] harness.
+//! without tripping the watchdog. The weakened checker cuts the drive
+//! protocol's per-group budgets to a tenth (see [`drive_config`]).
+//! `dcl-lint --corpus liveness` runs the gate through the shared
+//! [`crate::corpus`] harness.
 
 use crate::corpus::GateRow;
 use spzip_compress::CodecKind;
@@ -450,7 +451,7 @@ fn control_balanced_fanout(cfg: &LivenessConfig) -> GateRow {
 
 /// The liveness corpus — every seeded deadlock, then every control —
 /// checked under [`drive_config`]`(weakened)`.
-pub fn rows(weakened: Option<f64>) -> Vec<GateRow> {
+pub fn rows(weakened: bool) -> Vec<GateRow> {
     let cfg = &drive_config(weakened);
     vec![
         seed_mqu_backlog(cfg),
@@ -467,16 +468,15 @@ pub fn rows(weakened: Option<f64>) -> Vec<GateRow> {
     ]
 }
 
-/// The drive protocol the gate checks under, optionally perturbed: a
-/// ratio below 1 shrinks every per-group budget, modeling a checker
-/// whose bounded drive is too shallow to push any queue to its blocking
-/// point. CI's must-fail leg runs the gate this way and requires it to
-/// fail — proving the gate can tell a weakened checker from an honest
-/// one.
-pub fn drive_config(perturb: Option<f64>) -> LivenessConfig {
+/// The drive protocol the gate checks under. The weakened checker cuts
+/// every per-group budget to a tenth, modeling a checker whose bounded
+/// drive is too shallow to push any queue to its blocking point; the
+/// corpus tests require the gate to fail that way, proving it can tell
+/// a weakened checker from an honest one.
+pub fn drive_config(weakened: bool) -> LivenessConfig {
     let mut cfg = LivenessConfig::default();
-    if let Some(r) = perturb {
-        let scale = |v: u32| ((v as f64 * r) as u32).max(1);
+    if weakened {
+        let scale = |v: u32| (v / 10).max(1);
         cfg.index_items = scale(cfg.index_items);
         cfg.stream_values = scale(cfg.stream_values);
         cfg.mqu_pairs = scale(cfg.mqu_pairs);
@@ -501,7 +501,7 @@ mod tests {
 
     #[test]
     fn corpus_covers_at_least_six_seeds_and_five_codes() {
-        let rows = rows(None);
+        let rows = rows(false);
         let seeded: Vec<&GateRow> = rows.iter().filter(|r| r.expected.is_some()).collect();
         assert!(seeded.len() >= 6, "{} seeded entries", seeded.len());
         let mut codes: Vec<Code> = seeded.iter().filter_map(|r| r.expected).collect();
@@ -515,7 +515,7 @@ mod tests {
     fn seeds_are_invisible_to_the_per_queue_capacity_lints() {
         // The checker's reason to exist: these deadlocks pass E013/E014/
         // E019 (they all build through the linting builder).
-        let rows = rows(None);
+        let rows = rows(false);
         let clean = rows
             .iter()
             .filter(|r| r.expected.is_some() && r.queue_lint_clean == Some(true))

@@ -437,8 +437,9 @@ mod tests {
     #[test]
     fn measured_report_is_complete_and_parses() {
         // A 1 ms window keeps this fast; completeness, determinism of the
-        // byte counts, and schema are what's under test.
-        let report = measure(1);
+        // byte counts, schema and the `--check` verdict against the
+        // checked-in trajectory are what's under test.
+        let mut report = measure(1);
         report.validate().unwrap();
         let back = SanitizeBenchReport::from_json(&report.to_json()).unwrap();
         assert_eq!(back.records.len(), report.records.len());
@@ -458,6 +459,21 @@ mod tests {
             largest.app,
             largest.scheme,
             largest.residency_ratio
+        );
+
+        // The trajectory gate passes the fresh report and catches the same
+        // report with its footprint wins cut to 0.4x.
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sanitize.json");
+        let text = std::fs::read_to_string(path).expect("checked-in trajectory");
+        let checked_in = SanitizeBenchReport::from_json(&text).unwrap();
+        check_against(&report, &checked_in).expect("the honest report passes the gate");
+        for cell in &mut report.records {
+            cell.ratio *= 0.4;
+            cell.residency_ratio *= 0.4;
+        }
+        assert!(
+            check_against(&report, &checked_in).is_err(),
+            "the gate must catch a 0.4x footprint-ratio regression"
         );
     }
 }

@@ -1,18 +1,17 @@
-//! The model-vs-simulator cross-check gate, end to end: simulate the
-//! full 12-cell matrix once, then hold the static traffic model to its
-//! documented tolerances — and prove the gate non-vacuous by showing a
-//! deliberately mis-modeled codec ratio is caught.
+//! The model-vs-simulator gates, end to end: simulate the full 12-cell
+//! matrix once per test, then hold the static traffic model to its
+//! documented tolerances and the auto-selection to the paper-default
+//! traffic — and prove each gate non-vacuous by showing a deliberately
+//! mis-modeled codec ratio is caught on the same measurements.
 //!
 //! Simulating twelve 4096-vertex cells is release-build work; under a
-//! debug test run the module compiles but the test is skipped.
+//! debug test run the module compiles but the tests are skipped.
 
 #![cfg(not(debug_assertions))]
 
 use spzip_apps::perf::ModelScale;
-use spzip_apps::run::{run_app, AppName};
-use spzip_apps::Scheme;
 use spzip_bench::crosscheck::{
-    auto_config, evaluate, gate_graphs, gate_machine, measure_matrix, simulated_total, AutoCell,
+    auto_cells, evaluate, gate_graphs, measure_matrix, render_auto, AutoCell,
 };
 
 #[test]
@@ -52,74 +51,30 @@ fn gate_passes_honest_model_and_catches_perturbed_codec() {
 
 #[test]
 fn auto_selection_survives_simulation_and_miscalibration_does_not() {
-    // One representative cell of the `--auto-gate` matrix, both ways.
-    // The full 12-cell run lives in CI (suggest-gate job); here we pin
-    // the property that makes it a gate: honest calibration's choice
-    // simulates no worse than the paper default, and a mis-calibrated
-    // model's choice is contradicted by the same simulator.
-    let (g, _m) = gate_graphs();
-    let machine = gate_machine();
-    let (app, scheme) = (AppName::Pr, Scheme::PushSpzip);
-    let default_cfg = scheme.config();
-    let default_total = simulated_total(
-        &run_app(app, &g, &default_cfg, gate_machine())
-            .report
-            .traffic,
-    );
+    // The `--auto-gate` matrix both ways: honest calibration's choices
+    // simulate no worse than the paper default in every cell, and an 8x
+    // codec-ratio mis-calibration, which prices compression as a loss and
+    // flips compressed-adjacency cells to raw adjacency, is contradicted
+    // by the same simulator.
+    let (g, m) = gate_graphs();
+    let measured = measure_matrix(&g, &m);
+    let failures = |cells: &[AutoCell]| cells.iter().filter(|c| !c.passes()).count();
 
-    let honest = ModelScale::default();
-    let (choice, auto_cfg) = auto_config(
-        app,
-        &g,
-        scheme,
-        machine.mem.cores,
-        machine.mem.llc.size_bytes,
-        honest,
-    );
-    let auto_total = if auto_cfg == default_cfg {
-        default_total
-    } else {
-        simulated_total(&run_app(app, &g, &auto_cfg, gate_machine()).report.traffic)
-    };
-    let cell = AutoCell {
-        name: format!("{app} x {scheme}"),
-        choice,
-        default_total,
-        auto_total,
-    };
-    assert!(
-        cell.passes(),
-        "honest auto choice {} regressed {:+.1}%",
-        cell.choice,
-        cell.regression() * 100.0
-    );
+    let honest = auto_cells(&measured, &g, &m, ModelScale::default());
+    assert_eq!(honest.len(), measured.len());
+    assert_eq!(failures(&honest), 0, "\n{}", render_auto(&honest));
 
-    // An 8x codec-ratio mis-calibration prices compression as a loss and
-    // flips the selection to raw adjacency; the simulator must expose it.
-    let perturbed = ModelScale {
-        codec_ratio_scale: 8.0,
-    };
-    let (bad_choice, bad_cfg) = auto_config(
-        app,
+    let perturbed = auto_cells(
+        &measured,
         &g,
-        scheme,
-        machine.mem.cores,
-        machine.mem.llc.size_bytes,
-        perturbed,
+        &m,
+        ModelScale {
+            codec_ratio_scale: 8.0,
+        },
     );
-    assert_ne!(bad_cfg, default_cfg, "8x perturbation must move the choice");
-    let bad_total = simulated_total(&run_app(app, &g, &bad_cfg, gate_machine()).report.traffic);
-    let bad_cell = AutoCell {
-        name: format!("{app} x {scheme} (perturbed)"),
-        choice: bad_choice,
-        default_total,
-        auto_total: bad_total,
-    };
     assert!(
-        !bad_cell.passes(),
-        "mis-calibrated choice {} must fail the gate ({} vs {} bytes)",
-        bad_cell.choice,
-        bad_cell.auto_total,
-        bad_cell.default_total
+        failures(&perturbed) >= 3,
+        "an 8x codec-ratio mis-calibration must be caught:\n{}",
+        render_auto(&perturbed)
     );
 }

@@ -107,7 +107,11 @@ fn cases() -> Vec<(String, &'static str, Vec<&'static str>)> {
             LINT,
             vec!["--corpus", "all", "--format", format],
         ));
-        cases.push((format!("codec-sweep.{format}"), SWEEP, vec!["--format", format]));
+        cases.push((
+            format!("codec-sweep.{format}"),
+            SWEEP,
+            vec!["--format", format],
+        ));
     }
     let lint_codes = spzip_core::lint::Code::all().iter().map(|c| c.as_str());
     let sanitizer_codes = spzip_sim::sanitize::Code::all().map(|c| c.as_str());
