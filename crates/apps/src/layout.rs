@@ -691,4 +691,41 @@ mod tests {
         assert!(len > 0);
         assert_eq!(w.cdst.as_ref().unwrap().lens[0], len);
     }
+
+    #[test]
+    fn schema_covers_the_image_exactly() {
+        // Each schema region lies inside the image region of its name, from
+        // its first byte to its last and not past it; names are unique, and
+        // the extents sum to the footprint, so no image byte is undeclared.
+        let stencil = Arc::new(spzip_graph::gen::grid3d(6, 1, 3));
+        let mut configs: Vec<SchemeConfig> = Scheme::all().iter().map(|s| s.config()).collect();
+        configs.extend(Strategy::all().map(SchemeConfig::decoupled_only));
+        for g in [Arc::new(graph()), stencil] {
+            for cfg in &configs {
+                for all_active in [true, false] {
+                    let w = Workload::build(g.clone(), cfg, 4, 64 * 1024, all_active);
+                    let schema = w.schema(cfg);
+                    let at = format!("{cfg:?} aa={all_active}");
+                    let mut names: Vec<&str> = schema.regions.iter().map(|r| &*r.name).collect();
+                    names.sort_unstable();
+                    names.dedup();
+                    assert_eq!(names.len(), schema.regions.len(), "{at}: duplicate names");
+                    assert_eq!(
+                        schema.region_named("values").is_some(),
+                        g.values_flat().is_some(),
+                        "{at}"
+                    );
+                    for r in &schema.regions {
+                        let name = Some(&*r.name);
+                        let last = r.base + r.bytes - 1;
+                        assert_eq!(w.img.region_name(r.base), name, "{at}: first byte");
+                        assert_eq!(w.img.region_name(last), name, "{at}: last byte");
+                        assert_ne!(w.img.region_name(last + 1), name, "{at}: short extent");
+                    }
+                    let declared: u64 = schema.regions.iter().map(|r| r.bytes).sum();
+                    assert_eq!(declared, w.img.footprint_bytes(), "{at}");
+                }
+            }
+        }
+    }
 }

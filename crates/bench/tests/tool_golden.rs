@@ -2,9 +2,10 @@
 //! `codec-sweep` run as processes from the workspace root, and each case's
 //! exit code and stdout must equal `tests/golden/tools/<case>.out` (first
 //! line `exit code: N`, then stdout byte for byte). The cases are the
-//! builtin and file analyses in all three `--format`s, `--dot`, an
-//! unreadable file, an unparsable and a warning-only fixture
-//! (`tests/fixtures/`), each tool with nothing to analyze, the seeded-bug
+//! builtin and file analyses in all three `--format`s, `--dot` of a file
+//! and of the builtins (whose edges name each queue's schema region, value
+//! bound and framing), an unreadable file, an unparsable and a
+//! warning-only fixture (`tests/fixtures/`), each tool with nothing to analyze, the seeded-bug
 //! corpus gates (`--corpus all`) and the codec characterization sweep in
 //! text and JSON, and `dcl-lint --explain` for every code of the lint and
 //! sanitizer registries, one lowercase lookup and an unknown code. Every
@@ -82,6 +83,7 @@ fn cases() -> Vec<(String, &'static str, Vec<&'static str>)> {
     let single = |name: &str, tool, args: &[&'static str]| (name.to_string(), tool, args.to_vec());
     cases.extend([
         single("lint-dot-fig2", LINT, &["--dot", "examples/dcl/fig2.dcl"]),
+        single("lint-builtin-dot", LINT, &["--all-builtin", "--dot"]),
         single("lint-missing-file", LINT, &[MISSING]),
         single("perf-missing-file", PERF, &[MISSING]),
         single("suggest-missing-file", PERF, &["--suggest", MISSING]),
