@@ -131,8 +131,7 @@ pub struct Workload {
     pub values_addr: Option<u64>,
     /// Source vertex data (4 B per vertex).
     pub src_addr: u64,
-    /// Destination vertex data (4 B per vertex). Equal to `src_addr` when
-    /// the algorithm pushes the array it updates (CC, BFS distances).
+    /// Destination vertex data (4 B per vertex).
     pub dst_addr: u64,
     /// Auxiliary per-vertex array (4 B; e.g. BFS parents, PR scores).
     pub aux_addr: u64,
@@ -154,6 +153,8 @@ pub struct Workload {
     pub staging_addr: u64,
     /// Number of cores (bin regions are per core).
     pub cores: usize,
+    /// The shape of every mapped region, recorded as `build` mapped it.
+    schema: MemorySchema,
     /// Cached codec context for host-side vertex recompression, rebuilt
     /// only when the requested codec kind changes.
     codec_ctx: Option<CodecCtx>,
@@ -184,33 +185,66 @@ impl Workload {
         llc_bytes: u64,
         all_active: bool,
     ) -> Workload {
-        let n = g.num_vertices();
-        let e = g.num_edges();
-        let mut img = MemoryImage::new();
+        let n = g.num_vertices() as u64;
+        let e = g.num_edges() as u64;
+        // Largest vertex id any frontier/neighbor stream can carry.
+        let vmax = n.saturating_sub(1);
+        let mut m = Mapper::default();
 
-        let offsets_addr = {
-            let offs: Vec<u64> = g.offsets().to_vec();
-            img.alloc_u64s("offsets", &offs, DataClass::AdjacencyMatrix)
-        };
-        let neighbors_addr =
-            img.alloc_u32s("neighbors", g.neighbors_flat(), DataClass::AdjacencyMatrix);
+        // Offsets hold element offsets into the neighbor array; the
+        // sentinel bounds them by the edge count.
+        let offsets_addr = m.map(
+            RegionSchema::raw_bounded("offsets", 0, (n + 1) * 8, 8, e),
+            DataClass::AdjacencyMatrix,
+            &g.offsets()
+                .iter()
+                .flat_map(|o| o.to_le_bytes())
+                .collect::<Vec<_>>(),
+        );
+        let neighbors_addr = m.map(
+            RegionSchema::raw_bounded("neighbors", 0, e * 4, 4, vmax),
+            DataClass::AdjacencyMatrix,
+            &g.neighbors_flat()
+                .iter()
+                .flat_map(|d| d.to_le_bytes())
+                .collect::<Vec<_>>(),
+        );
         let values_addr = g.values_flat().map(|vals| {
-            let bits: Vec<u32> = vals.iter().map(|&v| (v as f32).to_bits()).collect();
-            img.alloc_u32s("values", &bits, DataClass::AdjacencyMatrix)
+            m.map(
+                RegionSchema::raw("values", 0, e * 4, 4),
+                DataClass::AdjacencyMatrix,
+                &vals
+                    .iter()
+                    .flat_map(|&v| (v as f32).to_le_bytes())
+                    .collect::<Vec<_>>(),
+            )
         });
 
-        let src_addr = img.alloc("src_data", n as u64 * 4, DataClass::SourceVertex);
-        let dst_addr = img.alloc("dst_data", n as u64 * 4, DataClass::DestinationVertex);
-        let aux_addr = img.alloc("aux_data", n as u64 * 4, DataClass::DestinationVertex);
-        let frontier_addr = img.alloc("frontier", n as u64 * 4 + 64, DataClass::Frontier);
-        let next_frontier_addr = img.alloc("next_frontier", n as u64 * 4 + 64, DataClass::Frontier);
-        let cfrontier_addr = img.alloc("cfrontier", cfrontier_bytes(n), DataClass::Frontier);
+        let vertex_array = |name| RegionSchema::raw(name, 0, n * 4, 4);
+        let src_addr = m.map(vertex_array("src_data"), DataClass::SourceVertex, &[]);
+        let dst_addr = m.map(vertex_array("dst_data"), DataClass::DestinationVertex, &[]);
+        let aux_addr = m.map(vertex_array("aux_data"), DataClass::DestinationVertex, &[]);
+        let frontier = |name| RegionSchema::raw_bounded(name, 0, n * 4 + 64, 4, vmax);
+        let frontier_addr = m.map(frontier("frontier"), DataClass::Frontier, &[]);
+        let next_frontier_addr = m.map(frontier("next_frontier"), DataClass::Frontier, &[]);
+        let cfrontier_addr = m.map(
+            RegionSchema::framed(
+                "cfrontier",
+                0,
+                cfrontier_bytes(n as usize),
+                scheme.vertex_codec,
+                4,
+                Some(vmax),
+            ),
+            DataClass::Frontier,
+            &[],
+        );
 
         // Compressed adjacency (Fig. 3 layout): per-row for random access,
         // multi-row groups for sequential all-active traversals.
         let cadj = scheme.compress_adjacency.then(|| {
             let group_rows = if all_active { ADJ_GROUP_ROWS } else { 1 };
-            build_compressed_adj(&mut img, &g, scheme.adjacency_codec, group_rows)
+            build_compressed_adj(&mut m, &g, scheme.adjacency_codec, group_rows)
         });
 
         // Update bins: slices sized so one slice of destination data fits
@@ -218,24 +252,36 @@ impl Workload {
         let bins = scheme.bins_updates().then(|| {
             let slice_bytes = (llc_bytes / 4).max(4096);
             let slice_vertices =
-                ((slice_bytes / 4).min(n as u64).max(1) as u32).next_multiple_of(DST_SUBCHUNK);
+                ((slice_bytes / 4).min(n).max(1) as u32).next_multiple_of(DST_SUBCHUNK);
             let num_bins = (n as u32).div_ceil(slice_vertices).max(1);
+            let queues = num_bins as u64 * cores as u64;
             // Worst-case updates per (core, bin): assume 4x the mean for
             // skew, plus headroom for compression framing.
-            let mean = (e as u64 * 8).div_ceil(cores as u64 * num_bins as u64);
+            let mean = (e * 8).div_ceil(queues);
             let bin_stride = (mean * 6 + 4096).next_multiple_of(64);
             let mqu1_stride = 512u64; // 32 x 8 B chunk + slack
             let core_stride = bin_stride * num_bins as u64;
-            let bins_base = img.alloc("bins", core_stride * cores as u64, DataClass::Updates);
-            let mqu1_base = img.alloc(
-                "mqu1_chunks",
-                mqu1_stride * num_bins as u64 * cores as u64,
+            let bins_base = m.map(
+                RegionSchema::framed(
+                    "bins",
+                    0,
+                    core_stride * cores as u64,
+                    scheme.bin_codec(),
+                    8,
+                    None,
+                ),
                 DataClass::Updates,
+                &[],
             );
-            let meta_base = img.alloc(
-                "bin_meta",
-                cores as u64 * num_bins as u64 * 8,
+            let mqu1_base = m.map(
+                RegionSchema::raw("mqu1_chunks", 0, mqu1_stride * queues, 8),
                 DataClass::Updates,
+                &[],
+            );
+            let meta_base = m.map(
+                RegionSchema::raw("bin_meta", 0, queues * 8, 8),
+                DataClass::Updates,
+                &[],
             );
             BinLayout {
                 num_bins,
@@ -249,28 +295,39 @@ impl Workload {
             }
         });
 
-        let cdst = (scheme.compress_vertex && scheme.bins_updates()).then(|| {
-            alloc_slices(
-                &mut img,
-                "cdst",
-                n,
-                DST_SUBCHUNK,
-                DataClass::DestinationVertex,
-            )
-        });
-        let csrc = (scheme.compress_vertex && scheme.bins_updates() && all_active)
-            .then(|| alloc_slices(&mut img, "csrc", n, CHUNK_VERTICES, DataClass::SourceVertex));
+        // Compressed vertex slices: one vertex-codec stream per chunk.
+        let mut slices = |name, chunk_elems: u32, class| {
+            let chunks = n.div_ceil(chunk_elems as u64);
+            // Worst case ~9 bytes/element for delta, plus framing.
+            let stride = (chunk_elems as u64 * 10 + 64).next_multiple_of(64);
+            let region =
+                RegionSchema::framed(name, 0, stride * chunks, scheme.vertex_codec, 4, None);
+            CompressedSlices {
+                chunk_elems,
+                base: m.map(region, class, &[]),
+                stride,
+                lens: vec![0; chunks as usize],
+            }
+        };
+        let vertex_slices = scheme.compress_vertex && scheme.bins_updates();
+        let cdst =
+            vertex_slices.then(|| slices("cdst", DST_SUBCHUNK, DataClass::DestinationVertex));
+        let csrc = (vertex_slices && all_active)
+            .then(|| slices("csrc", CHUNK_VERTICES, DataClass::SourceVertex));
 
-        // Staging holds the decompressed destination slice: its cache
-        // behaviour (and any writebacks) are destination-vertex traffic.
-        let staging_addr = img.alloc(
-            "staging",
-            staging_bytes(bins.as_ref()),
+        // Staging holds the decompressed destination slice (and at least
+        // one traversal chunk): its cache behaviour (and any writebacks)
+        // are destination-vertex traffic.
+        let staging = bins.as_ref().map_or(CHUNK_VERTICES, |b| b.slice_vertices);
+        let staging_addr = m.map(
+            RegionSchema::raw("staging", 0, staging.max(CHUNK_VERTICES) as u64 * 4, 4),
             DataClass::DestinationVertex,
+            &[],
         );
 
         Workload {
-            img,
+            img: m.img,
+            schema: m.schema,
             g,
             offsets_addr,
             neighbors_addr,
@@ -298,136 +355,15 @@ impl Workload {
         self.g.num_vertices()
     }
 
-    /// The declared [`MemorySchema`] for this workload under `cfg`: one
-    /// entry per allocated region with its extent, element width, value
-    /// bound, and codec framing. This is the layout-side half of the shape
-    /// verifier's contract — every builtin pipeline constructor pairs its
-    /// program with this schema so [`spzip_core::shape::verify`] can prove
-    /// its indirections in-bounds and its codec framing consistent.
-    pub fn schema(&self, cfg: &SchemeConfig) -> MemorySchema {
-        let n = self.n() as u64;
-        let e = self.g.num_edges() as u64;
-        // Largest vertex id any frontier/neighbor stream can carry.
-        let vmax = n.saturating_sub(1);
-        let mut s = MemorySchema::new();
-        // Offsets hold element offsets into the neighbor array; the
-        // sentinel bounds them by the edge count.
-        s.add_region(RegionSchema::raw_bounded(
-            "offsets",
-            self.offsets_addr,
-            (n + 1) * 8,
-            8,
-            e,
-        ));
-        s.add_region(RegionSchema::raw_bounded(
-            "neighbors",
-            self.neighbors_addr,
-            e * 4,
-            4,
-            vmax,
-        ));
-        if let Some(values_addr) = self.values_addr {
-            s.add_region(RegionSchema::raw("values", values_addr, e * 4, 4));
-        }
-        s.add_region(RegionSchema::raw("src_data", self.src_addr, n * 4, 4));
-        if self.dst_addr != self.src_addr {
-            s.add_region(RegionSchema::raw("dst_data", self.dst_addr, n * 4, 4));
-        }
-        s.add_region(RegionSchema::raw("aux_data", self.aux_addr, n * 4, 4));
-        s.add_region(RegionSchema::raw_bounded(
-            "frontier",
-            self.frontier_addr,
-            n * 4 + 64,
-            4,
-            vmax,
-        ));
-        s.add_region(RegionSchema::raw_bounded(
-            "next_frontier",
-            self.next_frontier_addr,
-            n * 4 + 64,
-            4,
-            vmax,
-        ));
-        s.add_region(RegionSchema::framed(
-            "cfrontier",
-            self.cfrontier_addr,
-            cfrontier_bytes(self.n()),
-            cfg.vertex_codec,
-            4,
-            Some(vmax),
-        ));
-        if let Some(cadj) = &self.cadj {
-            let groups = n.div_ceil(cadj.group_rows as u64);
-            s.add_region(RegionSchema::raw_bounded(
-                "cadj_offsets",
-                cadj.offsets_addr,
-                (groups + 1) * 8,
-                8,
-                cadj.total_bytes,
-            ));
-            s.add_region(RegionSchema::framed(
-                "cadj_bytes",
-                cadj.bytes_addr,
-                cadj.total_bytes,
-                cfg.adjacency_codec,
-                4,
-                Some(vmax),
-            ));
-        }
-        if let Some(bins) = &self.bins {
-            let update_codec = if cfg.compress_updates {
-                cfg.update_codec
-            } else {
-                CodecKind::None
-            };
-            s.add_region(RegionSchema::framed(
-                "bins",
-                bins.bins_base,
-                bins.core_stride * self.cores as u64,
-                update_codec,
-                8,
-                None,
-            ));
-            s.add_region(RegionSchema::raw(
-                "mqu1_chunks",
-                bins.mqu1_base,
-                bins.mqu1_stride * bins.num_bins as u64 * self.cores as u64,
-                8,
-            ));
-            s.add_region(RegionSchema::raw(
-                "bin_meta",
-                bins.meta_base,
-                self.cores as u64 * bins.num_bins as u64 * 8,
-                8,
-            ));
-        }
-        if let Some(cdst) = &self.cdst {
-            s.add_region(RegionSchema::framed(
-                "cdst",
-                cdst.base,
-                cdst.stride * cdst.lens.len() as u64,
-                cfg.vertex_codec,
-                4,
-                None,
-            ));
-        }
-        if let Some(csrc) = &self.csrc {
-            s.add_region(RegionSchema::framed(
-                "csrc",
-                csrc.base,
-                csrc.stride * csrc.lens.len() as u64,
-                cfg.vertex_codec,
-                4,
-                None,
-            ));
-        }
-        s.add_region(RegionSchema::raw(
-            "staging",
-            self.staging_addr,
-            staging_bytes(self.bins.as_ref()),
-            4,
-        ));
-        s
+    /// The declared [`MemorySchema`] of this workload: one entry per
+    /// mapped region with its extent, element width, value bound, and
+    /// codec framing, recorded by [`Workload::build`] as it mapped the
+    /// image. This is the layout-side half of the shape verifier's
+    /// contract — every builtin pipeline constructor pairs its program
+    /// with this schema so [`spzip_core::shape::verify`] can prove its
+    /// indirections in-bounds and its codec framing consistent.
+    pub fn schema(&self) -> MemorySchema {
+        self.schema.clone()
     }
 
     /// Recompresses destination-data chunk `i` (after an accumulation bin
@@ -494,35 +430,31 @@ pub(crate) fn cfrontier_bytes(n: usize) -> u64 {
     n as u64 * 5 + 4096
 }
 
-/// Bytes of the staging buffer: one bin's destination slice, and at least
-/// one traversal chunk's worth of vertices.
-fn staging_bytes(bins: Option<&BinLayout>) -> u64 {
-    bins.map_or(CHUNK_VERTICES, |b| b.slice_vertices)
-        .max(CHUNK_VERTICES) as u64
-        * 4
+/// The image under construction and the schema of every region mapped
+/// into it so far.
+#[derive(Default)]
+struct Mapper {
+    img: MemoryImage,
+    schema: MemorySchema,
 }
 
-fn alloc_slices(
-    img: &mut MemoryImage,
-    name: &str,
-    n: usize,
-    chunk_elems: u32,
-    class: DataClass,
-) -> CompressedSlices {
-    let chunks = (n as u64).div_ceil(chunk_elems as u64);
-    // Worst case ~9 bytes/element for delta, plus framing.
-    let stride = (chunk_elems as u64 * 10 + 64).next_multiple_of(64);
-    let base = img.alloc(name, stride * chunks, class);
-    CompressedSlices {
-        chunk_elems,
-        base,
-        stride,
-        lens: vec![0; chunks as usize],
+impl Mapper {
+    /// Maps `r`: allocates `r.bytes` of `class` memory named `r.name`,
+    /// writes `init` at its start (the rest is zero), records `r` at the
+    /// base the image gave it (the base `r` carries is ignored) and returns
+    /// that base. Every region goes through here, so the schema declares
+    /// exactly the image.
+    fn map(&mut self, mut r: RegionSchema, class: DataClass, init: &[u8]) -> u64 {
+        r.base = self.img.alloc(&r.name, r.bytes, class);
+        self.img.write_bytes(r.base, init);
+        let base = r.base;
+        self.schema.add_region(r);
+        base
     }
 }
 
 fn build_compressed_adj(
-    img: &mut MemoryImage,
+    m: &mut Mapper,
     g: &Csr,
     codec: CodecKind,
     group_rows: u32,
@@ -541,14 +473,28 @@ fn build_compressed_adj(
         offsets.push(bytes.len() as u64);
         row = hi;
     }
-    let bytes_addr = img.alloc_from("cadj_bytes", &bytes, DataClass::AdjacencyMatrix);
-    let offsets_addr = img.alloc_u64s("cadj_offsets", &offsets, DataClass::AdjacencyMatrix);
+    let total_bytes = bytes.len() as u64;
+    let vmax = (n as u64).saturating_sub(1);
+    let bytes_addr = m.map(
+        RegionSchema::framed("cadj_bytes", 0, total_bytes, codec, 4, Some(vmax)),
+        DataClass::AdjacencyMatrix,
+        &bytes,
+    );
+    // Group offsets are byte offsets into the compressed streams.
+    let offsets_addr = m.map(
+        RegionSchema::raw_bounded("cadj_offsets", 0, offsets.len() as u64 * 8, 8, total_bytes),
+        DataClass::AdjacencyMatrix,
+        &offsets
+            .iter()
+            .flat_map(|o| o.to_le_bytes())
+            .collect::<Vec<_>>(),
+    );
     let raw = g.num_edges() as f64 * 4.0;
     CompressedAdj {
         group_rows,
         offsets_addr,
         bytes_addr,
-        total_bytes: bytes.len() as u64,
+        total_bytes,
         ratio: raw / bytes.len().max(1) as f64,
         offsets,
     }
@@ -704,8 +650,8 @@ mod tests {
             for cfg in &configs {
                 for all_active in [true, false] {
                     let w = Workload::build(g.clone(), cfg, 4, 64 * 1024, all_active);
-                    let schema = w.schema(cfg);
-                    let at = format!("{cfg:?} aa={all_active}");
+                    let schema = w.schema();
+                    let at = format!("{} n={} aa={all_active}", cfg.label(), w.n());
                     let mut names: Vec<&str> = schema.regions.iter().map(|r| &*r.name).collect();
                     names.sort_unstable();
                     names.dedup();

@@ -327,7 +327,7 @@ pub fn traversal(w: &Workload, cfg: &SchemeConfig, opts: TraversalOpts) -> Trave
 
     let pipeline = b.build().expect("traversal pipeline must validate");
 
-    let mut schema = w.schema(cfg);
+    let mut schema = w.schema();
     let in_base = if opts.all_active {
         w.cadj.as_ref().map_or(w.offsets_addr, |c| c.offsets_addr)
     } else if opts.frontier_compressed {
@@ -388,14 +388,9 @@ pub fn binning_compressor(w: &Workload, cfg: &SchemeConfig, core: usize) -> Binn
         bin_q,
         vec![chunk_q],
     );
-    let codec = if cfg.compress_updates {
-        cfg.update_codec
-    } else {
-        CodecKind::None
-    };
     b.operator(
         OperatorKind::Compress {
-            codec,
+            codec: cfg.bin_codec(),
             elem_bytes: 8,
             sort_chunks: cfg.sort_chunks,
         },
@@ -416,7 +411,7 @@ pub fn binning_compressor(w: &Workload, cfg: &SchemeConfig, core: usize) -> Binn
         cbytes_q,
         vec![],
     );
-    let mut schema = w.schema(cfg);
+    let mut schema = w.schema();
     schema.declare_input(
         bin_q,
         InputDomain::BinPairs {
@@ -468,14 +463,9 @@ pub fn accum_fetcher(w: &Workload, cfg: &SchemeConfig) -> AccumFetchPipe {
         bin_in_q,
         vec![bytes_q],
     );
-    let codec = if cfg.compress_updates {
-        cfg.update_codec
-    } else {
-        CodecKind::None
-    };
     b.operator(
         OperatorKind::Decompress {
-            codec,
+            codec: cfg.bin_codec(),
             elem_bytes: 8,
         },
         bytes_q,
@@ -509,7 +499,7 @@ pub fn accum_fetcher(w: &Workload, cfg: &SchemeConfig) -> AccumFetchPipe {
     } else {
         (None, None)
     };
-    let mut schema = w.schema(cfg);
+    let mut schema = w.schema();
     declare_ranges_into(&mut schema, bin_in_q, bins.bins_base);
     if let Some(sq) = slice_in_q {
         let base = w.cdst.as_ref().map(|c| c.base).unwrap_or(w.dst_addr);
@@ -526,8 +516,9 @@ pub fn accum_fetcher(w: &Workload, cfg: &SchemeConfig) -> AccumFetchPipe {
 }
 
 /// A compressor program that reads a raw array range, compresses it, and
-/// stream-writes the result (Fig. 13 plus a range reader): used to write
-/// back compressed vertex slices and contributions.
+/// stream-writes the result (Fig. 13 plus a range reader): the engine-side
+/// writeback of a compressed vertex slice. The static passes check it;
+/// the runtime recompresses slices on the host instead.
 #[derive(Debug, Clone)]
 pub struct SliceCompPipe {
     /// The program.
@@ -543,7 +534,6 @@ pub struct SliceCompPipe {
 /// in regions of `w`'s layout.
 pub fn slice_compressor(
     w: &Workload,
-    cfg: &SchemeConfig,
     src_base: u64,
     out_base: u64,
     codec: CodecKind,
@@ -582,7 +572,7 @@ pub fn slice_compressor(
         bytes_q,
         vec![],
     );
-    let mut schema = w.schema(cfg);
+    let mut schema = w.schema();
     declare_ranges_into(&mut schema, in_q, src_base);
     SliceCompPipe {
         pipeline: b.build().expect("slice compressor must validate"),
@@ -607,7 +597,6 @@ pub struct ValueCompPipe {
 /// must lie in a region of `w`'s layout.
 pub fn value_compressor(
     w: &Workload,
-    cfg: &SchemeConfig,
     out_base: u64,
     codec: CodecKind,
     sort_chunks: bool,
@@ -633,7 +622,7 @@ pub fn value_compressor(
         bytes_q,
         vec![],
     );
-    let mut schema = w.schema(cfg);
+    let mut schema = w.schema();
     schema.declare_input(
         val_q,
         InputDomain::Values {
@@ -657,16 +646,18 @@ pub fn all_builtin() -> Vec<(String, Pipeline)> {
         .collect()
 }
 
-/// Every DCL program the built-in applications can load, across all
-/// engine-using schemes (including decoupled-only variants), frontier
-/// modes, and per-pipeline options — paired with a descriptive name and
-/// the [`MemorySchema`] its constructor declared.
+/// Every builtin DCL constructor's program, across all engine-using
+/// schemes (including decoupled-only variants), frontier modes, and
+/// per-pipeline options — paired with a descriptive name and the
+/// [`MemorySchema`] its constructor declared. The runtime loads all of
+/// them but [`slice_compressor`]: accumulation recompresses vertex slices
+/// on the host and models their stores.
 ///
-/// This is the enumeration `dcl-lint --all-builtin` checks in CI: each
-/// pipeline the paper's figures exercise must lint clean *and* verify
-/// B-clean against its schema. A small synthetic graph stands in for the
-/// real inputs; pipeline *structure* only depends on the scheme
-/// configuration and workload layout, not on graph scale.
+/// This is the enumeration `dcl-lint --all-builtin` checks: each pipeline
+/// must lint clean *and* verify B-clean against its schema. A small
+/// synthetic graph stands in for the real inputs; pipeline *structure*
+/// only depends on the scheme configuration and workload layout, not on
+/// graph scale.
 pub fn all_builtin_checked() -> Vec<(String, Pipeline, MemorySchema)> {
     use crate::scheme::{Scheme, Strategy};
     use spzip_graph::gen::{community, CommunityParams};
@@ -732,7 +723,6 @@ pub fn all_builtin_checked() -> Vec<(String, Pipeline, MemorySchema)> {
                 if let Some(cdst) = &w.cdst {
                     let sc = slice_compressor(
                         &w,
-                        cfg,
                         w.dst_addr,
                         cdst.base,
                         cfg.vertex_codec,
@@ -746,7 +736,6 @@ pub fn all_builtin_checked() -> Vec<(String, Pipeline, MemorySchema)> {
                 }
                 let vc = value_compressor(
                     &w,
-                    cfg,
                     w.cfrontier_addr,
                     cfg.vertex_codec,
                     cfg.sort_chunks,
@@ -904,7 +893,6 @@ mod tests {
         let cdst_base = w.cdst.as_ref().unwrap().base;
         let sc = slice_compressor(
             &w,
-            &cfg,
             w.dst_addr,
             cdst_base,
             cfg.vertex_codec,
@@ -914,7 +902,6 @@ mod tests {
         assert!(spzip_core::shape::verify(&sc.pipeline, &sc.schema).is_clean());
         let vc = value_compressor(
             &w,
-            &cfg,
             w.cfrontier_addr,
             cfg.vertex_codec,
             cfg.sort_chunks,

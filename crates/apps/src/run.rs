@@ -276,72 +276,3 @@ pub fn reference_run(alg: &mut dyn Algorithm, w: &mut Workload) -> Vec<u32> {
     }
     alg.result(w)
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::scheme::Scheme;
-    use spzip_graph::gen::{community, grid3d, CommunityParams};
-    use spzip_mem::cache::{CacheConfig, Replacement};
-
-    fn tiny_machine() -> MachineConfig {
-        let mut cfg = MachineConfig::paper_scaled();
-        cfg.mem.cores = 4;
-        cfg.mem.llc = CacheConfig::new(32 * 1024, 16, Replacement::Drrip);
-        cfg
-    }
-
-    fn tiny_graph() -> Arc<Csr> {
-        Arc::new(community(&CommunityParams::web_crawl(512, 6), 17))
-    }
-
-    #[test]
-    fn every_app_validates_under_push() {
-        let g = tiny_graph();
-        let m = Arc::new(grid3d(6, 1, 3));
-        for app in AppName::all() {
-            let input = if app.is_matrix() { &m } else { &g };
-            let out = run_app(app, input, &Scheme::Push.config(), tiny_machine());
-            assert!(out.validated, "{app} under Push");
-            assert!(out.deadlock.is_none(), "{app}: {:?}", out.deadlock);
-            assert!(out.report.cycles > 0);
-            assert!(out.report.traffic.total_bytes() > 0);
-        }
-    }
-
-    #[test]
-    fn bfs_validates_under_all_schemes() {
-        let g = tiny_graph();
-        for scheme in Scheme::all() {
-            let out = run_app(AppName::Bfs, &g, &scheme.config(), tiny_machine());
-            assert!(out.validated, "BFS under {scheme}");
-        }
-    }
-
-    #[test]
-    fn sanitized_bfs_is_clean_under_all_schemes() {
-        let g = tiny_graph();
-        for scheme in Scheme::all() {
-            let (out, san) = run_app_sanitized(
-                AppName::Bfs,
-                &g,
-                &scheme.config(),
-                tiny_machine(),
-                None,
-                false,
-            );
-            assert!(out.validated, "BFS under {scheme}");
-            assert!(san.clean(), "BFS under {scheme}:\n{}", san.render());
-            assert!(!san.trace.is_empty());
-        }
-    }
-
-    #[test]
-    fn pr_validates_under_all_schemes() {
-        let g = tiny_graph();
-        for scheme in Scheme::all() {
-            let out = run_app(AppName::Pr, &g, &scheme.config(), tiny_machine());
-            assert!(out.validated, "PR under {scheme}");
-        }
-    }
-}

@@ -306,7 +306,6 @@ fn compress_frontier_phase(
         .map(|c| {
             pipelines::value_compressor(
                 w,
-                cfg,
                 w.cfrontier_addr + c as u64 * region_cap,
                 cfg.vertex_codec,
                 cfg.sort_chunks,

@@ -102,6 +102,16 @@ impl SchemeConfig {
         matches!(self.strategy, Strategy::Ub | Strategy::Phi)
     }
 
+    /// The codec update bins are stored in ([`CodecKind::None`] when they
+    /// are not compressed).
+    pub fn bin_codec(&self) -> CodecKind {
+        if self.compress_updates {
+            self.update_codec
+        } else {
+            CodecKind::None
+        }
+    }
+
     /// A short name: the [`Scheme`] with this strategy and engine switch,
     /// followed by every setting that differs from that scheme's
     /// (`PHI+SpZip-bins-vertex-sort`, `UB+SpZip,bins=bpc32`). Equals the

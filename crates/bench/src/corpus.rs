@@ -26,9 +26,10 @@ use spzip_apps::{Scheme, SchemeConfig};
 use spzip_core::lint::Code;
 use spzip_core::QueueItem;
 use spzip_graph::gen::{community, CommunityParams};
+use std::cell::Cell;
 use std::fmt::Write as _;
 use std::panic::AssertUnwindSafe;
-use std::sync::Arc;
+use std::sync::{Arc, Once};
 
 /// One corpus verdict: what the static pass said and what the engines did.
 #[derive(Debug)]
@@ -72,14 +73,29 @@ pub const CORPORA: [(&str, Rows); 3] = [
     ("equiv", crate::equiv_corpus::rows),
 ];
 
-/// Runs one corpus. Expected panics are part of the contract, so the
-/// default panic hook is silenced meanwhile to keep their backtraces out
-/// of the gate's output.
+thread_local! {
+    /// Whether this thread is inside [`run`], whose panics stay quiet.
+    static QUIET: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs one corpus. Expected panics are part of the contract, so panics
+/// on this thread stay out of the gate's output meanwhile. The process
+/// hook is wrapped once, never swapped per run, so concurrent runs cannot
+/// leave a silent hook behind: a panic on any other thread, or after the
+/// run, still reaches the hook installed before the first run.
 pub fn run(rows: Rows, weakened: bool) -> Vec<GateRow> {
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
+    static WRAP_HOOK: Once = Once::new();
+    WRAP_HOOK.call_once(|| {
+        let outer = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !QUIET.get() {
+                outer(info);
+            }
+        }));
+    });
+    QUIET.set(true);
     let rows = rows(weakened);
-    std::panic::set_hook(prev);
+    QUIET.set(false);
     rows
 }
 

@@ -6,8 +6,9 @@
 //! programs written against runtime-resolved symbols still lint), then runs
 //! [`spzip_core::lint`] and prints the rustc-style report. `--all-builtin`
 //! lints the full enumeration from
-//! [`spzip_apps::pipelines::all_builtin_checked`]: every workload x scheme
-//! pipeline the figures load, each paired with its declared
+//! [`spzip_apps::pipelines::all_builtin_checked`]: every builtin
+//! constructor's pipeline across workload x scheme (the runtime loads all
+//! but the slice compressor), each paired with its declared
 //! [`MemorySchema`]. Builtins additionally run the shape-and-bounds
 //! verifier ([`spzip_core::shape::verify`]), folding its `B0xx` findings
 //! into the same report. File mode cannot shape-check: a `.dcl` text

@@ -44,7 +44,7 @@ fn verify_codes(p: &Pipeline, schema: &MemorySchema) -> Vec<Code> {
 /// B003: an indirection declared 8-byte over a 4-byte vertex array. The
 /// engine fetches the bytes of two neighboring elements instead of one.
 fn wrong_width_indirect() -> GateRow {
-    let (mut w, cfg) = workload();
+    let (mut w, _) = workload();
     let n = w.n() as u64;
     let mut b = PipelineBuilder::new();
     let in_q = b.queue(8);
@@ -60,7 +60,7 @@ fn wrong_width_indirect() -> GateRow {
         vec![out_q],
     );
     let p = b.build().expect("structurally valid");
-    let mut schema = w.schema(&cfg);
+    let mut schema = w.schema();
     schema.declare_input(
         in_q,
         InputDomain::Values {
@@ -121,7 +121,7 @@ fn decompress_adjacency(name: &str, codec: Option<CodecKind>) -> GateRow {
         vec![out_q],
     );
     let p = b.build().expect("structurally valid");
-    let mut schema = w.schema(&cfg);
+    let mut schema = w.schema();
     schema.declare_input(
         in_q,
         InputDomain::Ranges {
@@ -175,7 +175,7 @@ fn decompress_adjacency(name: &str, codec: Option<CodecKind>) -> GateRow {
 /// offsets array, so the last vertex id reads past the sentinel into the
 /// guard page.
 fn off_by_one_extent() -> GateRow {
-    let (mut w, cfg) = workload();
+    let (mut w, _) = workload();
     let n = w.n() as u64;
     let mut b = PipelineBuilder::new();
     let in_q = b.queue(8);
@@ -191,7 +191,7 @@ fn off_by_one_extent() -> GateRow {
         vec![out_q],
     );
     let p = b.build().expect("structurally valid");
-    let mut schema = w.schema(&cfg);
+    let mut schema = w.schema();
     schema.declare_input(
         in_q,
         InputDomain::Values {
@@ -221,7 +221,7 @@ fn off_by_one_extent() -> GateRow {
 
 /// B001: a range fetch whose base lies in no declared region at all.
 fn unmapped_base() -> GateRow {
-    let (mut w, cfg) = workload();
+    let (mut w, _) = workload();
     let mut b = PipelineBuilder::new();
     let in_q = b.queue(8);
     let out_q = b.queue(48);
@@ -238,7 +238,7 @@ fn unmapped_base() -> GateRow {
         vec![out_q],
     );
     let p = b.build().expect("structurally valid");
-    let mut schema = w.schema(&cfg);
+    let mut schema = w.schema();
     schema.declare_input(
         in_q,
         InputDomain::Values {
@@ -294,14 +294,9 @@ fn binning_like(
         bin_q,
         vec![chunk_q],
     );
-    let codec = if cfg.compress_updates {
-        cfg.update_codec
-    } else {
-        CodecKind::None
-    };
     b.operator(
         OperatorKind::Compress {
-            codec,
+            codec: cfg.bin_codec(),
             elem_bytes: 8,
             sort_chunks: false,
         },
@@ -335,7 +330,7 @@ fn bin_id_overflow() -> GateRow {
     assert!(num_bins >= 2, "corpus workload must have several bins");
     // Seeded: one queue too few for ids up to num_bins - 1.
     let (p, bin_q) = binning_like(&w, &cfg, num_bins - 1, bin_addr);
-    let mut schema = w.schema(&cfg);
+    let mut schema = w.schema();
     schema.declare_input(
         bin_q,
         InputDomain::BinPairs {
@@ -376,7 +371,7 @@ fn mqu_footprint_overflow() -> GateRow {
     // core's region, pushing bin (num_bins - 1) past the region end.
     let shifted = bins.bin_addr(w.cores - 1, 1);
     let (p, bin_q) = binning_like(&w, &cfg, num_bins, shifted);
-    let mut schema = w.schema(&cfg);
+    let mut schema = w.schema();
     schema.declare_input(
         bin_q,
         InputDomain::BinPairs {
@@ -413,11 +408,7 @@ fn wrong_decoded_width() -> GateRow {
     let (mut w, cfg) = workload();
     let bins = w.bins.as_ref().expect("bins");
     let bins_base = bins.bins_base;
-    let codec = if cfg.compress_updates {
-        cfg.update_codec
-    } else {
-        CodecKind::None
-    };
+    let codec = cfg.bin_codec();
     let mut b = PipelineBuilder::new();
     let in_q = b.queue(8);
     let bytes_q = b.queue(48);
@@ -443,7 +434,7 @@ fn wrong_decoded_width() -> GateRow {
         vec![out_q],
     );
     let p = b.build().expect("structurally valid");
-    let mut schema = w.schema(&cfg);
+    let mut schema = w.schema();
     schema.declare_input(
         in_q,
         InputDomain::Ranges {
@@ -512,7 +503,7 @@ fn raw_into_framed_write() -> GateRow {
         vec![],
     );
     let p = b.build().expect("structurally valid");
-    let mut schema = w.schema(&cfg);
+    let mut schema = w.schema();
     schema.declare_input(
         in_q,
         InputDomain::Ranges {
@@ -553,7 +544,7 @@ fn raw_into_framed_write() -> GateRow {
 
 /// Control: the honest 4-byte indirection over `src_data`.
 fn control_indirect() -> GateRow {
-    let (mut w, cfg) = workload();
+    let (mut w, _) = workload();
     let n = w.n() as u64;
     let mut b = PipelineBuilder::new();
     let in_q = b.queue(8);
@@ -569,7 +560,7 @@ fn control_indirect() -> GateRow {
         vec![out_q],
     );
     let p = b.build().expect("valid");
-    let mut schema = w.schema(&cfg);
+    let mut schema = w.schema();
     schema.declare_input(
         in_q,
         InputDomain::Values {
@@ -643,7 +634,7 @@ fn control_roundtrip_write() -> GateRow {
         vec![],
     );
     let p = b.build().expect("valid");
-    let mut schema = w.schema(&cfg);
+    let mut schema = w.schema();
     schema.declare_input(
         in_q,
         InputDomain::Ranges {

@@ -90,7 +90,6 @@ fn constructed(
         if let Some(cdst) = &w.cdst {
             let sc = pipelines::slice_compressor(
                 w,
-                cfg,
                 w.dst_addr,
                 cdst.base,
                 cfg.vertex_codec,
@@ -100,7 +99,6 @@ fn constructed(
         }
         let vc = pipelines::value_compressor(
             w,
-            cfg,
             w.cfrontier_addr,
             cfg.vertex_codec,
             cfg.sort_chunks,

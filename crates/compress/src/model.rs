@@ -206,12 +206,6 @@ pub fn predicted_bytes_per_elem(kind: CodecKind, profile: &StreamProfile) -> f64
     }
 }
 
-/// Predicted compression ratio (raw bytes / compressed bytes) for `kind`
-/// over `profile`; values below 1.0 mean predicted *inflation*.
-pub fn predicted_ratio(kind: CodecKind, profile: &StreamProfile) -> f64 {
-    profile.elem_bytes as f64 / predicted_bytes_per_elem(kind, profile)
-}
-
 /// The trajectory name `codec-bench` measures this kind under in
 /// `BENCH_codecs.json` (`sort_chunks` selects the `delta_sorted` arm).
 pub fn codec_trajectory_name(kind: CodecKind, sort_chunks: bool) -> &'static str {
@@ -406,11 +400,11 @@ mod tests {
     fn incompressible_profile_predicts_inflation() {
         // Hostile 4-byte data: delta needs > 4 B/elem, identity needs 8.
         let p = StreamProfile::incompressible(4);
-        assert!(predicted_ratio(CodecKind::Delta, &p) < 1.0);
-        assert!(predicted_ratio(CodecKind::None, &p) < 1.0);
+        assert!(predicted_bytes_per_elem(CodecKind::Delta, &p) > 4.0);
+        assert!(predicted_bytes_per_elem(CodecKind::None, &p) > 4.0);
         // Friendly data: delta comfortably compresses.
         let good = StreamProfile::default_for(4);
-        assert!(predicted_ratio(CodecKind::Delta, &good) > 1.5);
+        assert!(predicted_bytes_per_elem(CodecKind::Delta, &good) < 4.0 / 1.5);
     }
 
     #[test]

@@ -137,14 +137,6 @@ impl OperatorKind {
             OperatorKind::MemQueue { .. } => "memqueue",
         }
     }
-
-    /// Whether this operator touches memory when it fires.
-    pub fn touches_memory(&self) -> bool {
-        !matches!(
-            self,
-            OperatorKind::Decompress { .. } | OperatorKind::Compress { .. }
-        )
-    }
 }
 
 /// An operator instance: kind + input queue + output queues.
@@ -314,9 +306,11 @@ impl Pipeline {
         self.queues.iter().map(|q| q.capacity_words as u32).sum()
     }
 
-    /// Scales every queue capacity by `factor` (the Fig. 21 scratchpad
-    /// sweep: queues use the whole scratchpad in all cases), re-validating
-    /// the result.
+    /// Scales every queue capacity by `factor`, re-validating the result:
+    /// a capacity-only rewrite for the static passes and their tests. The
+    /// Fig. 21 scratchpad sweep does not use it; the engine rescales queues
+    /// itself when it loads a program into the scratchpad size that
+    /// `MachineSpec::with_fetcher_scratchpad` sets.
     ///
     /// # Errors
     ///
@@ -715,14 +709,12 @@ mod tests {
     }
 
     #[test]
-    fn operator_names_and_memory_touch() {
+    fn operator_names() {
         assert_eq!(range(0).name(), "range");
-        assert!(range(0).touches_memory());
         let d = OperatorKind::Decompress {
             codec: CodecKind::Delta,
             elem_bytes: 4,
         };
-        assert!(!d.touches_memory());
         assert_eq!(d.name(), "decompress");
     }
 }

@@ -115,11 +115,6 @@ impl fmt::Display for QueueItem {
     }
 }
 
-/// Number of 32-bit physical queue words a value of `elem_bytes` occupies.
-pub fn words_for_elem(elem_bytes: u8) -> u16 {
-    elem_bytes.div_ceil(4).max(1) as u16
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,13 +126,5 @@ mod tests {
         assert_eq!(QueueItem::Value(7).value(), 7);
         assert_eq!(QueueItem::Marker(9).value(), 9);
         assert_eq!(QueueItem::Marker(9).to_string(), "M(9)");
-    }
-
-    #[test]
-    fn word_sizing() {
-        assert_eq!(words_for_elem(1), 1);
-        assert_eq!(words_for_elem(4), 1);
-        assert_eq!(words_for_elem(5), 2);
-        assert_eq!(words_for_elem(8), 2);
     }
 }

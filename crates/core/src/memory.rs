@@ -36,10 +36,16 @@ struct Region {
 /// assert_eq!(img.read_u64(base), 42);
 /// assert_eq!(img.class_of(base), DataClass::AdjacencyMatrix);
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct MemoryImage {
     regions: Vec<Region>,
     next_base: u64,
+}
+
+impl Default for MemoryImage {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl MemoryImage {
@@ -198,16 +204,6 @@ impl MemoryImage {
         self.write_uint(addr, 4, value as u64)
     }
 
-    /// Reads an f64 at `addr`.
-    pub fn read_f64(&self, addr: u64) -> f64 {
-        f64::from_bits(self.read_u64(addr))
-    }
-
-    /// Writes an f64 at `addr`.
-    pub fn write_f64(&mut self, addr: u64, value: f64) {
-        self.write_u64(addr, value.to_bits())
-    }
-
     /// Total mapped bytes across regions.
     pub fn footprint_bytes(&self) -> u64 {
         self.regions.iter().map(|r| r.data.len() as u64).sum()
@@ -275,9 +271,7 @@ mod tests {
         let mut img = MemoryImage::new();
         let a = img.alloc("a", 128, DataClass::SourceVertex);
         img.write_u32(a + 4, 0xDEAD);
-        img.write_f64(a + 8, 2.5);
         assert_eq!(img.read_u32(a + 4), 0xDEAD);
-        assert_eq!(img.read_f64(a + 8), 2.5);
         assert_eq!(img.read_u32(a), 0, "zero-initialized");
     }
 
@@ -292,6 +286,14 @@ mod tests {
         assert_eq!(img.class_of(a), DataClass::Other);
         assert_eq!(img.class_of(b), DataClass::Updates);
         assert_eq!(img.region_name(b), Some("b"));
+    }
+
+    #[test]
+    fn default_leaves_address_zero_unmapped_like_new() {
+        let (mut d, mut n) = (MemoryImage::default(), MemoryImage::new());
+        let base = d.alloc("a", 64, DataClass::Other);
+        assert_eq!(base, n.alloc("a", 64, DataClass::Other));
+        assert_eq!(d.region_name(0), None);
     }
 
     #[test]
