@@ -7,61 +7,25 @@
 //! software traversal; a dequeue + branch for SpZip), and are the only
 //! tuning knobs in the performance model.
 
-/// Per-operation core costs in cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CostModel {
-    /// Software traversal: per-source loop overhead (offset handling,
-    /// bounds, frontier bookkeeping).
-    pub sw_per_src: u32,
-    /// Software traversal: per-edge index arithmetic and branch.
-    pub sw_per_edge: u32,
-    /// SpZip: per-source overhead (marker handling).
-    pub spzip_per_src: u32,
-    /// SpZip: per-edge overhead beyond the dequeue instruction.
-    pub spzip_per_edge: u32,
-    /// Applying one update (the algorithm's arithmetic).
-    pub apply: u32,
-    /// Binning an update in software UB (bin id compute + store addressing).
-    pub bin_update: u32,
-    /// Pushing one update into PHI's cache interface.
-    pub phi_push: u32,
-    /// Accumulation-phase per-update overhead (software).
-    pub accum_update: u32,
-    /// Per-vertex work in vertex phases (e.g. PR contribution recompute).
-    pub vertex_op: u32,
-}
+/// Software traversal: per-source loop overhead (offset handling, bounds,
+/// frontier bookkeeping).
+pub const SW_PER_SRC: u32 = 6;
+/// Software traversal: per-edge index arithmetic and branch.
+pub const SW_PER_EDGE: u32 = 5;
+/// SpZip: per-source overhead (marker handling).
+pub const SPZIP_PER_SRC: u32 = 1;
+/// SpZip: per-edge overhead beyond the dequeue instruction.
+pub const SPZIP_PER_EDGE: u32 = 1;
+/// Applying one update (the algorithm's arithmetic).
+pub const APPLY: u32 = 2;
+/// Binning an update in software UB (bin id compute + store addressing).
+pub const BIN_UPDATE: u32 = 4;
+/// Pushing one update into PHI's cache interface.
+pub const PHI_PUSH: u32 = 3;
+/// Accumulation-phase per-update overhead (software).
+pub const ACCUM_UPDATE: u32 = 3;
+/// Per-vertex work in vertex phases (e.g. PR contribution recompute).
+pub const VERTEX_OP: u32 = 4;
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            sw_per_src: 6,
-            sw_per_edge: 5,
-            spzip_per_src: 1,
-            spzip_per_edge: 1,
-            apply: 2,
-            bin_update: 4,
-            phi_push: 3,
-            accum_update: 3,
-            vertex_op: 4,
-        }
-    }
-}
-
-impl CostModel {
-    /// The default model.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn software_traversal_costs_more_than_spzip() {
-        let c = CostModel::new();
-        assert!(c.sw_per_edge > c.spzip_per_edge);
-        assert!(c.sw_per_src > c.spzip_per_src);
-    }
-}
+// Software traversal costs more than SpZip's, per edge and per source.
+const _: () = assert!(SW_PER_EDGE > SPZIP_PER_EDGE && SW_PER_SRC > SPZIP_PER_SRC);

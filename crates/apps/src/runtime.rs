@@ -25,7 +25,7 @@
 //! application) for timing and traffic.
 
 use crate::alg::{Algorithm, EndIter};
-use crate::cost::CostModel;
+use crate::cost;
 use crate::layout::{self, Workload, CHUNK_VERTICES, DST_SUBCHUNK};
 use crate::pipelines::{self, TraversalOpts};
 use crate::scheme::{SchemeConfig, Strategy};
@@ -79,17 +79,6 @@ enum Chunk {
     CFrontier(CFrontierChunk),
 }
 
-/// What the traversal does with each edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TravMode {
-    /// Push: atomic scatter to destination data.
-    PushApply,
-    /// UB: bin the update.
-    UbBin,
-    /// PHI: push into the coalescing unit.
-    PhiBin,
-}
-
 /// Runs `alg` to completion under `cfg` on `machine` over `w`.
 /// Returns run statistics; `machine.finish()` afterwards yields the report.
 pub fn run_algorithm(
@@ -98,7 +87,6 @@ pub fn run_algorithm(
     alg: &mut dyn Algorithm,
     cfg: &SchemeConfig,
 ) -> AlgoRunStats {
-    let cost = CostModel::new();
     let cores = machine.config().mem.cores;
     let llc_bytes = machine.config().mem.llc.size_bytes;
     let all_active = alg.all_active();
@@ -147,10 +135,8 @@ pub fn run_algorithm(
                     w,
                     alg,
                     cfg,
-                    &cost,
                     &frontier,
                     &cfrontier_chunks,
-                    TravMode::PushApply,
                     None,
                     &mut activations,
                     &mut None,
@@ -159,11 +145,6 @@ pub fn run_algorithm(
             Strategy::Ub | Strategy::Phi => {
                 let bins = w.bins.as_ref().expect("UB/PHI needs bins");
                 let num_bins = bins.num_bins;
-                let mode = if cfg.strategy == Strategy::Ub {
-                    TravMode::UbBin
-                } else {
-                    TravMode::PhiBin
-                };
                 // Binned update tuples per (writer core, bin), plus per-bin
                 // activation lists used during accumulation.
                 let mut binned: Vec<Vec<Vec<u64>>> =
@@ -173,10 +154,8 @@ pub fn run_algorithm(
                     w,
                     alg,
                     cfg,
-                    &cost,
                     &frontier,
                     &cfrontier_chunks,
-                    mode,
                     Some(&mut binned),
                     &mut activations,
                     &mut phi,
@@ -200,7 +179,7 @@ pub fn run_algorithm(
                         };
                     }
                 }
-                run_accumulation(machine, w, cfg, &cost, cores, &binned);
+                run_accumulation(machine, w, cfg, cores, &binned);
             }
         }
 
@@ -216,7 +195,7 @@ pub fn run_algorithm(
 
         let end = alg.end_iteration(w, iteration);
         if end == EndIter::ContinueWithVertexPhase {
-            run_vertex_phase(machine, w, cfg, &cost);
+            run_vertex_phase(machine, w, cfg);
         }
         if end == EndIter::Done {
             break;
@@ -381,10 +360,8 @@ fn run_traversal_phase(
     w: &mut Workload,
     alg: &mut dyn Algorithm,
     cfg: &SchemeConfig,
-    cost: &CostModel,
     frontier: &[VertexId],
     cfrontier_chunks: &[CFrontierChunk],
-    mode: TravMode,
     binned: Option<&mut Vec<Vec<Vec<u64>>>>,
     activations: &mut Vec<VertexId>,
     phi: &mut Option<PhiUnit>,
@@ -416,7 +393,7 @@ fn run_traversal_phase(
             cfg,
             TraversalOpts {
                 all_active,
-                prefetch_dst: mode == TravMode::PushApply,
+                prefetch_dst: !cfg.bins_updates(),
                 frontier_compressed,
                 read_source: alg.reads_source(),
             },
@@ -425,7 +402,7 @@ fn run_traversal_phase(
     if let Some(t) = &trav {
         machine.load_fetcher_program(&t.pipeline);
     }
-    let bin_pipes: Vec<pipelines::BinningCompPipe> = if cfg.spzip && mode != TravMode::PushApply {
+    let bin_pipes: Vec<pipelines::BinningCompPipe> = if cfg.spzip && cfg.bins_updates() {
         // Bins are per-iteration: reset the MQU tail pointers (the runtime
         // reallocates bins each binning phase, as in Listing 5).
         let bins = w.bins.as_ref().unwrap();
@@ -460,9 +437,7 @@ fn run_traversal_phase(
         w,
         alg,
         cfg,
-        cost,
         frontier,
-        mode,
         trav,
         fetcher,
         bin_pipes,
@@ -505,9 +480,7 @@ struct TraversalSource<'a> {
     w: &'a mut Workload,
     alg: &'a mut dyn Algorithm,
     cfg: &'a SchemeConfig,
-    cost: &'a CostModel,
     frontier: &'a [VertexId],
-    mode: TravMode,
     trav: Option<pipelines::TraversalPipe>,
     /// The traversal pipeline's functional engine, reset for every chunk.
     fetcher: Option<FuncEngine>,
@@ -544,22 +517,22 @@ impl TraversalSource<'_> {
     /// applies the update and activates `dst` for the next frontier.
     fn edge_action(&mut self, core: usize, ev: &mut Vec<Event>, dst: VertexId, payload: u32) {
         let w_dst_addr = self.w.dst_addr + dst as u64 * 4;
-        match self.mode {
-            TravMode::PushApply => {
+        match self.cfg.strategy {
+            Strategy::Push => {
                 ev.push(Event::atomic(w_dst_addr, 4, DataClass::DestinationVertex));
-                ev.push(Event::Compute(self.cost.apply));
+                ev.push(Event::Compute(cost::APPLY));
             }
-            TravMode::UbBin => {
+            Strategy::Ub => {
                 ev.push(Event::Compute(if self.cfg.spzip {
-                    self.cost.spzip_per_edge
+                    cost::SPZIP_PER_EDGE
                 } else {
-                    self.cost.bin_update
+                    cost::BIN_UPDATE
                 }));
                 let bin = self.w.bins.as_ref().unwrap().bin_of(dst);
                 self.bin_update(core, ev, bin, ((dst as u64) << 32) | payload as u64);
             }
-            TravMode::PhiBin => {
-                ev.push(Event::Compute(self.cost.phi_push));
+            Strategy::Phi => {
+                ev.push(Event::Compute(cost::PHI_PUSH));
                 let alg = &*self.alg;
                 let outcome = self
                     .phi
@@ -578,7 +551,7 @@ impl TraversalSource<'_> {
         if activated && !self.all_active && !self.in_next[dst as usize] {
             self.in_next[dst as usize] = true;
             self.activations.push(dst);
-            if self.mode == TravMode::PushApply {
+            if !self.cfg.bins_updates() {
                 // Push writes the next frontier as it goes.
                 ev.push(Event::store(
                     self.w.next_frontier_addr + self.nf_cursor * 4,
@@ -630,13 +603,13 @@ impl TraversalSource<'_> {
             return None;
         }
         self.finalized[core] = true;
-        if self.mode == TravMode::PushApply {
+        if !self.cfg.bins_updates() {
             return None;
         }
         let mut ev = Vec::new();
         // PHI: drain the buffered lines once; each core spills every
         // `cores`-th of them.
-        if self.mode == TravMode::PhiBin {
+        if self.cfg.strategy == Strategy::Phi {
             let drained = self
                 .phi_drained
                 .take()
@@ -691,7 +664,7 @@ impl TraversalSource<'_> {
                 16,
                 DataClass::AdjacencyMatrix,
             ));
-            ev.push(Event::Compute(self.cost.sw_per_src));
+            ev.push(Event::Compute(cost::SW_PER_SRC));
             if self.alg.reads_source() {
                 ev.push(Event::load(
                     self.w.src_addr + src as u64 * 4,
@@ -714,7 +687,7 @@ impl TraversalSource<'_> {
                         DataClass::AdjacencyMatrix,
                     ));
                 }
-                ev.push(Event::Compute(self.cost.sw_per_edge));
+                ev.push(Event::Compute(cost::SW_PER_EDGE));
                 let payload = self.alg.payload(self.w, src, e);
                 self.edge_action(core, &mut ev, dst, payload);
             }
@@ -775,7 +748,7 @@ impl TraversalSource<'_> {
                 // Pop markers until the source's payload value arrives.
                 dequeue_value(&mut ev, *q, items);
             }
-            ev.push(Event::Compute(self.cost.spzip_per_src));
+            ev.push(Event::Compute(cost::SPZIP_PER_SRC));
             let (elo, ehi) = self.w.g.row_range(src);
             for e in elo..ehi {
                 // Markers separate rows / groups.
@@ -787,7 +760,7 @@ impl TraversalSource<'_> {
                     self.w.g.neighbors_flat()[e],
                     "decompressed neighbor mismatch"
                 );
-                ev.push(Event::Compute(self.cost.spzip_per_edge));
+                ev.push(Event::Compute(cost::SPZIP_PER_EDGE));
                 let payload = self.alg.payload(self.w, src, e);
                 self.edge_action(core, &mut ev, dst, payload);
             }
@@ -800,7 +773,7 @@ impl TraversalSource<'_> {
             }));
         }
 
-        let compressor_trace = (self.mode != TravMode::PushApply).then(|| self.comp_firings(core));
+        let compressor_trace = self.cfg.bins_updates().then(|| self.comp_firings(core));
         CoreWork {
             events: ev,
             fetcher_trace,
@@ -832,7 +805,6 @@ fn run_accumulation(
     machine: &mut Machine,
     w: &mut Workload,
     cfg: &SchemeConfig,
-    cost: &CostModel,
     cores: usize,
     binned: &[Vec<Vec<u64>>],
 ) {
@@ -914,7 +886,7 @@ fn run_accumulation(
                                 q: pipe.upd_q,
                                 quarters: qcost as u16,
                             });
-                            ev.push(Event::Compute(cost.accum_update));
+                            ev.push(Event::Compute(cost::ACCUM_UPDATE));
                         }
                         let decoded = out.iter().filter_map(|&(item, _)| match item {
                             QueueItem::Value(v) => Some(v),
@@ -926,7 +898,7 @@ fn run_accumulation(
                             updates.len(),
                             "bin decode count"
                         );
-                        apply_events(&mut ev, w, cost, bin, use_slice, decoded);
+                        apply_events(&mut ev, w, bin, use_slice, decoded);
                         (ev, Some(eng.take_firings()))
                     } else {
                         // Software accumulation: stream the raw bin.
@@ -934,8 +906,8 @@ fn run_accumulation(
                         let mut ev = Vec::new();
                         for (i, &u) in updates.iter().enumerate() {
                             ev.push(Event::load(base + i as u64 * 8, 8, DataClass::Updates));
-                            ev.push(Event::Compute(cost.accum_update));
-                            apply_events(&mut ev, w, cost, bin, false, [u]);
+                            ev.push(Event::Compute(cost::ACCUM_UPDATE));
+                            apply_events(&mut ev, w, bin, false, [u]);
                         }
                         (ev, None)
                     }
@@ -961,7 +933,7 @@ fn run_accumulation(
             let mut writes = writes.into_iter();
             machine.run_phase(&mut |_core: usize| {
                 let (addr, len) = writes.next()?;
-                let mut ev = vec![Event::Compute(cost.vertex_op)];
+                let mut ev = vec![Event::Compute(cost::VERTEX_OP)];
                 burst_stores(&mut ev, addr, len, DataClass::DestinationVertex);
                 Some(CoreWork {
                     events: ev,
@@ -984,7 +956,6 @@ fn run_accumulation(
 fn apply_events(
     ev: &mut Vec<Event>,
     w: &Workload,
-    cost: &CostModel,
     bin: u32,
     use_slice: bool,
     updates: impl IntoIterator<Item = u64>,
@@ -993,7 +964,7 @@ fn apply_events(
     let slice_lo = bin as u64 * bins.slice_vertices as u64;
     for u in updates {
         let dst = u >> 32;
-        ev.push(Event::Compute(cost.apply));
+        ev.push(Event::Compute(cost::APPLY));
         if use_slice {
             // The slice lives decompressed in the staging buffer.
             let off = (dst.saturating_sub(slice_lo) % bins.slice_vertices as u64) * 4;
@@ -1016,7 +987,7 @@ fn apply_events(
 // Vertex phase (e.g. PR contribution recompute)
 // ======================================================================
 
-fn run_vertex_phase(machine: &mut Machine, w: &mut Workload, cfg: &SchemeConfig, cost: &CostModel) {
+fn run_vertex_phase(machine: &mut Machine, w: &mut Workload, cfg: &SchemeConfig) {
     if cfg.compress_vertex && w.cdst.is_some() && w.csrc.is_some() {
         // Compressed: stream scores through the fetcher, write contribs as
         // compressed chunks (recompressed host-side; the stores model the
@@ -1039,7 +1010,7 @@ fn run_vertex_phase(machine: &mut Machine, w: &mut Workload, cfg: &SchemeConfig,
             let mut ev = fetch_chunk(&mut eng, &inputs, &mut w.img);
             dequeue_paired(&mut ev, sv, eng.drain_output_costed(sv), |ev, n| {
                 if n > 0 {
-                    ev.push(Event::Compute(cost.vertex_op));
+                    ev.push(Event::Compute(cost::VERTEX_OP));
                 }
             });
             // Compressed contribution writes covering this sub-chunk.
@@ -1074,7 +1045,7 @@ fn run_vertex_phase(machine: &mut Machine, w: &mut Workload, cfg: &SchemeConfig,
                     4,
                     DataClass::DestinationVertex,
                 ));
-                ev.push(Event::Compute(cost.vertex_op));
+                ev.push(Event::Compute(cost::VERTEX_OP));
                 ev.push(Event::store(
                     w.src_addr + v as u64 * 4,
                     4,

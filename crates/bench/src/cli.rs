@@ -22,10 +22,10 @@
 //! * `--corpus shape|liveness|equiv|all` — `dcl-lint`: run a seeded-bug
 //!   differential gate ([`crate::corpus`]): each seed must be caught by
 //!   its static pass and confirmed on the dynamic engines.
-//! * `--equiv` — `dcl-lint`: certify every builtin pipeline against its
-//!   auto-codec rewiring with the translation validator
-//!   ([`spzip_core::equiv`]), plus every codec's kernel-vs-reference
-//!   binding (cross-roundtrip bit-identity).
+//! * `--equiv` — `dcl-lint`: certify every builtin pipeline's suggested
+//!   codec plan ([`spzip_core::suggest::certify`]; a plan the translation
+//!   validator refutes is reported as errors), plus every codec's
+//!   kernel-vs-reference binding (cross-roundtrip bit-identity).
 //! * `--explain CODE` — `dcl-lint`: print the registry entry (summary,
 //!   why it matters, how to fix) for any diagnostic code
 //!   (`E`/`W`/`B`/`P`/`A`/`S`/`D`/`V`).

@@ -25,8 +25,9 @@
 //! `--corpus shape|liveness|equiv|all` instead runs the seeded-bug
 //! differential gates in [`crate::corpus`]: each seed must be caught by
 //! its static pass with the expected code AND confirmed on the dynamic
-//! engines. `--equiv` certifies every builtin against its auto-codec
-//! rewiring with the [`spzip_core::equiv`] translation validator and
+//! engines. `--equiv` applies every builtin's suggested codec plan
+//! through [`spzip_core::suggest::certify`], reporting a plan the
+//! [`spzip_core::equiv`] translation validator refutes as errors, and
 //! cross-checks every codec's kernel-vs-reference binding.
 //! `--explain CODE` prints the [`crate::explain`] registry entry for any
 //! diagnostic code.
@@ -43,6 +44,7 @@ use crate::cli::CommonArgs;
 use spzip_core::dcl::Pipeline;
 use spzip_core::lint::{self, Diagnostic};
 use spzip_core::shape::{self, MemorySchema};
+use spzip_core::suggest::{certify, suggest, PlanEntry, SuggestInput};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt::Write as _;
 
@@ -129,29 +131,25 @@ fn lint_pipeline(name: &str, p: &Pipeline, schema: Option<&MemorySchema>, dot: b
     entry(name, diags, &counterexamples, &dot)
 }
 
-/// `--equiv` over the builtins: runs the auto-codec selection on every
-/// built-in pipeline and certifies the rewiring with the
-/// [`spzip_core::equiv`] translation validator — original vs rewritten,
-/// each against its own schema. Planless builtins certify as identity
-/// rewrites; any `V0xx` finding is folded into the report like a lint
-/// error.
+/// `--equiv` over the builtins: certifies every builtin's suggested plan.
 fn equiv_builtins(batch: &mut Batch) {
-    let rates = spzip_compress::model::RateTable::nominal();
     for (name, p, schema) in spzip_apps::pipelines::all_builtin_checked() {
-        let (auto, auto_schema, suggest) = spzip_apps::pipelines::auto_codecs(&p, &schema, &rates);
-        let verdict = spzip_core::equiv::validate(&spzip_core::equiv::EquivInput::with_schemas(
-            &p,
-            &auto,
-            &schema,
-            &auto_schema,
-        ));
-        let label = if suggest.plan.is_empty() {
-            format!("{name} (auto: identity)")
-        } else {
-            format!("{name} (auto: {} swap(s))", suggest.plan.len())
-        };
-        batch.push(entry(&label, verdict.diagnostics(), &[], ""));
+        let plan = suggest(&SuggestInput::with_schema(&p, &schema)).plan;
+        batch.push(equiv_entry(&name, &p, &schema, &plan));
     }
+}
+
+/// One `--equiv` entry: applies `plan` to `p` through [`certify`]. An
+/// empty plan certifies as the identity rewrite; a refuted plan's
+/// diagnostics are the entry's errors.
+fn equiv_entry(name: &str, p: &Pipeline, schema: &MemorySchema, plan: &[PlanEntry]) -> Entry {
+    let label = if plan.is_empty() {
+        format!("{name} (auto: identity)")
+    } else {
+        format!("{name} (auto: {} swap(s))", plan.len())
+    };
+    let diagnostics = certify(p, Some(schema), plan).err().unwrap_or_default();
+    entry(&label, diagnostics, &[], "")
 }
 
 /// `--equiv` codec-binding arm: certifies the roundtrip premise the
@@ -372,6 +370,52 @@ mod tests {
         // framings both appear somewhere across the builtin set.
         assert!(r.text().contains("raw w"), "domain labels: {}", r.text());
         assert!(r.text().contains("frames("), "framed labels missing");
+    }
+
+    #[test]
+    fn equiv_reports_a_refuted_plan_as_errors() {
+        // A one-sided swap of an internal delta roundtrip cannot certify:
+        // the entry carries the V002 refutation as an error instead of
+        // printing the untouched pipeline as clean.
+        use spzip_compress::CodecKind;
+        use spzip_core::shape::{InputDomain, RegionSchema};
+        let p = spzip_core::parser::parse(
+            "queue a 32\nqueue b 32\nqueue c 32\n\
+             compress a -> b codec=delta elem=8\n\
+             decompress b -> c codec=delta elem=8",
+            &HashMap::new(),
+        )
+        .unwrap();
+        let mut schema = MemorySchema::new();
+        schema.add_region(RegionSchema::raw("scratch", 0x1000, 0x1000, 8));
+        schema.declare_input(
+            0,
+            InputDomain::Values {
+                elem_bytes: 8,
+                max: None,
+            },
+        );
+        let forged = [PlanEntry {
+            op: 0,
+            queue: 0,
+            current: CodecKind::Delta,
+            suggested: CodecKind::Rle,
+            sort_chunks: false,
+            gain: 0.5,
+        }];
+        let e = equiv_entry("roundtrip", &p, &schema, &forged);
+        assert!(
+            e.diagnostics
+                .iter()
+                .any(|d| d.code == lint::Code::V002 && d.severity() == lint::Severity::Error),
+            "{}",
+            e.text
+        );
+        assert!(
+            e.text.starts_with("roundtrip (auto: 1 swap(s)):\n"),
+            "{}",
+            e.text
+        );
     }
 
     #[test]

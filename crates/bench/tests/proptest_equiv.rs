@@ -1,28 +1,23 @@
 //! Property-based tests for the translation validator: certification
-//! must be a pure, deterministic function of the two pipelines, and the
-//! rewrites the toolchain itself produces must always certify.
+//! must be a pure, deterministic function of the two pipelines.
 //!
-//! Three properties over the builtin pipeline corpus:
+//! Two properties over the builtin pipeline corpus (that every builtin's
+//! suggested plan certifies is an exhaustive unit test,
+//! `pipelines::tests::every_auto_builtin_certifies_against_its_original`):
 //!
-//! 1. **Auto-rewires certify** — `auto_codecs` on any builtin yields a
-//!    pipeline/schema pair the validator proves equivalent to the
-//!    original. The apps layer already refuses to apply an uncertified
-//!    plan; this pins the stronger claim that the plans it *does* apply
-//!    re-certify from the outside.
-//!
-//! 2. **Determinism** — validating the same pair twice (and a deep
+//! 1. **Determinism** — validating the same pair twice (and a deep
 //!    clone) renders byte-identical diagnostics: nothing in the pass may
 //!    key off allocation identity or iteration order.
 //!
-//! 3. **Capacity invariance** — `scale_queues` by any factor ≥ 1 is an
+//! 2. **Capacity invariance** — `scale_queues` by any factor ≥ 1 is an
 //!    identity rewrite, and scaling *both* sides of a certified pair
 //!    must not change the verdict: queue capacities are invisible to the
 //!    symbolic dataflow summaries.
 
 use proptest::prelude::*;
-use spzip_apps::pipelines::{all_builtin_checked, auto_codecs};
-use spzip_compress::model::RateTable;
+use spzip_apps::pipelines::all_builtin_checked;
 use spzip_core::equiv::{self, EquivInput, EquivReport};
+use spzip_core::suggest::{certify, suggest, SuggestInput};
 
 /// Renders everything a verdict surfaces, for byte-identity comparison.
 fn rendered(report: &EquivReport) -> String {
@@ -37,32 +32,6 @@ fn rendered(report: &EquivReport) -> String {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn auto_rewires_certify(idx in 0usize..72) {
-        let builtins = all_builtin_checked();
-        let (name, pipeline, schema) = &builtins[idx % builtins.len()];
-
-        let (auto, auto_schema, _) =
-            auto_codecs(pipeline, schema, &RateTable::nominal());
-        let report = equiv::validate(&EquivInput::with_schemas(
-            pipeline,
-            &auto,
-            schema,
-            &auto_schema,
-        ));
-        prop_assert!(
-            report.is_clean(),
-            "auto rewrite of {} fails certification: {:?}",
-            name,
-            report
-                .diagnostics()
-                .iter()
-                .map(|d| d.to_string())
-                .collect::<Vec<_>>()
-        );
-        prop_assert!(report.sinks_checked > 0, "{} has observable sinks", name);
-    }
 
     #[test]
     fn validator_is_deterministic(idx in 0usize..72) {
@@ -113,8 +82,10 @@ proptest! {
         );
 
         // ...and scaling both sides of a certified pair keeps the verdict.
-        let (auto, auto_schema, _) =
-            auto_codecs(pipeline, schema, &RateTable::nominal());
+        let plan = suggest(&SuggestInput::with_schema(pipeline, schema)).plan;
+        let (auto, auto_schema) =
+            certify(pipeline, Some(schema), &plan).expect("builtin plans certify");
+        let auto_schema = auto_schema.expect("a schema in yields a schema out");
         let auto_scaled = auto
             .scale_queues(factor)
             .expect("upscaling a certified rewrite stays valid");

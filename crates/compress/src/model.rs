@@ -219,20 +219,6 @@ pub fn codec_trajectory_name(kind: CodecKind, sort_chunks: bool) -> &'static str
     }
 }
 
-/// Inverse of [`codec_trajectory_name`]: `(kind, sort_chunks)` for a
-/// trajectory codec name, `None` for an unknown name.
-pub fn codec_from_trajectory_name(name: &str) -> Option<(CodecKind, bool)> {
-    match name {
-        "identity" => Some((CodecKind::None, false)),
-        "delta" => Some((CodecKind::Delta, false)),
-        "delta_sorted" => Some((CodecKind::Delta, true)),
-        "bpc32" => Some((CodecKind::Bpc32, false)),
-        "bpc64" => Some((CodecKind::Bpc64, false)),
-        "rle" => Some((CodecKind::Rle, false)),
-        _ => None,
-    }
-}
-
 /// Measured throughput of one codec, in GB/s of *uncompressed* stream
 /// bytes (the unit `codec-bench` records on both directions).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -418,20 +404,6 @@ mod tests {
             predicted_bytes_per_elem(CodecKind::Delta, &sorted)
                 < predicted_bytes_per_elem(CodecKind::Delta, &unsorted)
         );
-    }
-
-    #[test]
-    fn trajectory_names_roundtrip() {
-        for kind in CodecKind::all() {
-            for sort in [false, true] {
-                let name = codec_trajectory_name(kind, sort);
-                let (back, back_sort) = codec_from_trajectory_name(name).unwrap();
-                assert_eq!(back, kind, "{name}");
-                // Only delta has a distinct sorted arm.
-                assert_eq!(back_sort, sort && kind == CodecKind::Delta, "{name}");
-            }
-        }
-        assert!(codec_from_trajectory_name("zstd").is_none());
     }
 
     #[test]

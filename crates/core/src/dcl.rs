@@ -344,7 +344,7 @@ impl Pipeline {
     /// boundary swaps — a compress feeding storage, a decompress fed from
     /// storage — certify under the rewiring contract (the caller
     /// re-encodes the stored stream, see
-    /// [`crate::suggest::rewired_schema`]), but swapping only one side of
+    /// [`crate::suggest::certify`]), but swapping only one side of
     /// an internal compress/decompress pair breaks the roundtrip and is
     /// rejected here.
     ///

@@ -21,7 +21,7 @@
 //! certify: an `encode(c)` immediately undone by `decode(c)` cancels, a
 //! framed-region fetch feeding `decode(c)` collapses to a plain decoded
 //! fetch when the region's declared framing agrees (the rewiring contract
-//! re-encodes storage, see [`crate::suggest::rewired_schema`]), and an
+//! re-encodes storage, see [`crate::suggest::certify`]), and an
 //! encode terminating at a memory sink is absorbed into the sink when the
 //! destination region is framed with the same codec. Everything else —
 //! non-inverse pairings, dropped or duplicated streams, width changes,
@@ -202,16 +202,6 @@ impl Atom {
     }
 }
 
-fn codec_name(c: CodecKind) -> &'static str {
-    match c {
-        CodecKind::None => "none",
-        CodecKind::Delta => "delta",
-        CodecKind::Bpc32 => "bpc32",
-        CodecKind::Bpc64 => "bpc64",
-        CodecKind::Rle => "rle",
-    }
-}
-
 impl fmt::Display for Atom {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -222,14 +212,14 @@ impl fmt::Display for Atom {
                 bins,
                 width,
             } => write!(f, "bin[{target},x{bins},w{width}]"),
-            Atom::Decode { codec, width } => write!(f, "decode({},w{width})", codec_name(*codec)),
+            Atom::Decode { codec, width } => write!(f, "decode({codec},w{width})"),
             Atom::Encode {
                 codec,
                 width,
                 sorted,
             } => {
                 let s = if *sorted { ",sorted" } else { "" };
-                write!(f, "encode({},w{width}{s})", codec_name(*codec))
+                write!(f, "encode({codec},w{width}{s})")
             }
             Atom::SortChunks { width } => write!(f, "sortchunks(w{width})"),
             Atom::Reinterpret { from, to } => write!(f, "reinterpret(w{from}->w{to})"),
@@ -393,8 +383,8 @@ fn normalize(mut atoms: Vec<Atom>, fetch_framings: &BTreeMap<String, Framing>) -
                 ) => {
                     if c1 != c2 {
                         Some(vec![Atom::NonInverse {
-                            stored: codec_name(*c1).to_string(),
-                            transform: codec_name(*c2).to_string(),
+                            stored: c1.to_string(),
+                            transform: c2.to_string(),
                             width: *w2,
                         }])
                     } else if w1 != w2 {
@@ -422,13 +412,13 @@ fn normalize(mut atoms: Vec<Atom>, fetch_framings: &BTreeMap<String, Framing>) -
                         }])
                     }
                     Some(Framing::Frames { codec: stored, .. }) => Some(vec![Atom::NonInverse {
-                        stored: codec_name(*stored).to_string(),
-                        transform: codec_name(*codec).to_string(),
+                        stored: stored.to_string(),
+                        transform: codec.to_string(),
                         width: *width,
                     }]),
                     Some(Framing::Raw) => Some(vec![Atom::NonInverse {
                         stored: "raw".to_string(),
-                        transform: codec_name(*codec).to_string(),
+                        transform: codec.to_string(),
                         width: *width,
                     }]),
                     None => Some(vec![Atom::FetchDecoded {
@@ -520,7 +510,7 @@ fn summarize(p: &Pipeline, schema: Option<&MemorySchema>) -> BTreeMap<String, Si
                         atoms.pop();
                         atoms.push(Atom::NonInverse {
                             stored: "stored-framing".to_string(),
-                            transform: codec_name(codec).to_string(),
+                            transform: codec.to_string(),
                             width,
                         });
                         encoded = true;

@@ -8,17 +8,19 @@
 //!
 //! 1. enumerates candidate codecs — every [`CodecKind`], including
 //!    `None` ("no compression"),
-//! 2. prices each candidate with the [`crate::perf`] flow model: the
-//!    pipeline is rewired ([`Pipeline::with_op_codec`]), the
-//!    [`spzip_compress::model`] ratio profile predicts the candidate's
-//!    footprint, and the [`RateTable`](spzip_compress::model::RateTable)
-//!    — calibrated from measured kernel rates in `BENCH_codecs.json` —
-//!    prices its transform service cost,
-//! 3. validates the winning rewiring: the rewired program must lint
-//!    error-clean, and, when a [`MemorySchema`] is declared, the shape
-//!    verifier must accept the rewired pipeline against a schema whose
-//!    region framing is re-declared to match (the plan re-encodes the
-//!    region, so the framing moves with the codec).
+//! 2. rewires the pipeline once per candidate
+//!    ([`Pipeline::with_op_codec`], which re-lints, model-checks and
+//!    certifies the swap) and prices the rewiring with the [`crate::perf`]
+//!    flow model: the [`spzip_compress::model`] ratio profile predicts the
+//!    candidate's footprint, and the
+//!    [`RateTable`](spzip_compress::model::RateTable) — calibrated from
+//!    measured kernel rates in `BENCH_codecs.json` — prices its transform
+//!    service cost,
+//! 3. walks the priced rewirings from the best down and keeps the first
+//!    that validates: it must have rewired error-clean, and, when a
+//!    [`MemorySchema`] is declared, the shape verifier must accept it
+//!    against a schema whose region framing is re-declared to match (the
+//!    plan re-encodes the region, so the framing moves with the codec).
 //!
 //! Findings are advisory diagnostics through the shared [`crate::lint`]
 //! machinery — warning severity, never build- or CI-failing:
@@ -32,15 +34,15 @@
 //!   back to the best candidate that validates.
 //!
 //! Alongside the diagnostics the pass emits a machine-readable rewiring
-//! plan ([`PlanEntry`]); [`apply_plan`] and [`rewired_schema`] turn a
-//! plan back into a validated pipeline + schema pair, and
-//! [`apply_plan_certified`] additionally proves the pair observationally
-//! equivalent to the original through the [`crate::equiv`] translation
-//! validator — the only path the `auto_codecs` builder mode in
-//! `spzip-apps` uses, so an uncertified plan is demoted to an `A003`
-//! suppression ([`demote_uncertified`]) instead of ever being applied.
+//! plan ([`PlanEntry`]). [`certify`] is the one way to apply a plan: it
+//! rewires the pipeline, re-frames the schema, and returns the pair only
+//! when it shape-checks clean and the [`crate::equiv`] translation
+//! validator proves it observationally equivalent to the original;
+//! otherwise it returns the refuting diagnostics. `dcl-lint --equiv`
+//! certifies every builtin's plan this way.
 
-use crate::dcl::{OperatorKind, Pipeline};
+use crate::dcl::{OperatorKind, Pipeline, ValidateError};
+use crate::equiv::{self, EquivInput};
 use crate::lint::{Code, Diagnostic, Site};
 use crate::perf::{analyze, PerfInput};
 use crate::shape::{self, Framing, MemorySchema};
@@ -89,29 +91,37 @@ impl<'a> SuggestInput<'a> {
 }
 
 /// One rewiring the pass recommends: swap operator `op`'s codec. The
-/// machine-readable half of the report — stable field names, rendered
-/// into `dcl-perf --suggest --format json` verbatim.
+/// machine-readable half of the report, rendered into `dcl-perf --suggest
+/// --format json` by [`PlanEntry::to_json`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanEntry {
     /// Transform operator definition index.
     pub op: usize,
     /// The operator's input queue (the "compressed queue" being rewired).
     pub queue: QueueId,
-    /// Current codec, as its `BENCH_codecs.json` trajectory name.
-    pub current: String,
-    /// Suggested codec, as its trajectory name.
-    pub suggested: String,
+    /// Current codec.
+    pub current: CodecKind,
+    /// Suggested codec.
+    pub suggested: CodecKind,
+    /// Whether the operator sorts chunks before encoding (selects the
+    /// `delta_sorted` trajectory name).
+    pub sort_chunks: bool,
     /// Predicted fractional improvement of the pipeline metric (0.12 =
     /// 12% fewer cycles per delivered element).
     pub gain: f64,
 }
 
 impl PlanEntry {
-    /// Renders the entry as a single-line JSON object.
+    /// Renders the entry as a single-line JSON object with stable field
+    /// names, each codec as its `BENCH_codecs.json` trajectory name.
     pub fn to_json(&self) -> String {
         format!(
             "{{\"op\":{},\"queue\":{},\"current\":\"{}\",\"suggested\":\"{}\",\"gain\":{:.4}}}",
-            self.op, self.queue, self.current, self.suggested, self.gain
+            self.op,
+            self.queue,
+            codec_trajectory_name(self.current, self.sort_chunks),
+            codec_trajectory_name(self.suggested, self.sort_chunks),
+            self.gain
         )
     }
 }
@@ -183,32 +193,23 @@ fn metric(input: &SuggestInput<'_>, pipeline: &Pipeline) -> f64 {
     }
 }
 
-/// Validates the rewiring of `op` to `codec`: the program must re-lint
-/// error-clean, and under a schema the shape verifier must accept the
-/// rewired pipeline against the matching re-framed schema. Returns the
-/// first rejecting code on failure.
-fn validate_swap(
+/// Shape-checks `rewired`, the priced rewiring of `op` to `codec`: under
+/// a declared schema the shape verifier must accept it against the
+/// matching re-framed schema. Returns the first rejecting code.
+fn shape_check(
     input: &SuggestInput<'_>,
     op: usize,
     codec: CodecKind,
-) -> Result<Pipeline, &'static str> {
-    let rewired = input
-        .perf
-        .pipeline
-        .with_op_codec(op, codec)
-        .map_err(|e| e.first_error().code.as_str())?;
-    if let Some(schema) = input.schema {
-        let schema = reframe_for(schema, input.perf.pipeline, op, codec);
-        let report = shape::verify(&rewired, &schema);
-        if !report.is_clean() {
-            let code = report
-                .diagnostics
-                .first()
-                .map_or("B001", |d| d.code.as_str());
-            return Err(code);
-        }
+    rewired: &Pipeline,
+) -> Result<(), &'static str> {
+    let Some(schema) = input.schema else {
+        return Ok(());
+    };
+    let schema = reframe_for(schema.clone(), input.perf.pipeline, op, codec);
+    match shape::verify(rewired, &schema).diagnostics.first() {
+        Some(d) => Err(d.code.as_str()),
+        None => Ok(()),
     }
-    Ok(rewired)
 }
 
 /// Re-declares the framing of the region operator `op` transforms
@@ -216,8 +217,12 @@ fn validate_swap(
 /// schema moves with the codec. The region is found through the memory
 /// operator adjacent to the transform — the producer feeding a
 /// decompressor, the writer consuming a compressor.
-fn reframe_for(schema: &MemorySchema, p: &Pipeline, op: usize, codec: CodecKind) -> MemorySchema {
-    let mut schema = schema.clone();
+fn reframe_for(
+    mut schema: MemorySchema,
+    p: &Pipeline,
+    op: usize,
+    codec: CodecKind,
+) -> MemorySchema {
     let base = match &p.operators()[op].kind {
         // Decompressor: the fetch producing its input queue.
         OperatorKind::Decompress { .. } => {
@@ -281,20 +286,23 @@ pub fn suggest(input: &SuggestInput<'_>) -> SuggestReport {
         let line = p.operator_lines()[i];
         let queue = opspec.input;
 
-        // Price every candidate (the current codec included, as the
-        // baseline this operator must beat).
-        let mut priced: Vec<(f64, CodecKind)> = CodecKind::all()
+        // Rewire and price every candidate once (the current codec
+        // included, as the baseline this operator must beat), keeping each
+        // rewiring or the first code that rejected it.
+        let mut priced: Vec<_> = CodecKind::all()
             .into_iter()
             .map(|cand| {
-                let m = if cand == current {
-                    baseline_metric
-                } else {
-                    match p.with_op_codec(i, cand) {
-                        Ok(rewired) => metric(input, &rewired),
-                        Err(_) => f64::INFINITY,
-                    }
-                };
-                (m, cand)
+                if cand == current {
+                    return (baseline_metric, cand, None);
+                }
+                match p.with_op_codec(i, cand) {
+                    Ok(rewired) => (metric(input, &rewired), cand, Some(Ok(rewired))),
+                    Err(e) => (
+                        f64::INFINITY,
+                        cand,
+                        Some(Err(e.first_error().code.as_str())),
+                    ),
+                }
             })
             .collect();
         priced.sort_by(|a, b| a.0.total_cmp(&b.0));
@@ -304,13 +312,16 @@ pub fn suggest(input: &SuggestInput<'_>) -> SuggestReport {
         // A003 advisory (best rejected only).
         let mut suppressed: Option<(CodecKind, f64, &'static str)> = None;
         let mut chosen: Option<(CodecKind, f64)> = None;
-        for &(m, cand) in &priced {
+        for (m, cand, rewired) in priced {
             let gain = (baseline_metric - m) / baseline_metric.max(f64::MIN_POSITIVE);
-            if cand == current || gain < DEFAULT_MIN_GAIN {
+            let Some(rewired) = rewired else {
+                break; // the current codec: nothing ahead beats it
+            };
+            if gain < DEFAULT_MIN_GAIN {
                 break; // nothing ahead beats the threshold either
             }
-            match validate_swap(input, i, cand) {
-                Ok(_) => {
+            match rewired.and_then(|r| shape_check(input, i, cand, &r)) {
+                Ok(()) => {
                     chosen = Some((cand, gain));
                     break;
                 }
@@ -324,7 +335,7 @@ pub fn suggest(input: &SuggestInput<'_>) -> SuggestReport {
 
         let current_name = codec_trajectory_name(current, sort);
         if let Some((cand, gain, code)) = suppressed {
-            let cand_name = codec_trajectory_name(cand, sort && cand == CodecKind::Delta);
+            let cand_name = codec_trajectory_name(cand, sort);
             diagnostics.push(
                 Diagnostic::new(
                     Code::A003,
@@ -340,7 +351,7 @@ pub fn suggest(input: &SuggestInput<'_>) -> SuggestReport {
             );
         }
         if let Some((cand, gain)) = chosen {
-            let cand_name = codec_trajectory_name(cand, sort && cand == CodecKind::Delta);
+            let cand_name = codec_trajectory_name(cand, sort);
             if cand == CodecKind::None {
                 diagnostics.push(
                     Diagnostic::new(
@@ -376,8 +387,9 @@ pub fn suggest(input: &SuggestInput<'_>) -> SuggestReport {
             plan.push(PlanEntry {
                 op: i,
                 queue,
-                current: current_name.to_string(),
-                suggested: cand_name.to_string(),
+                current,
+                suggested: cand,
+                sort_chunks: sort,
                 gain,
             });
         }
@@ -388,10 +400,7 @@ pub fn suggest(input: &SuggestInput<'_>) -> SuggestReport {
     let auto_metric = if plan.is_empty() {
         baseline_metric
     } else {
-        match apply_plan(p, &plan) {
-            Ok(auto) => metric(input, &auto),
-            Err(_) => baseline_metric,
-        }
+        apply(p, None, &plan).map_or(baseline_metric, |(auto, _)| metric(input, &auto))
     };
 
     SuggestReport {
@@ -403,111 +412,55 @@ pub fn suggest(input: &SuggestInput<'_>) -> SuggestReport {
     }
 }
 
-/// Applies a rewiring plan, returning the re-validated pipeline.
+/// Applies `plan` to `p`: the [`Pipeline::with_op_codec`] chain, with the
+/// schema's region framings re-declared to match each swap.
+fn apply(
+    p: &Pipeline,
+    schema: Option<&MemorySchema>,
+    plan: &[PlanEntry],
+) -> Result<(Pipeline, Option<MemorySchema>), ValidateError> {
+    let mut auto = p.clone();
+    let mut auto_schema = schema.cloned();
+    for e in plan {
+        auto = auto.with_op_codec(e.op, e.suggested)?;
+        auto_schema = auto_schema.map(|s| reframe_for(s, p, e.op, e.suggested));
+    }
+    Ok((auto, auto_schema))
+}
+
+/// Applies a rewiring plan, certified — the one way a plan is applied.
+/// The rewired pipeline (with, when `schema` is declared, its re-framed
+/// schema) is returned only if it passes the shape verifier and the
+/// [`crate::equiv`] translation validator proves it observationally
+/// equivalent to `p`, each side against its own schema.
 ///
 /// # Errors
 ///
-/// Returns a message naming the offending entry if a plan entry refers
-/// to an unknown codec name or the rewired program fails validation —
-/// both impossible for plans produced by [`suggest`] on the same
-/// pipeline, but plans can arrive from JSON.
-pub fn apply_plan(p: &Pipeline, plan: &[PlanEntry]) -> Result<Pipeline, String> {
-    let mut current = p.clone();
-    for e in plan {
-        let (kind, _) = spzip_compress::model::codec_from_trajectory_name(&e.suggested)
-            .ok_or_else(|| format!("plan entry op {}: unknown codec {:?}", e.op, e.suggested))?;
-        current = current
-            .with_op_codec(e.op, kind)
-            .map_err(|err| format!("plan entry op {}: {}", e.op, err.first_error()))?;
-    }
-    Ok(current)
-}
-
-/// Re-declares every region framing a plan re-encodes: the schema that
-/// matches [`apply_plan`]'s pipeline.
-pub fn rewired_schema(schema: &MemorySchema, p: &Pipeline, plan: &[PlanEntry]) -> MemorySchema {
-    let mut out = schema.clone();
-    for e in plan {
-        if let Some((kind, _)) = spzip_compress::model::codec_from_trajectory_name(&e.suggested) {
-            out = reframe_for(&out, p, e.op, kind);
-        }
-    }
-    out
-}
-
-/// Applies a rewiring plan *with end-to-end certification*: the rewired
-/// pipeline (and, when a schema is declared, its re-framed schema) is
-/// proven observationally equivalent to the original by the
-/// [`crate::equiv`] translation validator before it is returned. This is
-/// the only application path `auto_codecs` uses — a plan that cannot be
-/// certified is never applied.
-///
-/// # Errors
-///
-/// Returns the refuting diagnostics: the `V0xx` witnesses from the
-/// validator, or the rewiring's own validation errors when a plan entry
-/// does not even apply (unknown codec name, lint/liveness rejection).
-pub fn apply_plan_certified(
+/// Returns the refuting diagnostics: a swap's own lint, liveness or
+/// `V0xx` rejection from [`Pipeline::with_op_codec`], the rewired pair's
+/// `B0xx` findings, or the validator's `V0xx` witnesses.
+pub fn certify(
     p: &Pipeline,
     schema: Option<&MemorySchema>,
     plan: &[PlanEntry],
 ) -> Result<(Pipeline, Option<MemorySchema>), Vec<Diagnostic>> {
-    let mut current = p.clone();
-    for e in plan {
-        let Some((kind, _)) = spzip_compress::model::codec_from_trajectory_name(&e.suggested)
-        else {
-            return Err(vec![Diagnostic::new(
-                Code::V002,
-                Site::Operator(e.op),
-                None,
-                format!(
-                    "plan entry op {} names unknown codec {:?}: no inverse transform exists",
-                    e.op, e.suggested
-                ),
-            )]);
-        };
-        current = current
-            .with_op_codec(e.op, kind)
-            .map_err(|err| err.diagnostics().to_vec())?;
-    }
-    let rewired = schema.map(|s| rewired_schema(s, p, plan));
-    let report = match (schema, &rewired) {
-        (Some(os), Some(rs)) => {
-            crate::equiv::validate(&crate::equiv::EquivInput::with_schemas(p, &current, os, rs))
+    let (auto, auto_schema) = apply(p, schema, plan).map_err(|e| e.diagnostics().to_vec())?;
+    if let Some(s) = &auto_schema {
+        let report = shape::verify(&auto, s);
+        if !report.is_clean() {
+            return Err(report.diagnostics);
         }
-        _ => crate::equiv::validate(&crate::equiv::EquivInput::new(p, &current)),
-    };
-    if !report.is_clean() {
-        return Err(report.diagnostics());
     }
-    Ok((current, rewired))
-}
-
-/// Demotes a report whose plan failed certification: the plan is cleared
-/// (so it can never be applied), the predicted auto metric collapses to
-/// the baseline, and an `A003` advisory citing the refuting code is
-/// appended — the same suppressed-suggestion surface a per-candidate
-/// rejection uses, so downstream tooling needs no new case.
-pub fn demote_uncertified(report: &mut SuggestReport, rejection: &[Diagnostic]) {
-    let code = rejection
-        .iter()
-        .find(|d| d.severity() == crate::lint::Severity::Error)
-        .map_or("V001", |d| d.code.as_str());
-    let entries = report.plan.len();
-    report.plan.clear();
-    report.auto_metric = report.baseline_metric;
-    report.diagnostics.push(
-        Diagnostic::new(
-            Code::A003,
-            Site::Program,
-            None,
-            format!(
-                "auto-codec plan ({entries} entries) fails translation validation with {code}: \
-                 plan suppressed, baseline pipeline kept",
-            ),
-        )
-        .hint("an uncertified rewrite is never applied; re-frame storage or fix the plan"),
-    );
+    let verdict = equiv::validate(&EquivInput {
+        original: p,
+        rewritten: &auto,
+        original_schema: schema,
+        rewritten_schema: auto_schema.as_ref(),
+    });
+    if !verdict.is_clean() {
+        return Err(verdict.diagnostics());
+    }
+    Ok((auto, auto_schema))
 }
 
 #[cfg(test)]
@@ -606,7 +559,7 @@ mod tests {
             report.diagnostics
         );
         assert_eq!(report.plan.len(), 1);
-        assert_eq!(report.plan[0].current, "rle");
+        assert_eq!(report.plan[0].current, CodecKind::Rle);
         assert!(report.auto_metric < report.baseline_metric);
     }
 
@@ -646,7 +599,7 @@ mod tests {
             "{:?}",
             report.diagnostics
         );
-        assert_eq!(report.plan[0].suggested, "identity");
+        assert_eq!(report.plan[0].suggested, CodecKind::None);
     }
 
     #[test]
@@ -707,12 +660,8 @@ mod tests {
             "{:?}",
             report.diagnostics
         );
-        // Whatever the plan holds must verify end to end.
-        if !report.plan.is_empty() {
-            let auto = apply_plan(&p, &report.plan).unwrap();
-            let auto_schema = rewired_schema(&schema, &p, &report.plan);
-            assert!(shape::verify(&auto, &auto_schema).is_clean());
-        }
+        // Whatever the plan holds must certify end to end.
+        certify(&p, Some(&schema), &report.plan).unwrap();
     }
 
     #[test]
@@ -722,12 +671,64 @@ mod tests {
         let input = SuggestInput::with_schema(&p, &schema);
         let report = suggest(&input);
         assert!(!report.plan.is_empty());
-        let auto = apply_plan(&p, &report.plan).unwrap();
-        let auto_schema = rewired_schema(&schema, &p, &report.plan);
-        assert!(shape::verify(&auto, &auto_schema).is_clean());
+        let (auto, auto_schema) = certify(&p, Some(&schema), &report.plan).unwrap();
+        let auto_schema = auto_schema.expect("a schema in yields a schema out");
+        assert_ne!(auto, p);
         // Re-suggesting on the rewired pipeline proposes nothing better.
         let re = suggest(&SuggestInput::with_schema(&auto, &auto_schema));
         assert!(re.plan.is_empty(), "{:?}", re.plan);
+    }
+
+    #[test]
+    fn certify_refuses_a_one_sided_pair_swap() {
+        // An internal compress/decompress roundtrip: a plan swapping only
+        // the compress side breaks the pair, so certification must refuse
+        // it — there is no path by which the rewiring gets applied.
+        let mut b = PipelineBuilder::new();
+        let q0 = b.queue(32);
+        let q1 = b.queue(32);
+        let q2 = b.queue(32);
+        b.operator(
+            OperatorKind::Compress {
+                codec: CodecKind::Delta,
+                elem_bytes: 8,
+                sort_chunks: false,
+            },
+            q0,
+            vec![q1],
+        );
+        b.operator(
+            OperatorKind::Decompress {
+                codec: CodecKind::Delta,
+                elem_bytes: 8,
+            },
+            q1,
+            vec![q2],
+        );
+        let mut schema = MemorySchema::new();
+        schema.add_region(RegionSchema::raw("scratch", 0x1000, 0x1000, 8));
+        schema.declare_input(
+            q0,
+            shape::InputDomain::Values {
+                elem_bytes: 8,
+                max: None,
+            },
+        );
+        let p = b.build().unwrap();
+        let forged = [PlanEntry {
+            op: 0,
+            queue: q0,
+            current: CodecKind::Delta,
+            suggested: CodecKind::Rle,
+            sort_chunks: false,
+            gain: 0.5,
+        }];
+        let rejection = certify(&p, Some(&schema), &forged)
+            .expect_err("a one-sided pair swap must not certify");
+        assert!(
+            rejection.iter().any(|d| d.code == Code::V002),
+            "expected V002, got {rejection:?}"
+        );
     }
 
     #[test]
