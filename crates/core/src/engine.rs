@@ -88,6 +88,32 @@ struct QState {
     occupancy_q: u32,
     /// Quarters reserved by in-flight producer firings.
     reserved_q: u32,
+    /// While the engine sleeps: a core enqueue that leaves at least this
+    /// many quarters wakes it (`u32::MAX`: none does).
+    wake_at_q: u32,
+    /// While the engine sleeps: a core dequeue that leaves fewer than this
+    /// many quarters wakes it (0: none does).
+    wake_below_q: u32,
+}
+
+impl QState {
+    /// Whether a firing producing `produced_q` quarters fits, counting
+    /// in-flight reservations.
+    #[inline]
+    fn fits(&self, produced_q: u16) -> bool {
+        self.occupancy_q + self.reserved_q + produced_q as u32 <= self.capacity_q
+    }
+}
+
+/// The first check of the firing rule a front firing fails.
+#[derive(Debug, Clone, Copy)]
+enum Block {
+    /// Its input queue holds fewer quarters than it consumes.
+    Input(QueueId),
+    /// This output queue has no room for what it produces.
+    Output(QueueId),
+    /// It accesses memory and the access unit has no free slot.
+    AccessUnit,
 }
 
 #[derive(Debug)]
@@ -160,8 +186,9 @@ pub struct EngineModel {
     next_complete: u64,
     /// Set by a failed firing attempt: the next cycle at which an
     /// attempt could succeed without outside help (the earliest pending
-    /// completion, `u64::MAX` when none). Every external mutator resets
-    /// it to 0; see [`EngineModel::tick`].
+    /// completion, `u64::MAX` when none). Reset to 0 by new work, a
+    /// program load, or a core queue operation that crosses a queue's
+    /// wake threshold; see [`EngineModel::tick`].
     wake: u64,
     rr_next: usize,
     ready_at: u64,
@@ -274,15 +301,19 @@ impl EngineModel {
 
     /// Whether the core can enqueue `quarters` into queue `q` now.
     pub fn can_enqueue(&self, q: QueueId, quarters: u16) -> bool {
-        let qs = &self.queues[q as usize];
-        qs.occupancy_q + qs.reserved_q + quarters as u32 <= qs.capacity_q
+        self.queues[q as usize].fits(quarters)
     }
 
     /// Core-side enqueue (caller must have checked [`Self::can_enqueue`]).
+    /// Wakes a sleeping engine only if an operator blocked on this
+    /// queue's input may now fire.
     pub fn enqueue(&mut self, q: QueueId, quarters: u16) {
         debug_assert!(self.can_enqueue(q, quarters));
-        self.queues[q as usize].occupancy_q += quarters as u32;
-        self.wake = 0;
+        let qs = &mut self.queues[q as usize];
+        qs.occupancy_q += quarters as u32;
+        if qs.occupancy_q >= qs.wake_at_q {
+            self.wake = 0;
+        }
     }
 
     /// Whether the core can dequeue `quarters` from queue `q` now.
@@ -291,10 +322,15 @@ impl EngineModel {
     }
 
     /// Core-side dequeue (caller must have checked [`Self::can_dequeue`]).
+    /// Wakes a sleeping engine only if an operator blocked on this
+    /// queue's space may now fire.
     pub fn dequeue(&mut self, q: QueueId, quarters: u16) {
         debug_assert!(self.can_dequeue(q, quarters));
-        self.queues[q as usize].occupancy_q -= quarters as u32;
-        self.wake = 0;
+        let qs = &mut self.queues[q as usize];
+        qs.occupancy_q -= quarters as u32;
+        if qs.occupancy_q < qs.wake_below_q {
+            self.wake = 0;
+        }
     }
 
     /// Whether all traces are drained and no work is in flight.
@@ -309,11 +345,18 @@ impl EngineModel {
     /// every cycle: the firing rule reads only queue occupancies and
     /// reservations, the trace fronts, the access-unit count and the
     /// round-robin pointer. Within a call only the engine's own
-    /// completions change them; between calls only [`Self::enqueue`],
-    /// [`Self::dequeue`], [`Self::append_trace`] and
-    /// [`Self::load_program`] do, and each resets the wake cycle. So a
-    /// failed attempt jumps straight to the next completion, and an
-    /// engine whose wake cycle lies past the window returns at once.
+    /// completions change them, so a failed attempt jumps straight to the
+    /// next completion (the wake cycle). Between calls only
+    /// [`Self::enqueue`], [`Self::dequeue`], [`Self::append_trace`] and
+    /// [`Self::load_program`] do. The last two reset the wake cycle. A
+    /// failed attempt that sleeps past its window also records, per
+    /// queue, the occupancy that would let a blocked operator pass the
+    /// first check it failed: an input queue must reach the firing's
+    /// consumption, a full output queue must drain to capacity minus
+    /// reservations minus the firing's production. A core enqueue or
+    /// dequeue resets the wake cycle only when it crosses one of these;
+    /// any other leaves every operator failing the same check. An engine
+    /// whose wake cycle lies past the window returns at once.
     /// [`Self::stall_reason`] commits completions too, so no later window
     /// may end before the cycle it was given.
     #[inline]
@@ -337,6 +380,9 @@ impl EngineModel {
                 // Nothing the firing rule reads changes before then.
                 self.wake = self.next_complete;
                 t = self.next_complete;
+                if t >= end {
+                    self.arm_wake_thresholds();
+                }
             }
         }
         // Commit anything that completes exactly at the end of the window
@@ -372,6 +418,65 @@ impl EngineModel {
         self.next_complete = next;
     }
 
+    /// The first check of the firing rule that `f`, operator `op`'s front
+    /// firing, fails: input available, then space in each output queue
+    /// (including in-flight reservations), then a free access-unit slot.
+    /// `None` if it can fire.
+    #[inline]
+    fn blocked(&self, op: usize, f: &Firing) -> Option<Block> {
+        let input = self.inputs[op];
+        if self.queues[input as usize].occupancy_q < f.consumed_q as u32 {
+            return Some(Block::Input(input));
+        }
+        if let Some(&q) = self.outputs[op]
+            .iter()
+            .find(|&&q| !self.queues[q as usize].fits(f.produced_q))
+        {
+            return Some(Block::Output(q));
+        }
+        if f.mem.is_some() && self.au_busy >= self.cfg.au_outstanding {
+            return Some(Block::AccessUnit);
+        }
+        None
+    }
+
+    /// Records each queue's wake thresholds for a sleep that follows a
+    /// failed attempt (see [`Self::tick`]): an operator blocked on input
+    /// waits for its input queue to reach the firing's consumption, one
+    /// blocked on output space for that queue to drain until the firing
+    /// fits. One blocked on the access unit waits for a completion, which
+    /// the wake cycle already covers.
+    fn arm_wake_thresholds(&mut self) {
+        for qs in &mut self.queues {
+            qs.wake_at_q = u32::MAX;
+            qs.wake_below_q = 0;
+        }
+        for op in 0..self.traces.len() {
+            let Some(f) = self.traces[op].front().copied() else {
+                continue;
+            };
+            match self.blocked(op, &f) {
+                Some(Block::Input(q)) => {
+                    let qs = &mut self.queues[q as usize];
+                    qs.wake_at_q = qs.wake_at_q.min(f.consumed_q as u32);
+                }
+                Some(Block::Output(q)) => {
+                    let qs = &mut self.queues[q as usize];
+                    // Fits once occupancy is at most this; never while
+                    // the reservations alone leave too little room.
+                    if let Some(room) = qs
+                        .capacity_q
+                        .checked_sub(qs.reserved_q + f.produced_q as u32)
+                    {
+                        qs.wake_below_q = qs.wake_below_q.max(room + 1);
+                    }
+                }
+                Some(Block::AccessUnit) => {}
+                None => unreachable!("a failed attempt left operator {op} ready"),
+            }
+        }
+    }
+
     /// Attempts to fire one ready operator (round-robin). Returns whether
     /// a firing happened.
     fn fire_one(&mut self, t: u64, mem: &mut MemorySystem) -> bool {
@@ -380,23 +485,10 @@ impl EngineModel {
             let Some(f) = self.traces[op].front().copied() else {
                 continue;
             };
-            // Input available?
-            if self.queues[self.inputs[op] as usize].occupancy_q < f.consumed_q as u32 {
+            if self.blocked(op, &f).is_some() {
                 continue;
             }
-            // Output space (including in-flight reservations)?
-            let fits = self.outputs[op].iter().all(|&q| {
-                let qs = &self.queues[q as usize];
-                qs.occupancy_q + qs.reserved_q + f.produced_q as u32 <= qs.capacity_q
-            });
-            if !fits {
-                continue;
-            }
-            // Functional unit available?
             let uses_au = f.mem.is_some();
-            if uses_au && self.au_busy >= self.cfg.au_outstanding {
-                continue;
-            }
             // Fire.
             self.traces[op].pop_front();
             self.queues[self.inputs[op] as usize].occupancy_q -= f.consumed_q as u32;
@@ -446,19 +538,10 @@ impl EngineModel {
             let Some(f) = self.traces[op].front() else {
                 continue;
             };
-            if self.queues[self.inputs[op] as usize].occupancy_q < f.consumed_q as u32 {
-                continue;
-            }
-            let fits = self.outputs[op].iter().all(|&q| {
-                let qs = &self.queues[q as usize];
-                qs.occupancy_q + qs.reserved_q + f.produced_q as u32 <= qs.capacity_q
-            });
-            if !fits {
-                saw_output_full = true;
-                continue;
-            }
-            if f.mem.is_some() && self.au_busy >= self.cfg.au_outstanding {
-                saw_au = true;
+            match self.blocked(op, f) {
+                Some(Block::Output(_)) => saw_output_full = true,
+                Some(Block::AccessUnit) => saw_au = true,
+                Some(Block::Input(_)) | None => {}
             }
         }
         if saw_au {
@@ -774,6 +857,39 @@ mod tests {
         ]
     }
 
+    /// Stands for the queue a core-traffic case focuses on.
+    const FOCUS: QueueId = QueueId::MAX;
+
+    /// Steps dominated by small core-side enqueues and dequeues on one
+    /// queue drawn per case, a window or two apart, so a sleeping engine
+    /// sees its wake thresholds approached a few quarters at a time and
+    /// crossed.
+    fn arb_core_traffic() -> impl Strategy<Value = Vec<Step>> {
+        let step = prop_oneof![
+            (1u32..=2).prop_map(Step::Windows),
+            (1u32..=2).prop_map(Step::Windows),
+            (20u32..=100).prop_map(Step::Windows),
+            (1u16..=8).prop_map(|n| Step::Enqueue(FOCUS, n)),
+            (1u16..=8).prop_map(|n| Step::Enqueue(FOCUS, n)),
+            (1u16..=8).prop_map(|n| Step::Dequeue(FOCUS, n)),
+            (1u16..=8).prop_map(|n| Step::Dequeue(FOCUS, n)),
+            (0u8..3, 1u16..=32).prop_map(|(q, n)| Step::Enqueue(q, n)),
+            (0u8..3, 1u16..=32).prop_map(|(q, n)| Step::Dequeue(q, n)),
+            arb_batch().prop_map(Step::Append),
+        ];
+        (0u8..3, collection::vec(step, 40..200)).prop_map(|(focus, steps)| {
+            let focused = |q| if q == FOCUS { focus } else { q };
+            steps
+                .into_iter()
+                .map(|step| match step {
+                    Step::Enqueue(q, n) => Step::Enqueue(focused(q), n),
+                    Step::Dequeue(q, n) => Step::Dequeue(focused(q), n),
+                    step => step,
+                })
+                .collect()
+        })
+    }
+
     /// Asserts that the event-driven engine `ev` and the per-cycle
     /// reference `rf` agree after a window ending at `end`.
     fn assert_lockstep(ev: &mut EngineModel, rf: &mut EngineModel, end: u64, fired: (u64, u64)) {
@@ -801,6 +917,71 @@ mod tests {
         assert_eq!(ev.next_complete, earliest.unwrap_or(u64::MAX));
     }
 
+    /// Drives the event-driven engine and the per-cycle reference through
+    /// `steps` in lockstep from cycle `start`, asserting after every
+    /// window that they agree.
+    fn run_lockstep(
+        au_outstanding: usize,
+        window: u64,
+        start: u64,
+        first: Vec<Vec<Firing>>,
+        steps: Vec<Step>,
+    ) {
+        let (p, ..) = fig2_setup();
+        let mut cfg = EngineConfig::fetcher();
+        cfg.au_outstanding = au_outstanding;
+        let mut ev = EngineModel::new(cfg, 0);
+        let mut rf = EngineModel::new(cfg, 0);
+        let mut mem_ev = MemorySystem::new(MemConfig::paper_scaled());
+        let mut mem_rf = MemorySystem::new(MemConfig::paper_scaled());
+        let mut now = start;
+        for e in [&mut ev, &mut rf] {
+            e.enable_queue_log();
+            e.load_program(&p, now);
+            e.append_trace(first.clone());
+        }
+        for step in steps {
+            match step {
+                Step::Windows(n) => {
+                    for _ in 0..n {
+                        let a = ev.tick(now, window, &mut mem_ev);
+                        let b = reference_tick(&mut rf, now, window, &mut mem_rf);
+                        now += window;
+                        assert_lockstep(&mut ev, &mut rf, now, (a, b));
+                    }
+                }
+                Step::Enqueue(q, n) => {
+                    let fits = ev.can_enqueue(q, n);
+                    assert_eq!(fits, rf.can_enqueue(q, n));
+                    if fits {
+                        ev.enqueue(q, n);
+                        rf.enqueue(q, n);
+                    }
+                }
+                Step::Dequeue(q, n) => {
+                    let ready = ev.can_dequeue(q, n);
+                    assert_eq!(ready, rf.can_dequeue(q, n));
+                    if ready {
+                        ev.dequeue(q, n);
+                        rf.dequeue(q, n);
+                    }
+                }
+                Step::Append(batch) => {
+                    ev.append_trace(batch.clone());
+                    rf.append_trace(batch);
+                }
+                Step::Reload => {
+                    ev.load_program(&p, now);
+                    rf.load_program(&p, now);
+                }
+                Step::Gap(cycles) => now += cycles,
+            }
+        }
+        assert_eq!(mem_ev.stats(), mem_rf.stats());
+        assert_eq!(mem_ev.llc_stats(), mem_rf.llc_stats());
+        assert_eq!(ev.take_queue_log(), rf.take_queue_log());
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -812,59 +993,98 @@ mod tests {
             first in arb_batch(),
             steps in collection::vec(arb_step(), 40..160),
         ) {
-            let (p, ..) = fig2_setup();
-            let mut cfg = EngineConfig::fetcher();
-            cfg.au_outstanding = au_outstanding;
-            let mut ev = EngineModel::new(cfg, 0);
-            let mut rf = EngineModel::new(cfg, 0);
-            let mut mem_ev = MemorySystem::new(MemConfig::paper_scaled());
-            let mut mem_rf = MemorySystem::new(MemConfig::paper_scaled());
-            let mut now = start;
-            for e in [&mut ev, &mut rf] {
-                e.enable_queue_log();
-                e.load_program(&p, now);
-                e.append_trace(first.clone());
-            }
-            for step in steps {
-                match step {
-                    Step::Windows(n) => {
-                        for _ in 0..n {
-                            let a = ev.tick(now, window, &mut mem_ev);
-                            let b = reference_tick(&mut rf, now, window, &mut mem_rf);
-                            now += window;
-                            assert_lockstep(&mut ev, &mut rf, now, (a, b));
-                        }
-                    }
-                    Step::Enqueue(q, n) => {
-                        let fits = ev.can_enqueue(q, n);
-                        prop_assert_eq!(fits, rf.can_enqueue(q, n));
-                        if fits {
-                            ev.enqueue(q, n);
-                            rf.enqueue(q, n);
-                        }
-                    }
-                    Step::Dequeue(q, n) => {
-                        let ready = ev.can_dequeue(q, n);
-                        prop_assert_eq!(ready, rf.can_dequeue(q, n));
-                        if ready {
-                            ev.dequeue(q, n);
-                            rf.dequeue(q, n);
-                        }
-                    }
-                    Step::Append(batch) => {
-                        ev.append_trace(batch.clone());
-                        rf.append_trace(batch);
-                    }
-                    Step::Reload => {
-                        ev.load_program(&p, now);
-                        rf.load_program(&p, now);
-                    }
-                    Step::Gap(cycles) => now += cycles,
-                }
-            }
-            prop_assert_eq!(mem_ev.stats(), mem_rf.stats());
-            prop_assert_eq!(mem_ev.llc_stats(), mem_rf.llc_stats());
-            prop_assert_eq!(ev.take_queue_log(), rf.take_queue_log());
+            run_lockstep(au_outstanding, window, start, first, steps);
         }
+
+        #[test]
+        fn core_traffic_wakes_match_per_cycle_reference(
+            au_outstanding in 1usize..=8,
+            window in 1u64..=16,
+            start in 1u64..2_000,
+            first in arb_batch(),
+            steps in arb_core_traffic(),
+        ) {
+            run_lockstep(au_outstanding, window, start, first, steps);
+        }
+    }
+
+    /// A one-operator engine, input queue 0 and output queue 1 of 256
+    /// quarters each, configured by cycle 64 and given `firings`.
+    fn single_op_engine(firings: Vec<Firing>) -> EngineModel {
+        let mut b = PipelineBuilder::new();
+        let q0 = b.queue(64);
+        let q1 = b.queue(64);
+        b.operator(
+            OperatorKind::RangeFetch {
+                base: 0x1000,
+                idx_bytes: 8,
+                elem_bytes: 8,
+                input: RangeInput::Pairs,
+                marker: None,
+                class: DataClass::AdjacencyMatrix,
+            },
+            q0,
+            vec![q1],
+        );
+        let p = b.build().unwrap();
+        let mut e = EngineModel::new(EngineConfig::fetcher(), 0);
+        e.load_program(&p, 0);
+        assert_eq!(
+            effective_capacities(&p, 512).collect::<Vec<_>>(),
+            [256, 256]
+        );
+        e.append_trace(vec![firings]);
+        e
+    }
+
+    /// A transform firing: no memory access, visible two cycles later.
+    fn transform(consumed_q: u16, produced_q: u16) -> Firing {
+        Firing {
+            consumed_q,
+            produced_q,
+            mem: None,
+        }
+    }
+
+    #[test]
+    fn output_blocked_engine_wakes_only_on_the_dequeue_that_makes_room() {
+        let mut mem = MemorySystem::new(MemConfig::paper_scaled());
+        let mut e = single_op_engine(vec![transform(4, 64); 6]);
+        e.enqueue(0, 24);
+        // Four firings fill the 256-quarter output queue; the fifth
+        // blocks on space once they commit, with nothing in flight.
+        let mut now = 64;
+        while now < 96 {
+            e.tick(now, 8, &mut mem);
+            now += 8;
+        }
+        assert_eq!((e.fired, e.occupancy(1)), (4, 256));
+        assert_eq!(e.stall_reason(now), Stall::OutputFull);
+        assert_eq!(e.wake, u64::MAX, "asleep until a core operation");
+        // 193 quarters leave one quarter too few for a 64-quarter firing.
+        e.dequeue(1, 63);
+        assert_eq!(e.wake, u64::MAX, "a dequeue short of room keeps it asleep");
+        assert_eq!(e.tick(now, 8, &mut mem), 0);
+        now += 8;
+        e.dequeue(1, 1);
+        assert_eq!(e.wake, 0, "the dequeue that makes room wakes it");
+        assert_eq!(e.tick(now, 8, &mut mem), 1);
+        assert_eq!(e.occupancy(0), 4);
+    }
+
+    #[test]
+    fn input_blocked_engine_wakes_only_on_the_enqueue_that_fills_a_firing() {
+        let mut mem = MemorySystem::new(MemConfig::paper_scaled());
+        let mut e = single_op_engine(vec![transform(8, 4); 2]);
+        assert_eq!(e.tick(64, 8, &mut mem), 0);
+        assert_eq!(e.stall_reason(72), Stall::InputEmpty);
+        assert_eq!(e.wake, u64::MAX);
+        e.enqueue(0, 7);
+        assert_eq!(e.wake, u64::MAX, "7 of 8 quarters keep it asleep");
+        assert_eq!(e.tick(72, 8, &mut mem), 0);
+        e.enqueue(0, 1);
+        assert_eq!(e.wake, 0, "the enqueue that reaches 8 quarters wakes it");
+        assert_eq!(e.tick(80, 8, &mut mem), 1);
+        assert_eq!(e.occupancy(0), 0);
     }
 }

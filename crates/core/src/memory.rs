@@ -39,8 +39,14 @@ struct Region {
 #[derive(Debug)]
 pub struct MemoryImage {
     regions: Vec<Region>,
+    /// Index into `regions` of the region covering each 4 KB page, or
+    /// [`NO_REGION`] for guard pages and pages below the first region.
+    pages: Vec<u32>,
     next_base: u64,
 }
+
+/// A page no region covers.
+const NO_REGION: u32 = u32::MAX;
 
 impl Default for MemoryImage {
     fn default() -> Self {
@@ -54,6 +60,7 @@ impl MemoryImage {
     pub fn new() -> Self {
         MemoryImage {
             regions: Vec::new(),
+            pages: Vec::new(),
             next_base: REGION_ALIGN,
         }
     }
@@ -61,7 +68,15 @@ impl MemoryImage {
     /// Allocates a zeroed region of `bytes`, returning its base address.
     pub fn alloc(&mut self, name: &str, bytes: u64, class: DataClass) -> u64 {
         let base = self.next_base;
-        self.next_base = (base + bytes).div_ceil(REGION_ALIGN) * REGION_ALIGN + REGION_ALIGN; // one guard page between regions
+        let end_page = (base + bytes).div_ceil(REGION_ALIGN);
+        self.next_base = end_page * REGION_ALIGN + REGION_ALIGN; // one guard page between regions
+        assert!(
+            self.regions.len() < NO_REGION as usize,
+            "fewer than u32::MAX regions"
+        );
+        self.pages.resize((base / REGION_ALIGN) as usize, NO_REGION);
+        self.pages
+            .resize(end_page as usize, self.regions.len() as u32);
         self.regions.push(Region {
             base,
             data: vec![0u8; bytes as usize],
@@ -96,23 +111,59 @@ impl MemoryImage {
         self.alloc_from(name, &bytes, class)
     }
 
-    fn region_of(&self, addr: u64) -> Option<&Region> {
-        // Regions are allocated in ascending base order.
-        let idx = self.regions.partition_point(|r| r.base <= addr);
-        if idx == 0 {
-            return None;
-        }
-        let r = &self.regions[idx - 1];
-        (addr < r.base + r.data.len() as u64).then_some(r)
+    /// Index of the region holding byte `addr`: one page-table lookup,
+    /// then the bounds check for a region that ends inside its last page.
+    #[inline]
+    fn region_index(&self, addr: u64) -> Option<usize> {
+        let page = usize::try_from(addr / REGION_ALIGN).ok()?;
+        let &i = self.pages.get(page)?;
+        // `NO_REGION` indexes past every region.
+        let r = self.regions.get(i as usize)?;
+        (addr < r.base + r.data.len() as u64).then_some(i as usize)
     }
 
-    fn region_of_mut(&mut self, addr: u64) -> Option<&mut Region> {
-        let idx = self.regions.partition_point(|r| r.base <= addr);
-        if idx == 0 {
-            return None;
+    fn region_of(&self, addr: u64) -> Option<&Region> {
+        self.region_index(addr).map(|i| &self.regions[i])
+    }
+
+    /// The `len` bytes at `addr`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unmapped or out-of-bounds read.
+    #[inline]
+    fn bytes(&self, addr: u64, len: usize) -> &[u8] {
+        let r = self
+            .region_of(addr)
+            .unwrap_or_else(|| panic!("read of unmapped address {addr:#x}"));
+        let off = (addr - r.base) as usize;
+        r.data.get(off..off + len).unwrap_or_else(|| {
+            panic!(
+                "read of {len} bytes at {addr:#x} overruns region '{}'",
+                r.name
+            )
+        })
+    }
+
+    /// The `len` bytes at `addr`, writable.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unmapped or out-of-bounds write.
+    #[inline]
+    fn bytes_mut(&mut self, addr: u64, len: usize) -> &mut [u8] {
+        let i = self
+            .region_index(addr)
+            .unwrap_or_else(|| panic!("write to unmapped address {addr:#x}"));
+        let r = &mut self.regions[i];
+        let off = (addr - r.base) as usize;
+        match r.data.get_mut(off..off + len) {
+            Some(bytes) => bytes,
+            None => panic!(
+                "write of {len} bytes at {addr:#x} overruns region '{}'",
+                r.name
+            ),
         }
-        let r = &mut self.regions[idx - 1];
-        (addr < r.base + r.data.len() as u64).then_some(r)
     }
 
     /// The traffic class of the region containing `addr`
@@ -133,17 +184,7 @@ impl MemoryImage {
     /// Panics on an unmapped or out-of-bounds access (a bug in a DCL
     /// program or application).
     pub fn read_bytes_into(&self, addr: u64, out: &mut [u8]) {
-        let r = self
-            .region_of(addr)
-            .unwrap_or_else(|| panic!("read of unmapped address {addr:#x}"));
-        let off = (addr - r.base) as usize;
-        assert!(
-            off + out.len() <= r.data.len(),
-            "read of {} bytes at {addr:#x} overruns region '{}'",
-            out.len(),
-            r.name
-        );
-        out.copy_from_slice(&r.data[off..off + out.len()]);
+        out.copy_from_slice(self.bytes(addr, out.len()));
     }
 
     /// Reads `len` bytes at `addr` into a fresh vector.
@@ -159,29 +200,34 @@ impl MemoryImage {
     ///
     /// Panics on an unmapped or out-of-bounds access.
     pub fn write_bytes(&mut self, addr: u64, data: &[u8]) {
-        let r = self
-            .region_of_mut(addr)
-            .unwrap_or_else(|| panic!("write to unmapped address {addr:#x}"));
-        let off = (addr - r.base) as usize;
-        assert!(
-            off + data.len() <= r.data.len(),
-            "write of {} bytes at {addr:#x} overruns region '{}'",
-            data.len(),
-            r.name
-        );
-        r.data[off..off + data.len()].copy_from_slice(data);
+        self.bytes_mut(addr, data.len()).copy_from_slice(data);
     }
 
     /// Reads a little-endian unsigned value of `bytes` (1..=8) at `addr`.
+    /// The 4- and 8-byte widths load as one fixed-width value.
     pub fn read_uint(&self, addr: u64, bytes: u8) -> u64 {
-        let mut buf = [0u8; 8];
-        self.read_bytes_into(addr, &mut buf[..bytes as usize]);
-        u64::from_le_bytes(buf)
+        match bytes {
+            8 => u64::from_le_bytes(self.bytes(addr, 8).try_into().unwrap()),
+            4 => u32::from_le_bytes(self.bytes(addr, 4).try_into().unwrap()) as u64,
+            _ => {
+                let mut buf = [0u8; 8];
+                self.read_bytes_into(addr, &mut buf[..bytes as usize]);
+                u64::from_le_bytes(buf)
+            }
+        }
     }
 
     /// Writes a little-endian unsigned value of `bytes` (1..=8) at `addr`.
+    /// The 4- and 8-byte widths store as one fixed-width value.
     pub fn write_uint(&mut self, addr: u64, bytes: u8, value: u64) {
-        self.write_bytes(addr, &value.to_le_bytes()[..bytes as usize]);
+        match bytes {
+            8 => *<&mut [u8; 8]>::try_from(self.bytes_mut(addr, 8)).unwrap() = value.to_le_bytes(),
+            4 => {
+                *<&mut [u8; 4]>::try_from(self.bytes_mut(addr, 4)).unwrap() =
+                    (value as u32).to_le_bytes()
+            }
+            _ => self.write_bytes(addr, &value.to_le_bytes()[..bytes as usize]),
+        }
     }
 
     /// Reads a u64 at `addr`.
@@ -265,6 +311,7 @@ impl CompressibilityOracle for MemoryImage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn alloc_read_write_roundtrip() {
@@ -351,6 +398,108 @@ mod tests {
         let s = img.to_string();
         assert!(s.contains("neighbors"));
         assert!(s.contains("AdjacencyMatrix"));
+    }
+
+    #[test]
+    #[should_panic(expected = "read of 8 bytes at 0x1004 overruns region 'a'")]
+    fn overrun_fixed_width_read_panics() {
+        let mut img = MemoryImage::new();
+        let a = img.alloc("a", 8, DataClass::Other);
+        img.read_u64(a + 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "write to unmapped address 0x2000")]
+    fn guard_page_fixed_width_write_panics() {
+        let mut img = MemoryImage::new();
+        img.alloc("a", 8, DataClass::Other);
+        img.write_u32(0x2000, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "write of 4 bytes at 0x1006 overruns region 'a'")]
+    fn overrun_fixed_width_write_panics() {
+        let mut img = MemoryImage::new();
+        img.alloc("a", 8, DataClass::Other);
+        img.write_u32(0x1006, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "read of unmapped address 0x1008")]
+    fn read_past_a_region_ending_mid_page_panics() {
+        let mut img = MemoryImage::new();
+        img.alloc("a", 8, DataClass::Other);
+        img.read_uint(0x1008, 1);
+    }
+
+    /// Region sizes around the page boundary, and a large one.
+    fn arb_size() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            Just(0u64),
+            Just(1),
+            Just(4095),
+            Just(4096),
+            Just(4097),
+            1u64..3 * REGION_ALIGN,
+            Just(1 << 20),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn page_table_lookup_matches_a_search_over_regions(
+            sizes in collection::vec(arb_size(), 0..8),
+        ) {
+            let mut img = MemoryImage::new();
+            let classes = [DataClass::Other, DataClass::Updates, DataClass::Frontier];
+            let regions: Vec<(u64, u64)> = sizes
+                .iter()
+                .enumerate()
+                .map(|(i, &len)| (img.alloc(&format!("r{i}"), len, classes[i % 3]), len))
+                .collect();
+            // The lookup this replaces: the last region based at or below
+            // `addr`, if `addr` falls before its end.
+            let reference = |addr: u64| -> Option<usize> {
+                let i = regions.partition_point(|&(base, _)| base <= addr).checked_sub(1)?;
+                (addr < regions[i].0 + regions[i].1).then_some(i)
+            };
+            let mut probes = vec![0, 1, REGION_ALIGN - 1, img.next_base, img.next_base + 12345, u64::MAX];
+            for &(base, len) in &regions {
+                let guard = (base + len).div_ceil(REGION_ALIGN) * REGION_ALIGN;
+                probes.extend([base, base + len.max(1) - 1, base + len, guard, guard + REGION_ALIGN - 1]);
+                probes.extend(base.checked_sub(1));
+            }
+            for addr in probes {
+                let expected = reference(addr);
+                prop_assert_eq!(img.region_index(addr), expected, "addr {:#x}", addr);
+                let name = expected.map(|i| format!("r{i}"));
+                prop_assert_eq!(img.region_name(addr), name.as_deref());
+                prop_assert_eq!(img.class_of(addr), expected.map_or(DataClass::Other, |i| classes[i % 3]));
+            }
+        }
+
+        #[test]
+        fn fixed_width_accessors_match_byte_copies(
+            len in 8u64..64,
+            off in 0u64..56,
+            bytes in prop_oneof![Just(4u8), Just(8u8), 1u8..=8],
+            value in any::<u64>(),
+            fill in collection::vec(any::<u8>(), 64usize),
+        ) {
+            let off = off.min(len - bytes as u64);
+            let mut img = MemoryImage::new();
+            let a = img.alloc_from("a", &fill[..len as usize], DataClass::Other);
+            let mut expected = [0u8; 8];
+            img.read_bytes_into(a + off, &mut expected[..bytes as usize]);
+            prop_assert_eq!(img.read_uint(a + off, bytes), u64::from_le_bytes(expected));
+            img.write_uint(a + off, bytes, value);
+            let mut by_bytes = MemoryImage::new();
+            by_bytes.alloc_from("a", &fill[..len as usize], DataClass::Other);
+            by_bytes.write_bytes(a + off, &value.to_le_bytes()[..bytes as usize]);
+            prop_assert_eq!(img.read_bytes(a, len as usize), by_bytes.read_bytes(a, len as usize));
+        }
     }
 
     #[test]

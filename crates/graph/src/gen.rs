@@ -190,10 +190,15 @@ pub fn community(params: &CommunityParams, seed: u64) -> Csr {
     let total_weight = *deg_prefix.last().unwrap();
     let targets = GuideTable::new(&deg_prefix);
 
-    let mut edges = Vec::with_capacity(total_weight as usize);
+    // Rows are drawn in source order, so each is sorted, deduplicated
+    // and closed as soon as its targets are drawn.
+    let mut offsets = Vec::with_capacity(n + 1);
+    offsets.push(0u64);
+    let mut neighbors: Vec<VertexId> = Vec::with_capacity(total_weight as usize);
     for v in 0..n {
         let c = community_of[v];
         let (lo, hi) = (bounds[c], bounds[c + 1]);
+        let start = neighbors.len();
         for _ in 0..degs[v] {
             let dst = if rng.gen_bool(params.intra_prob) && hi - lo > 1 {
                 rng.gen_range(lo..hi)
@@ -202,11 +207,22 @@ pub fn community(params: &CommunityParams, seed: u64) -> Csr {
                 targets.find(rng.gen_range(0..total_weight))
             };
             if dst != v {
-                edges.push((v as VertexId, dst as VertexId));
+                neighbors.push(dst as VertexId);
             }
         }
+        neighbors[start..].sort_unstable();
+        let mut end = start;
+        for i in start..neighbors.len() {
+            if end == start || neighbors[end - 1] != neighbors[i] {
+                neighbors[end] = neighbors[i];
+                end += 1;
+            }
+        }
+        neighbors.truncate(end);
+        offsets.push(end as u64);
     }
-    Csr::from_edges(n, &edges)
+    neighbors.shrink_to_fit();
+    Csr::from_parts(n, offsets, neighbors, None)
 }
 
 /// Finds which weight a draw falls in, given the weights' running sums.

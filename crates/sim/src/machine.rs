@@ -6,7 +6,8 @@
 //! parallelism). Engines fire one operator per cycle. The main loop
 //! advances everything in `quantum`-cycle steps, pulling new work for a
 //! core from the [`WorkSource`] whenever its event queue drains — the
-//! dynamic chunk scheduling of the paper's runtime.
+//! dynamic chunk scheduling of the paper's runtime. A step visits only
+//! the cores that can act in it and ticks only engines with a program.
 
 use crate::ctrace::CTrace;
 use crate::event::Event;
@@ -184,6 +185,9 @@ pub struct Machine {
     cores: Vec<CoreState>,
     fetchers: Vec<EngineModel>,
     compressors: Vec<EngineModel>,
+    /// Whether any engine has had a program loaded; until then the
+    /// engines cannot act and the quantum loop skips them.
+    engines_loaded: bool,
     now: u64,
     /// Set when the watchdog trips; poisons subsequent phases.
     deadlock: Option<DeadlockReport>,
@@ -204,6 +208,7 @@ impl Machine {
             compressors: (0..n)
                 .map(|i| EngineModel::new(cfg.compressor, i))
                 .collect(),
+            engines_loaded: false,
             now: 0,
             deadlock: None,
             sanitize: None,
@@ -263,16 +268,19 @@ impl Machine {
         for f in &mut self.fetchers {
             f.load_program(pipeline, self.now);
         }
+        self.engines_loaded = true;
     }
 
     /// Loads a DCL program into one core's fetcher only.
     pub fn load_fetcher_program_for(&mut self, core: usize, pipeline: &Pipeline) {
         self.fetchers[core].load_program(pipeline, self.now);
+        self.engines_loaded = true;
     }
 
     /// Loads a DCL program into one core's compressor only.
     pub fn load_compressor_program_for(&mut self, core: usize, pipeline: &Pipeline) {
         self.compressors[core].load_program(pipeline, self.now);
+        self.engines_loaded = true;
     }
 
     /// Overrides the fetcher scratchpad size on every core (the Fig. 21
@@ -298,6 +306,17 @@ impl Machine {
     /// simulating it; the machine is poisoned — later phases do the same
     /// from the start and return 0 cycles.
     pub fn run_phase(&mut self, source: &mut dyn WorkSource) -> u64 {
+        self.run_phase_with(source, Self::step)
+    }
+
+    /// [`Machine::run_phase`] with `step` advancing every component
+    /// through one quantum starting at `now` and reporting whether any
+    /// made progress.
+    fn run_phase_with(
+        &mut self,
+        source: &mut dyn WorkSource,
+        mut step: impl FnMut(&mut Self) -> bool,
+    ) -> u64 {
         let start = self.now;
         for c in &mut self.cores {
             c.exhausted = false;
@@ -331,43 +350,8 @@ impl Machine {
             if self.quiescent() {
                 break;
             }
-            // Advance one quantum.
-            let quantum = self.cfg.quantum;
-            let mut progressed = false;
-            for i in 0..self.cores.len() {
-                progressed |= advance_core(
-                    &self.cfg,
-                    i,
-                    &mut self.cores[i],
-                    &mut self.fetchers[i],
-                    &mut self.compressors[i],
-                    &mut self.mem,
-                    self.now,
-                    quantum,
-                    self.sanitize.as_mut(),
-                );
-            }
-            for i in 0..self.cores.len() {
-                progressed |= self.fetchers[i].tick(self.now, quantum, &mut self.mem) > 0;
-                if let Some(tr) = &mut self.sanitize {
-                    drain_engine_events(
-                        tr,
-                        &mut self.mem,
-                        &mut self.fetchers[i],
-                        Actor::Fetcher(i),
-                    );
-                }
-                progressed |= self.compressors[i].tick(self.now, quantum, &mut self.mem) > 0;
-                if let Some(tr) = &mut self.sanitize {
-                    drain_engine_events(
-                        tr,
-                        &mut self.mem,
-                        &mut self.compressors[i],
-                        Actor::Compressor(i),
-                    );
-                }
-            }
-            self.now += quantum;
+            let progressed = step(self);
+            self.now += self.cfg.quantum;
             if progressed {
                 last_progress = self.now;
             } else if self.now - last_progress > self.cfg.deadlock_cycles {
@@ -382,6 +366,61 @@ impl Machine {
             tr.record(TraceEvent::Barrier { cycle: self.now });
         }
         self.now - start
+    }
+
+    /// Advances one quantum: the cores first, then the engines. A core
+    /// whose clock is at or past the quantum's end, or whose batch has
+    /// fully retired, cannot act in it (`advance_core` would only pull a
+    /// lagging clock up to `now`, which it does again before the core's
+    /// next event), so it is not visited; nor are the engines while none
+    /// has a program.
+    fn step(&mut self) -> bool {
+        let (now, quantum) = (self.now, self.cfg.quantum);
+        let mut progressed = false;
+        for i in 0..self.cores.len() {
+            let core = &mut self.cores[i];
+            if core.t >= now + quantum || core.drained() {
+                continue;
+            }
+            progressed |= advance_core(
+                &self.cfg,
+                i,
+                core,
+                &mut self.fetchers[i],
+                &mut self.compressors[i],
+                &mut self.mem,
+                now,
+                quantum,
+                self.sanitize.as_mut(),
+            );
+        }
+        if self.engines_loaded {
+            progressed |= self.tick_engines();
+        }
+        progressed
+    }
+
+    /// Ticks every core's fetcher and compressor through the quantum
+    /// starting at `now`. Returns whether any fired.
+    fn tick_engines(&mut self) -> bool {
+        let (now, quantum) = (self.now, self.cfg.quantum);
+        let mut fired = false;
+        for i in 0..self.cores.len() {
+            fired |= self.fetchers[i].tick(now, quantum, &mut self.mem) > 0;
+            if let Some(tr) = &mut self.sanitize {
+                drain_engine_events(tr, &mut self.mem, &mut self.fetchers[i], Actor::Fetcher(i));
+            }
+            fired |= self.compressors[i].tick(now, quantum, &mut self.mem) > 0;
+            if let Some(tr) = &mut self.sanitize {
+                drain_engine_events(
+                    tr,
+                    &mut self.mem,
+                    &mut self.compressors[i],
+                    Actor::Compressor(i),
+                );
+            }
+        }
+        fired
     }
 
     /// Pulls the rest of `source`'s work without simulating it, dealing
@@ -589,8 +628,13 @@ fn advance_core(
                 true
             }
             Event::Mem(acc) => {
-                // Need a free slot in the outstanding-miss window.
-                core.window.retain(|&c| c > core.t);
+                // Need a free slot in the outstanding-miss window. Misses
+                // done by `core.t` are pruned only when the window looks
+                // full: pruning cannot make a window with a free slot
+                // full, and the sanitizer counts only misses past `now`.
+                if core.window.len() >= cfg.core_mlp {
+                    core.window.retain(|&c| c > core.t);
+                }
                 if core.window.len() >= cfg.core_mlp {
                     let earliest = core.window.iter().copied().min().unwrap();
                     core.stall_cycles += earliest.saturating_sub(core.t);
@@ -690,7 +734,8 @@ fn advance_core(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spzip_mem::DataClass;
+    use proptest::prelude::*;
+    use spzip_mem::{Access, DataClass, MemOp};
     use std::collections::VecDeque;
 
     fn tiny_config() -> MachineConfig {
@@ -935,5 +980,367 @@ mod tests {
         let mut m = Machine::new(tiny_config());
         let cycles = m.run_phase(&mut Pool { left: 20 });
         assert!((10_000..13_000).contains(&cycles), "{cycles}");
+    }
+
+    /// The quantum step before the machine skipped what cannot act: every
+    /// core and engine is visited, the MLP window is pruned on every
+    /// memory event, and every core queue operation wakes its engine
+    /// (`append_trace` of `ops.0` or `ops.1` empty traces resets the wake
+    /// cycle, as `enqueue` and `dequeue` once did).
+    fn reference_step(m: &mut Machine, ops: (usize, usize)) -> bool {
+        let (now, quantum) = (m.now, m.cfg.quantum);
+        let mut progressed = false;
+        for i in 0..m.cores.len() {
+            progressed |= reference_advance_core(
+                &m.cfg,
+                i,
+                &mut m.cores[i],
+                &mut m.fetchers[i],
+                &mut m.compressors[i],
+                &mut m.mem,
+                now,
+                quantum,
+                m.sanitize.as_mut(),
+                ops,
+            );
+        }
+        progressed | m.tick_engines()
+    }
+
+    /// `advance_core` as [`reference_step`] runs it.
+    #[allow(clippy::too_many_arguments)]
+    fn reference_advance_core(
+        cfg: &MachineConfig,
+        core_id: usize,
+        core: &mut CoreState,
+        fetcher: &mut EngineModel,
+        compressor: &mut EngineModel,
+        mem: &mut MemorySystem,
+        now: u64,
+        quantum: u64,
+        mut trace: Option<&mut CTrace>,
+        ops: (usize, usize),
+    ) -> bool {
+        let deadline = now + quantum;
+        if core.t < now {
+            core.t = now;
+        }
+        let mut progressed = false;
+        while core.t < deadline {
+            let Some(&ev) = core.front() else {
+                break;
+            };
+            let ready = match ev {
+                Event::Compute(n) => {
+                    core.t += n as u64;
+                    true
+                }
+                Event::Mem(acc) => {
+                    core.window.retain(|&c| c > core.t);
+                    if core.window.len() >= cfg.core_mlp {
+                        let earliest = core.window.iter().copied().min().unwrap();
+                        core.stall_cycles += earliest.saturating_sub(core.t);
+                        core.t = earliest;
+                        if core.t >= deadline {
+                            break;
+                        }
+                        core.window.retain(|&c| c > core.t);
+                    }
+                    let done = mem.issue(core_id, Port::Core, &acc, core.t);
+                    if let Some(tr) = trace.as_mut() {
+                        tr.record_all(mem.drain_probe_records().into_iter().map(TraceEvent::Mem));
+                    }
+                    if acc.op == MemOp::Atomic {
+                        core.stall_cycles += done.saturating_sub(core.t);
+                        core.t = done;
+                    } else if done - core.t <= cfg.mem.l2_latency + cfg.mem.l1_latency {
+                        core.t = done;
+                    } else {
+                        core.window.push(done);
+                        core.t += 1;
+                    }
+                    true
+                }
+                Event::FetcherEnqueue { q, quarters }
+                | Event::CompressorEnqueue { q, quarters } => {
+                    let (engine, who, n_ops) = match ev {
+                        Event::FetcherEnqueue { .. } => {
+                            (&mut *fetcher, Actor::Fetcher(core_id), ops.0)
+                        }
+                        _ => (&mut *compressor, Actor::Compressor(core_id), ops.1),
+                    };
+                    let ready = engine.can_enqueue(q, quarters);
+                    if ready {
+                        engine.enqueue(q, quarters);
+                        engine.append_trace(vec![Vec::new(); n_ops]);
+                        if let Some(tr) = trace.as_mut() {
+                            tr.record(TraceEvent::Push {
+                                actor: Actor::Core(core_id),
+                                engine: who,
+                                q,
+                                quarters: quarters as u32,
+                                cycle: core.t,
+                            });
+                        }
+                        core.t += cfg.queue_op_cycles as u64;
+                    }
+                    ready
+                }
+                Event::FetcherDequeue { q, quarters } => {
+                    let ready = fetcher.can_dequeue(q, quarters);
+                    if ready {
+                        fetcher.dequeue(q, quarters);
+                        fetcher.append_trace(vec![Vec::new(); ops.0]);
+                        if let Some(tr) = trace.as_mut() {
+                            tr.record(TraceEvent::Pop {
+                                actor: Actor::Core(core_id),
+                                engine: Actor::Fetcher(core_id),
+                                q,
+                                quarters: quarters as u32,
+                                cycle: core.t,
+                            });
+                        }
+                        core.t += cfg.queue_op_cycles as u64;
+                    }
+                    ready
+                }
+                Event::CompressorDrain => {
+                    let ready = compressor.idle();
+                    if ready {
+                        if let Some(tr) = trace.as_mut() {
+                            tr.record(TraceEvent::Drain {
+                                actor: Actor::Core(core_id),
+                                engine: Actor::Compressor(core_id),
+                                cycle: core.t,
+                            });
+                        }
+                    }
+                    ready
+                }
+            };
+            if !ready {
+                core.stall_cycles += deadline - core.t;
+                core.t = deadline;
+                break;
+            }
+            core.next += 1;
+            core.retired_events += 1;
+            progressed = true;
+        }
+        progressed
+    }
+
+    /// One generated batch: events, then optional fetcher and compressor
+    /// firings (one list per operator).
+    type Batch = (
+        Vec<Event>,
+        Option<Vec<Vec<Firing>>>,
+        Option<Vec<Vec<Firing>>>,
+    );
+
+    /// A differential case: per phase, per core, the batches it is fed.
+    #[derive(Debug, Clone)]
+    struct Case {
+        cores: usize,
+        /// Whether both engines of every core get a program.
+        loaded: bool,
+        sanitize: bool,
+        deadlock_cycles: u64,
+        phases: Vec<Vec<Vec<Batch>>>,
+    }
+
+    /// A two-operator program (q0 -> q1 -> q2) for either engine.
+    fn two_stage_pipeline() -> Pipeline {
+        let mut b = spzip_core::dcl::PipelineBuilder::new();
+        let q0 = b.queue(16);
+        let q1 = b.queue(16);
+        let q2 = b.queue(16);
+        for (input, output, marker) in [(q0, q1, None), (q1, q2, Some(0))] {
+            b.operator(
+                spzip_core::dcl::OperatorKind::RangeFetch {
+                    base: 0x1000,
+                    idx_bytes: 8,
+                    elem_bytes: 8,
+                    input: spzip_core::dcl::RangeInput::Pairs,
+                    marker,
+                    class: DataClass::AdjacencyMatrix,
+                },
+                input,
+                vec![output],
+            );
+        }
+        b.build().unwrap()
+    }
+
+    /// Memory events over a small range the cores contend for, plus a
+    /// wider one that keeps missing.
+    fn arb_mem_event() -> impl Strategy<Value = Event> {
+        let addr = prop_oneof![
+            (0u64..64).prop_map(|i| 0x4_0000 + i * 24),
+            (0u64..2048).prop_map(|i| 0x10_0000 + i * 200),
+        ];
+        let class = prop_oneof![
+            Just(DataClass::Frontier),
+            Just(DataClass::Updates),
+            Just(DataClass::Other),
+        ];
+        (addr, 1u32..=8, 0u8..4, class).prop_map(|(addr, bytes, op, class)| match op {
+            0 => Event::load(addr, bytes, class),
+            1 => Event::store(addr, bytes, class),
+            2 => Event::atomic(addr, bytes, class),
+            _ => Event::stream_store(addr & !63, 64, class),
+        })
+    }
+
+    fn arb_event() -> impl Strategy<Value = Event> {
+        // `prop_oneof!` draws uniformly; repeated arms weight the draw.
+        let enqueue = || (1u16..=16).prop_map(|quarters| Event::FetcherEnqueue { q: 0, quarters });
+        let dequeue = || (1u16..=4).prop_map(|quarters| Event::FetcherDequeue { q: 2, quarters });
+        prop_oneof![
+            (1u32..=24).prop_map(Event::Compute),
+            arb_mem_event(),
+            arb_mem_event(),
+            enqueue(),
+            enqueue(),
+            dequeue(),
+            dequeue(),
+            (1u16..=16).prop_map(|quarters| Event::CompressorEnqueue { q: 0, quarters }),
+            Just(Event::CompressorDrain),
+        ]
+    }
+
+    /// Firings for the two-operator program, flow-inconsistent on purpose
+    /// so engines also block on input, output space and the access unit.
+    fn arb_trace() -> impl Strategy<Value = Vec<Vec<Firing>>> {
+        let firing = (0u16..=4, 0u16..=16, 0u8..4, 0u64..1 << 10).prop_map(
+            |(consumed_q, produced_q, kind, line)| Firing {
+                consumed_q,
+                produced_q,
+                mem: match kind {
+                    0 | 1 => None,
+                    2 => Some(Access::new(line * 64, 8, MemOp::Store, DataClass::Other)),
+                    _ => Some(Access::new(line * 64, 8, MemOp::Load, DataClass::Other)),
+                },
+            },
+        );
+        collection::vec(collection::vec(firing, 0..24), 2)
+    }
+
+    fn arb_case() -> impl Strategy<Value = Case> {
+        // A third of the cases trip the watchdog early.
+        let deadlock = prop_oneof![16u64..400, Just(20_000), Just(20_000)];
+        let loaded = prop_oneof![Just(true), Just(true), Just(false)];
+        let trace = || prop_oneof![Just(None), arb_trace().prop_map(Some)];
+        let batch = (collection::vec(arb_event(), 0..48), trace(), trace());
+        let phase = collection::vec(collection::vec(batch, 0..5), 4usize);
+        let phases = collection::vec(phase, 1..=2usize);
+        (1usize..=4, loaded, any::<bool>(), deadlock, phases).prop_map(
+            |(cores, loaded, sanitize, deadlock_cycles, mut phases)| {
+                for phase in &mut phases {
+                    phase.truncate(cores);
+                    // Without programs, cores replay only compute and
+                    // memory events.
+                    for batch in phase.iter_mut().flatten().filter(|_| !loaded) {
+                        batch
+                            .0
+                            .retain(|e| matches!(e, Event::Compute(_) | Event::Mem(_)));
+                        (batch.1, batch.2) = (None, None);
+                    }
+                }
+                Case {
+                    cores,
+                    loaded,
+                    sanitize,
+                    deadlock_cycles,
+                    phases,
+                }
+            },
+        )
+    }
+
+    /// Everything a run exposes: the cycle after each phase, the deadlock
+    /// report, the run report, and for a sanitized run its trace,
+    /// violations and post-run context.
+    type Observed = (
+        Vec<u64>,
+        Option<DeadlockReport>,
+        String,
+        Option<Vec<TraceEvent>>,
+        String,
+    );
+
+    fn observe(case: &Case, reference: bool) -> Observed {
+        let mut cfg = tiny_config();
+        cfg.mem.cores = case.cores;
+        cfg.deadlock_cycles = case.deadlock_cycles;
+        // 48 words give every queue the 16-word floor: 64 quarters.
+        cfg.fetcher.scratchpad_bytes = 192;
+        cfg.compressor.scratchpad_bytes = 192;
+        let mut m = Machine::new(cfg);
+        if case.sanitize {
+            m.enable_sanitizer();
+        }
+        let p = two_stage_pipeline();
+        let ops = if case.loaded {
+            m.load_fetcher_program(&p);
+            for core in 0..case.cores {
+                m.load_compressor_program_for(core, &p);
+            }
+            (2, 2)
+        } else {
+            (0, 0)
+        };
+        let mut nows = Vec::new();
+        for phase in &case.phases {
+            let mut src = ListSource {
+                batches: phase
+                    .iter()
+                    .map(|batches| {
+                        batches
+                            .iter()
+                            .map(|(events, fetcher, compressor)| CoreWork {
+                                events: events.clone(),
+                                fetcher_trace: fetcher.clone(),
+                                compressor_trace: compressor.clone(),
+                            })
+                            .collect()
+                    })
+                    .collect(),
+            };
+            if reference {
+                m.run_phase_with(&mut src, |m| reference_step(m, ops));
+            } else {
+                m.run_phase(&mut src);
+            }
+            nows.push(m.now());
+        }
+        let deadlock = m.deadlock().cloned();
+        if case.sanitize {
+            let (report, san) = m.finish_sanitized();
+            let trace = san.trace.decode_all().expect("trace decodes");
+            let rest = format!("{:?} {:?}", san.violations, san.context);
+            (nows, deadlock, report.to_kv(), Some(trace), rest)
+        } else {
+            (nows, deadlock, m.finish().to_kv(), None, String::new())
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The quantum step that skips idle cores and unloaded engines,
+        /// prunes the MLP window only when full and wakes engines only on
+        /// threshold crossings simulates exactly what the step visiting
+        /// everything does.
+        #[test]
+        fn skipping_step_matches_the_visit_everything_reference(case in arb_case()) {
+            let fast = observe(&case, false);
+            let reference = observe(&case, true);
+            prop_assert_eq!(&fast.0, &reference.0, "cycle after each phase");
+            prop_assert_eq!(&fast.1, &reference.1, "deadlock report");
+            prop_assert_eq!(&fast.2, &reference.2, "run report");
+            prop_assert!(fast.3 == reference.3, "sanitized traces differ");
+            prop_assert_eq!(&fast.4, &reference.4, "violations and context");
+        }
     }
 }
